@@ -13,6 +13,12 @@ vertices):
 * bulk column reads/sorts must beat the equivalent per-element handle
   loops by ≥2×.
 
+The traversal kernels have their own guard on the ZeusMP parallel view
+at 16 ranks (191,696 vertices in 16 chains ~12k deep — the shape of the
+``zeusmp_critical_path`` benchmark workload): building the CSR
+adjacency index and extracting the critical path must stay inside
+budgets ~10× / ~3× their measured times.
+
 Each test prints one JSON line (run with ``-s`` to capture) so the
 numbers can be tracked across commits by the CI perf-smoke job.
 """
@@ -26,7 +32,9 @@ import time
 import pytest
 
 import repro.dataflow  # noqa: F401 - resolves the passes/dataflow import cycle
+from repro.algorithms import critical_path, topological_order
 from repro.apps import lammps, registry
+from repro.dataflow.api import PerFlow
 from repro.passes.hotspot import hotspot_detection
 from repro.passes.imbalance import imbalance_analysis
 from repro.pag.views import build_parallel_view, build_top_down_view
@@ -37,6 +45,12 @@ from repro.runtime.executor import run_program
 BUDGET_PARALLEL_VIEW = 10.0
 BUDGET_TD_PIPELINE = 1.0
 BUDGET_PV_HOTSPOT = 2.0
+
+#: Traversal kernels on the ZeusMP-16 parallel view (measured: index
+#: build 6 ms, topological order 50 ms, critical path 0.18 s; the
+#: per-handle loops they replaced took 120 ms / 0.8 s / 2.0 s).
+BUDGET_ADJ_BUILD = 0.1
+BUDGET_CRITICAL_PATH = 0.6
 
 SCALED_RANKS = 16  #: flows materialized in the parallel view
 
@@ -195,3 +209,33 @@ def test_bulk_reads_beat_per_element_loops(lammps_pag):
     )
     assert values_speedup >= 2.0
     assert sort_speedup >= 2.0
+
+
+def test_adjacency_build_and_critical_path_budget():
+    """CSR index build < 100 ms and critical path < 0.6 s on ZeusMP-16."""
+    pflow = PerFlow()
+    pv = pflow.parallel_view(pflow.run(bin=registry()["zeusmp"](), nprocs=16))
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        out = fn()
+        return out, time.perf_counter() - t0
+
+    _, build_s = timed(pv._csr)
+    order, topo_s = timed(lambda: topological_order(pv))
+    (vertices, edges, weight), cp_s = timed(lambda: critical_path(pv))
+    assert len(order) == pv.num_vertices
+    assert len(edges) == len(vertices) - 1 and weight > 0.0
+    _emit(
+        "adjacency_and_critical_path",
+        vertices=pv.num_vertices,
+        edges=pv.num_edges,
+        index_build_s=round(build_s, 4),
+        topological_order_s=round(topo_s, 4),
+        critical_path_s=round(cp_s, 4),
+        path_vertices=len(vertices),
+        budget_build=BUDGET_ADJ_BUILD,
+        budget_critical_path=BUDGET_CRITICAL_PATH,
+    )
+    assert build_s < BUDGET_ADJ_BUILD
+    assert cp_s < BUDGET_CRITICAL_PATH

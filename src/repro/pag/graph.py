@@ -15,10 +15,13 @@ storage, so Table-2-scale graphs (10M+ vertices for LAMMPS's parallel
 view at 128 ranks) cost a few dozen bytes per element instead of a full
 Python object + dict.
 
-Adjacency indices (per-vertex in/out edge-id lists) are built lazily on
-first traversal access, so set-algebra pipelines that never walk edges
-(hotspot, imbalance) skip that cost entirely; once built they are kept
-incrementally up to date.
+The adjacency index is a CSR pair (``ptr``/``eids`` int64 arrays for
+out- and in-edges) built lazily on first traversal access from a stable
+argsort of the endpoint arrays, so set-algebra pipelines that never
+walk edges (hotspot, imbalance) skip that cost entirely.  It is never
+patched: structure is append-only, so an index whose element counts no
+longer match the graph is stale and the next read rebuilds it.  Build
+fully, then traverse.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.pag.columns import ColumnStore, StringTable
+from repro.pag.columns import ColumnStore, StringTable, _np_view
 from repro.pag.edge import (
     COMMKIND_CODE,
     ELABEL_CODE,
@@ -38,6 +41,7 @@ from repro.pag.edge import (
     Edge,
     EdgeLabel,
 )
+from repro.pag.sets import EdgeSet, VertexSet
 from repro.pag.vertex import (
     CALLKIND_CODE,
     CALLKINDS,
@@ -58,6 +62,22 @@ _TOKENS = itertools.count(1)
 
 def _vid(ref: VertexRef) -> int:
     return ref.id if isinstance(ref, Vertex) else ref
+
+
+def _csr_ptr(endpoints: np.ndarray, nv: int) -> np.ndarray:
+    """Row pointers of edges grouped by ``endpoints``: vertex ``v``
+    owns positions ``ptr[v]:ptr[v + 1]`` of the grouped edge list."""
+    ptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(endpoints, minlength=nv), out=ptr[1:])
+    return ptr
+
+
+def _csr_side(endpoints: np.ndarray, nv: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ptr, eids)`` grouping edge ids by ``endpoints``: the edges of
+    vertex ``v`` are ``eids[ptr[v]:ptr[v + 1]]``, ascending."""
+    eids = np.argsort(endpoints, kind="stable")
+    eids.setflags(write=False)  # slices of it are handed out as set ids
+    return _csr_ptr(endpoints, nv), eids
 
 
 class PAG:
@@ -90,8 +110,8 @@ class PAG:
         # property columns
         self._vprops = ColumnStore(self.strings)
         self._eprops = ColumnStore(self.strings)
-        # lazy adjacency: (out, in) per-vertex edge-id lists
-        self._adj: Optional[Tuple[List[List[int]], List[List[int]]]] = None
+        # lazy adjacency: (nv, ne, (out_ptr, out_eids, in_ptr, in_eids))
+        self._csr_cache: Optional[Tuple[int, int, Tuple[np.ndarray, ...]]] = None
         # out-of-core support: when loaded with load_pag(..., mmap=True)
         # the structural arrays above are read-only numpy views into an
         # mmap-ed file and this holds the keep-alive SegmentBacking;
@@ -151,9 +171,6 @@ class PAG:
             vset = self._vprops.set
             for key, value in properties.items():
                 vset(vid, key, value)
-        if self._adj is not None:
-            self._adj[0].append([])
-            self._adj[1].append([])
         return Vertex._attached(self, vid)
 
     def add_edge(
@@ -183,9 +200,6 @@ class PAG:
             eset = self._eprops.set
             for key, value in properties.items():
                 eset(eid, key, value)
-        if self._adj is not None:
-            self._adj[0][sid].append(eid)
-            self._adj[1][did].append(eid)
         return Edge._attached(self, eid)
 
     # ------------------------------------------------------------------
@@ -231,8 +245,6 @@ class PAG:
     @property
     def vs(self):
         """All vertices as a :class:`~repro.pag.sets.VertexSet` (paper's ``pag.vs``)."""
-        from repro.pag.sets import VertexSet
-
         return VertexSet._from_ids(self, np.arange(len(self._v_label), dtype=np.int64))
 
     @property
@@ -243,8 +255,6 @@ class PAG:
     @property
     def es_all(self):
         """All edges as an :class:`~repro.pag.sets.EdgeSet`."""
-        from repro.pag.sets import EdgeSet
-
         return EdgeSet._from_ids(self, np.arange(len(self._e_src), dtype=np.int64))
 
     @property
@@ -253,51 +263,50 @@ class PAG:
         return self.es_all
 
     # ------------------------------------------------------------------
-    # adjacency (built lazily, kept incrementally once built)
+    # adjacency (CSR index, built lazily, rebuilt after structural growth)
     # ------------------------------------------------------------------
-    def _ensure_adj(self) -> Tuple[List[List[int]], List[List[int]]]:
-        if self._adj is None:
-            out: List[List[int]] = [[] for _ in range(len(self._v_label))]
-            inn: List[List[int]] = [[] for _ in range(len(self._v_label))]
-            e_src, e_dst = self._e_src, self._e_dst
-            for eid in range(len(e_src)):
-                out[e_src[eid]].append(eid)
-                inn[e_dst[eid]].append(eid)
-            self._adj = (out, inn)
-        return self._adj
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(out_ptr, out_eids, in_ptr, in_eids)`` int64 arrays.
+
+        Reads the endpoint arrays through zero-copy views, so it works
+        on mmap- and shm-backed graphs without thawing them.
+        """
+        nv, ne = len(self._v_label), len(self._e_src)
+        cached = self._csr_cache
+        if cached is None or cached[0] != nv or cached[1] != ne:
+            index = _csr_side(_np_view(self._e_src, np.int64), nv) + _csr_side(
+                _np_view(self._e_dst, np.int64), nv
+            )
+            self._csr_cache = cached = (nv, ne, index)
+        return cached[2]
+
+    def _out_eids(self, vid: int) -> np.ndarray:
+        ptr, eids, _, _ = self._csr()
+        return eids[ptr.item(vid) : ptr.item(vid + 1)]
+
+    def _in_eids(self, vid: int) -> np.ndarray:
+        _, _, ptr, eids = self._csr()
+        return eids[ptr.item(vid) : ptr.item(vid + 1)]
 
     def out_edges(self, v: VertexRef):
-        from repro.pag.sets import EdgeSet
-
-        return EdgeSet._from_ids(
-            self, np.asarray(self._ensure_adj()[0][_vid(v)], dtype=np.int64)
-        )
+        return EdgeSet._from_ids(self, self._out_eids(_vid(v)))
 
     def in_edges(self, v: VertexRef):
-        from repro.pag.sets import EdgeSet
-
-        return EdgeSet._from_ids(
-            self, np.asarray(self._ensure_adj()[1][_vid(v)], dtype=np.int64)
-        )
+        return EdgeSet._from_ids(self, self._in_eids(_vid(v)))
 
     def incident(self, v: VertexRef):
-        from repro.pag.sets import EdgeSet
-
         vid = _vid(v)
-        out, inn = self._ensure_adj()
         return EdgeSet._from_ids(
-            self, np.asarray(inn[vid] + out[vid], dtype=np.int64)
+            self, np.concatenate((self._in_eids(vid), self._out_eids(vid)))
         )
 
     def successors(self, v: VertexRef) -> List[Vertex]:
-        out = self._ensure_adj()[0][_vid(v)]
-        e_dst = self._e_dst
-        return [Vertex._attached(self, e_dst[eid]) for eid in out]
+        dst = _np_view(self._e_dst, np.int64)[self._out_eids(_vid(v))]
+        return [Vertex._attached(self, d) for d in dst.tolist()]
 
     def predecessors(self, v: VertexRef) -> List[Vertex]:
-        inn = self._ensure_adj()[1][_vid(v)]
-        e_src = self._e_src
-        return [Vertex._attached(self, e_src[eid]) for eid in inn]
+        src = _np_view(self._e_src, np.int64)[self._in_eids(_vid(v))]
+        return [Vertex._attached(self, s) for s in src.tolist()]
 
     def neighbors(self, v: VertexRef) -> List[Vertex]:
         seen: Dict[int, None] = {}
@@ -308,15 +317,15 @@ class PAG:
         return [Vertex._attached(self, vid) for vid in seen]
 
     def out_degree(self, v: VertexRef) -> int:
-        return len(self._ensure_adj()[0][_vid(v)])
+        vid, ptr = _vid(v), self._csr()[0]
+        return ptr.item(vid + 1) - ptr.item(vid)
 
     def in_degree(self, v: VertexRef) -> int:
-        return len(self._ensure_adj()[1][_vid(v)])
+        vid, ptr = _vid(v), self._csr()[2]
+        return ptr.item(vid + 1) - ptr.item(vid)
 
     def degree(self, v: VertexRef) -> int:
-        vid = _vid(v)
-        out, inn = self._ensure_adj()
-        return len(out[vid]) + len(inn[vid])
+        return self.out_degree(v) + self.in_degree(v)
 
     # ------------------------------------------------------------------
     # whole-graph operations

@@ -42,7 +42,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -174,8 +174,17 @@ class ReproServer:
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
 
-    async def serve_forever(self, install_signals: bool = True) -> None:
-        """Start, run until :meth:`request_drain`, then drain cleanly."""
+    async def serve_forever(
+        self,
+        install_signals: bool = True,
+        on_ready: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Start, run until :meth:`request_drain`, then drain cleanly.
+
+        ``on_ready`` runs once the listener is bound *and* the signal
+        handlers are in place, so whoever it tells about the server may
+        signal it straight away and still get a drained exit.
+        """
         if self._server is None:
             await self.start()
         assert self._stop is not None
@@ -186,6 +195,8 @@ class ReproServer:
                     loop.add_signal_handler(sig, self.request_drain)
                 except (NotImplementedError, ValueError, RuntimeError):
                     break  # non-main thread or unsupported platform
+        if on_ready is not None:
+            on_ready()
         await self._stop.wait()
         await self.drain()
 
@@ -574,12 +585,9 @@ def main_loop(config: ServerConfig, announce: Any = None) -> int:
     """Blocking entry point used by ``repro serve``; returns exit code."""
     server = ReproServer(config)
 
-    async def _run() -> None:
-        await server.start()
+    def _announce() -> None:
         if announce is not None:
-            print(f"serving on {server.host}:{server.port}", file=announce)
-            announce.flush()
-        await server.serve_forever()
+            print(f"serving on {server.host}:{server.port}", file=announce, flush=True)
 
-    asyncio.run(_run())
+    asyncio.run(server.serve_forever(on_ready=_announce))
     return 0

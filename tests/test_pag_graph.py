@@ -1,5 +1,6 @@
 """Unit tests for the PAG container."""
 
+import numpy as np
 import pytest
 
 from repro.pag.edge import CommKind, EdgeLabel
@@ -117,3 +118,165 @@ def test_repr(small_pag):
     assert "|V|=3" in repr(small_pag)
     assert "MPI_Send" in repr(small_pag.vertex(2))
     assert "->" in repr(small_pag.edge(0))
+
+
+# ----------------------------------------------------------------------
+# adjacency index contract (lazy CSR, rebuilt after structural growth)
+# ----------------------------------------------------------------------
+def multigraph():
+    """5 vertices; parallel edges, a self-loop, edges added out of
+    endpoint order so only a stable grouping keeps them ascending."""
+    g = PAG("multi")
+    for i in range(5):
+        g.add_vertex(VertexLabel.INSTRUCTION, f"v{i}")
+    for src, dst in ((3, 1), (0, 1), (3, 1), (1, 1), (0, 4), (3, 0), (0, 1)):
+        g.add_edge(src, dst, EdgeLabel.INTRA_PROCEDURAL)
+    return g
+
+
+def adjacency(g):
+    return {
+        v: ([e.id for e in g.out_edges(v)], [e.id for e in g.in_edges(v)])
+        for v in range(g.num_vertices)
+    }
+
+
+def test_per_vertex_edge_order_is_ascending_eid():
+    g = multigraph()
+    assert adjacency(g) == {
+        0: ([1, 4, 6], [5]),
+        1: ([3], [0, 1, 2, 3, 6]),
+        2: ([], []),
+        3: ([0, 2, 5], []),
+        4: ([], [4]),
+    }
+    assert [e.id for e in g.incident(1)] == [0, 1, 2, 3, 6, 3]  # in, then out
+    assert [v.id for v in g.successors(0)] == [1, 4, 1]  # one per edge
+    assert [v.id for v in g.predecessors(1)] == [3, 0, 3, 1, 0]
+    assert (g.out_degree(0), g.in_degree(1), g.degree(1)) == (3, 5, 6)
+    assert g.degree(2) == 0 and len(g.incident(2)) == 0
+
+
+def test_growth_after_a_read_shows_on_the_next_read():
+    g = multigraph()
+    assert [e.id for e in g.out_edges(2)] == []
+    e = g.add_edge(2, 0, EdgeLabel.INTRA_PROCEDURAL)
+    assert [x.id for x in g.out_edges(2)] == [e.id]
+    assert [x.id for x in g.in_edges(0)] == [5, e.id]
+    v = g.add_vertex(VertexLabel.INSTRUCTION, "late")
+    assert g.degree(v) == 0
+    e2 = g.add_edge(v, 2, EdgeLabel.INTRA_PROCEDURAL)
+    assert [x.id for x in g.in_edges(2)] == [e2.id]
+    assert [u.id for u in g.successors(v)] == [2]
+
+
+def test_sets_handed_out_cannot_write_into_the_index():
+    g = multigraph()
+    # edge sets borrow slices of the index rather than copying them
+    assert not g.out_edges(0)._ids.flags.writeable
+    assert not g.in_edges(1)._ids.flags.writeable
+    ids = g.out_edges(0).ids()  # the public bulk read is a private copy
+    ids[0] = 99
+    assert [e.id for e in g.out_edges(0)] == [1, 4, 6]
+
+
+def test_copy_and_subgraph_build_their_own_index():
+    g = multigraph()
+    g.out_edges(0)  # index built on the original
+    dup = g.copy()
+    sub, remap = g.subgraph([0, 1, 3])
+    assert dup._csr_cache is None and sub._csr_cache is None
+    dup.add_edge(2, 4, EdgeLabel.INTRA_PROCEDURAL)
+    assert [e.id for e in dup.out_edges(2)] == [7]
+    assert [e.id for e in g.out_edges(2)] == []
+    assert adjacency(sub) == {
+        remap[0]: ([1, 5], [4]),
+        remap[1]: ([3], [0, 1, 2, 3, 5]),
+        remap[3]: ([0, 2, 4], []),
+    }
+    assert g._csr() is not dup._csr() and g._csr() is not sub._csr()
+
+
+def _structure_is_borrowed(pag) -> bool:
+    return all(
+        isinstance(getattr(pag, attr), np.ndarray) and not getattr(pag, attr).flags.writeable
+        for attr, _typecode in PAG._STRUCT_ARRAYS
+    )
+
+
+def test_index_builds_over_mmap_backed_structure_without_thawing(tmp_path):
+    from repro.pag.formats import load_pag, save_pag
+
+    g = multigraph()
+    save_pag(g, tmp_path / "multi.pag3", format=3)
+    lazy = load_pag(tmp_path / "multi.pag3", mmap=True)
+    assert _structure_is_borrowed(lazy)
+    assert adjacency(lazy) == adjacency(g)
+    assert [v.id for v in lazy.successors(0)] == [1, 4, 1]
+    assert all(type(v.id) is int for v in lazy.predecessors(1))
+    assert _structure_is_borrowed(lazy)  # reads never promote to heap
+    # growth thaws the structure; the stale index is not reused
+    lazy.add_edge(2, 0, EdgeLabel.INTRA_PROCEDURAL)
+    assert not _structure_is_borrowed(lazy)
+    assert [e.id for e in lazy.out_edges(2)] == [7]
+
+
+def test_index_builds_over_shm_attached_structure_without_thawing():
+    import gc
+
+    from repro.dataflow.procpool import _attach_segment, publish_pags, unpublish_pags
+
+    g = multigraph()
+    fp = g.fingerprint()
+    segments = publish_pags({fp: g})
+    try:
+        shm, twin = _attach_segment(segments[fp].name, fp)
+        try:
+            assert _structure_is_borrowed(twin)
+            assert adjacency(twin) == adjacency(g)
+            assert _structure_is_borrowed(twin)
+        finally:
+            # the index owns its arrays, so dropping the twin releases
+            # every view into shm.buf and close() succeeds
+            del twin
+            gc.collect()
+            shm.close()
+    finally:
+        unpublish_pags(segments)
+
+
+def test_golden_paradigms_build_each_index_at_most_once(monkeypatch):
+    """No pipeline interleaves structural growth with adjacency reads:
+    every PAG the golden paradigms touch is built fully, then traversed,
+    so its index is computed at most once (a rebuild per appended edge
+    would be quadratic)."""
+    from collections import Counter
+
+    from repro.apps import microbench
+    from repro.dataflow.api import PerFlow
+    from repro.paradigms import (
+        critical_path_paradigm,
+        mpi_profiler_paradigm,
+        scalability_analysis_paradigm,
+    )
+
+    builds: Counter = Counter()
+    real_csr = PAG._csr
+
+    def counting_csr(self):
+        before = self._csr_cache
+        out = real_csr(self)
+        if self._csr_cache is not before:
+            builds[(self.token, self.name)] += 1
+        return out
+
+    monkeypatch.setattr(PAG, "_csr", counting_csr)
+    pflow = PerFlow()
+    prog = microbench.build()
+    small = pflow.run(bin=prog, nprocs=4, nthreads=4)
+    large = pflow.run(bin=prog, nprocs=16, nthreads=4)
+    mpi_profiler_paradigm(pflow, small, top=10, jobs=1)
+    scalability_analysis_paradigm(pflow, small, large, top=5, max_ranks=8)
+    critical_path_paradigm(pflow, small, max_ranks=4, expand_threads=True)
+    assert builds, "the paradigms never read adjacency: the probe is not wired"
+    assert max(builds.values()) == 1, builds

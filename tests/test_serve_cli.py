@@ -123,6 +123,23 @@ def test_serve_subprocess_sigterm_drains_cleanly(tmp_path, pag_file):
             proc.wait()
 
 
+def test_sigterm_right_after_the_announce_line_still_drains(tmp_path):
+    """The announce line is a promise that the server can be signalled:
+    the handlers must be installed before it is printed, or a SIGTERM
+    that wins the race kills the process with -15 instead of draining."""
+    for _ in range(5):  # a race: one lucky pass proves little
+        with _spawn(tmp_path) as proc:  # closes the pipes on the way out
+            try:
+                _await_announce(proc)
+                rc = _terminate(proc)
+                assert rc == 0, (
+                    f"SIGTERM after announce exited {rc}: {proc.stderr.read()[-2000:]}"
+                )
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+
+
 def test_serve_process_backend_leaks_no_shm(tmp_path, pag_file):
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm on this platform")
