@@ -40,7 +40,7 @@ from repro.pag.columns import FloatColumn
 from repro.pag.edge import ELABEL_CODE, EdgeLabel
 from repro.pag.formats import pag_file_fingerprint, read_header, save_pag
 from repro.pag.graph import PAG
-from repro.pag.serialize import load_pag
+from repro.pag.formats import load_pag
 from repro.pag.vertex import NO_KIND, VLABEL_CODE, VertexLabel
 
 NV_SMALL = 20_000
@@ -168,8 +168,7 @@ def test_open_time_is_order_header(tmp_path, large_file):
 
 _RSS_PROBE = """
 import json, sys
-import repro.dataflow  # noqa: F401 -- passes<->dataflow import cycle
-from repro.pag.serialize import load_pag
+from repro.pag.formats import load_pag
 from repro.passes import hotspot_detection
 
 def hwm_kib():

@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-import repro.dataflow  # noqa: F401 - resolves the passes/dataflow import cycle
 from repro.apps import lammps, registry
 from repro.obs import trace as obs_trace
 from repro.paradigms import mpi_profiler_paradigm

@@ -31,7 +31,6 @@ import time
 
 import pytest
 
-import repro.dataflow  # noqa: F401 - resolves the passes/dataflow import cycle
 from repro.algorithms import critical_path, topological_order
 from repro.apps import lammps, registry
 from repro.dataflow.api import PerFlow

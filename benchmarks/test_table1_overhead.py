@@ -11,7 +11,7 @@ sampling floor, 1.11% average), and space stays in the KB-MB range
 import pytest
 
 from repro.ir.static_analysis import analyze, static_analysis_cost
-from repro.pag.serialize import storage_size
+from repro.pag.formats import storage_size
 from repro.pag.views import build_top_down_view
 from repro.runtime.sampler import dynamic_overhead_percent
 

@@ -14,7 +14,7 @@
 
 import pytest
 
-from repro.pag.serialize import storage_size
+from repro.pag.formats import storage_size
 from repro.pag.views import build_top_down_view
 from repro.runtime.executor import run_program
 from repro.runtime.sampler import dynamic_overhead_percent

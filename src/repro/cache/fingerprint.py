@@ -13,7 +13,7 @@ are deliberately canonicalized away:
   *used* strings sorted by value and remaps every stored string id to
   its rank in that order.
 * **Float storage noise.**  Serialization rounds property floats to 9
-  decimals (see :mod:`repro.pag.serialize`); the digest applies the
+  decimals (see :mod:`repro.pag.formats`); the digest applies the
   same ``np.round(x, 9)`` canonicalization so ``fingerprint(load(save(g)))
   == fingerprint(g)``.
 * **Column physical layout.**  Columns are hashed as sparse

@@ -81,7 +81,7 @@ from repro.dataflow.api import PerFlow
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.pag.serialize import PAGFormatError
+from repro.pag.formats import PAGFormatError
 
 #: Command succeeded.
 EXIT_OK = 0
@@ -402,7 +402,7 @@ def cmd_lint(args) -> int:
 
 def cmd_table1(args) -> int:
     from repro.ir.static_analysis import static_analysis_cost
-    from repro.pag.serialize import storage_size
+    from repro.pag.formats import storage_size
     from repro.pag.views import build_top_down_view
     from repro.runtime.executor import run_program
     from repro.runtime.sampler import dynamic_overhead_percent

@@ -4,13 +4,14 @@
   graph of passes (vertices) and sets (edges) of §4.1/§4.2, with
   deterministic topological execution and fixpoint groups for
   repeat-until-stable analyses (Fig. 11).
-* :mod:`~repro.dataflow.scheduler` — the dependency-counting wavefront
-  scheduler behind ``PerFlowGraph.run(jobs=N)``: independent nodes run
-  concurrently on a thread pool with serial-identical semantics.
-* :mod:`~repro.dataflow.procpool` — the multiprocessing backend behind
-  ``run(jobs=N, backend="process")``: the same wavefront core driving
-  forked workers that attach the run's PAGs zero-copy from shared
-  memory, for CPU-bound pipelines the GIL would serialize.
+* :mod:`~repro.dataflow.scheduler` — the execution core behind every
+  ``PerFlowGraph.run``: one dependency-counting drive loop over an
+  inline (serial, ``jobs=1``) or thread-pool executor, with
+  serial-identical semantics.
+* :mod:`~repro.dataflow.procpool` — the process executor behind
+  ``run(jobs=N, backend="process")``: forked workers that attach the
+  run's PAGs zero-copy from shared memory, for CPU-bound pipelines the
+  GIL would serialize.
 * :mod:`~repro.dataflow.lowlevel` — the low-level API surface of
   §4.3.1: graph operations, graph algorithms, set operations, and the
   constants (``MPI``, ``LOOP``, ``COMM``, ``COLL_COMM``, …) the paper's
@@ -35,7 +36,18 @@ from repro.dataflow.scheduler import (
     resolve_jobs,
 )
 from repro.dataflow.signatures import PassSignature, SetKind, signature
-from repro.dataflow.api import PerFlow
+
+
+def __getattr__(name):
+    # Lazy: the facade imports repro.passes, whose modules import
+    # repro.dataflow.signatures — loading it here would make
+    # `import repro.passes` (first) a circular import.
+    if name == "PerFlow":
+        from repro.dataflow.api import PerFlow
+
+        return PerFlow
+    raise AttributeError(f"module 'repro.dataflow' has no attribute {name!r}")
+
 
 __all__ = [
     "PerFlowGraph",

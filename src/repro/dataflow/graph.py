@@ -10,12 +10,12 @@ longer changes": a sub-pipeline applied iteratively to its own output
 until two consecutive iterations agree (by vertex/edge identity) or an
 iteration cap is hit.
 
-Execution is serial by default; ``run(jobs=N)`` (or the
-``PERFLOW_JOBS`` environment variable) hands the sweep to the
-dependency-counting wavefront scheduler in
-:mod:`repro.dataflow.scheduler`, which runs independent nodes
-concurrently with semantics observably identical to the serial sweep
-(same result mapping, same fixpoints, same first error).
+Every run goes through the one drive loop in
+:mod:`repro.dataflow.scheduler`; :meth:`PerFlowGraph.run` only picks
+the executor.  ``jobs=1`` (the default) completes each node inline —
+the serial sweep — and ``jobs=N`` (or ``PERFLOW_JOBS``) runs
+independent nodes concurrently on threads or forked processes, with
+the same result mapping, the same fixpoints and the same first error.
 
 Pipelines are *type-checked before execution*: passes carry
 :class:`~repro.dataflow.signatures.PassSignature` declarations
@@ -413,38 +413,30 @@ class PerFlowGraph:
         are unique-ified with ``#k`` suffixes in the result mapping when
         they collide.
 
-        ``jobs`` selects the executor: ``1`` (the default) is the
-        serial topological sweep; ``N > 1`` hands the graph to the
-        wavefront scheduler (:mod:`repro.dataflow.scheduler`), which
-        runs dependency-free nodes concurrently on ``N`` threads with
-        observably identical semantics — same ``{name: output}``
-        mapping, same fixpoints, and the same (deterministic) first
-        error as the serial sweep.  ``jobs=None`` falls back to the
-        graph's ``default_jobs``, then the ``PERFLOW_JOBS`` environment
-        variable, then ``1``.  Passes themselves must be thread-safe
-        under ``jobs > 1`` (pure set-passes and the columnar PAG's bulk
-        reads are; see ``docs/ARCHITECTURE.md``).
-
-        ``backend`` selects the worker-pool flavor for parallel runs:
-        ``"thread"`` (the default) shares the process, while
-        ``"process"`` executes nodes on forked worker processes
-        (:mod:`repro.dataflow.procpool`) — the run's PAGs are published
-        once into ``multiprocessing.shared_memory`` blocks that workers
-        attach zero-copy and read-only, and pass results travel back as
-        the same ``(kind, fingerprint, id-array)`` references the
-        result cache uses for rebinding.  Nodes whose arguments or
-        results cannot cross the process boundary (unpicklable values,
-        sets over a PAG mutated since publication) transparently fall
-        back to coordinator execution, so semantics stay serial-
-        equivalent for every pipeline.  ``backend=None`` falls back to
-        the graph's ``default_backend``, then ``PERFLOW_BACKEND``, then
-        ``"thread"``.
+        ``jobs`` and ``backend`` select the executor for the one drive
+        loop (:mod:`repro.dataflow.scheduler`).  ``jobs=1`` (the
+        default), or a one-node graph, is the serial sweep: nodes run
+        inline in ascending node id, with no pool, thread or fork.
+        ``jobs=N`` runs dependency-free nodes concurrently on ``N``
+        threads (``backend="thread"``, the default) or ``N`` forked
+        worker processes (``backend="process"``,
+        :mod:`repro.dataflow.procpool`: PAGs published once into shared
+        memory, results returned as the result cache's ``(kind,
+        fingerprint, id-array)`` references, nodes whose arguments or
+        results cannot cross the process boundary run on the
+        coordinator).  Whatever the executor, the ``{name: output}``
+        mapping, the fixpoints and the (deterministic) first error are
+        those of the serial sweep.  Passes must be thread-safe under
+        ``jobs > 1`` (see ``docs/ARCHITECTURE.md``).  ``jobs=None``
+        falls back to the graph's ``default_jobs``, then
+        ``PERFLOW_JOBS``, then ``1``; ``backend=None`` to
+        ``default_backend``, then ``PERFLOW_BACKEND``, then ``"thread"``.
 
         With tracing enabled (:mod:`repro.obs`), the run records one
         ``pipeline:<name>`` span containing a ``pipeline.check`` span
         and one ``node:<name>`` span per node carrying ``in_size`` /
         ``out_size`` args (set cardinalities) and, for fixpoint nodes,
-        ``iterations`` / ``converged``; parallel runs additionally tag
+        ``iterations`` / ``converged``; pool executors additionally tag
         each node span with the executing ``worker``.  A fixpoint that
         exhausts ``max_iters`` without its stable key converging logs a
         warning on the ``repro.dataflow.graph`` logger and bumps the
@@ -457,24 +449,27 @@ class PerFlowGraph:
         disables.  ``cache=None`` falls back to the graph's
         ``default_cache``, then the ``PERFLOW_CACHE`` environment
         variable, then disabled.  Cached nodes are skipped entirely
-        (the wavefront never submits them to the pool); every executed
-        node's span carries a ``cache_hit`` tag, and hits/misses land
-        on the ``dataflow.cache.*`` counters.  Nodes added with
+        (never handed to the executor); every node's span carries a
+        ``cache_hit`` tag, and hits/misses land on the
+        ``dataflow.cache.*`` counters.  Nodes added with
         ``cacheable=False`` always execute.
 
         ``cost_model`` (default: the graph's ``default_cost_model``)
-        orders the parallel wavefront's ready heap by descending
-        measured node cost — see
-        :func:`repro.dataflow.scheduler.run_wavefront`.  Build one from
+        orders a pool executor's ready heap by descending measured node
+        cost — see :mod:`repro.dataflow.scheduler`.  Build one from
         accumulated run history with
         :meth:`repro.obs.ledger.Ledger.cost_model`.  Serial runs ignore
-        it (topological order is fixed).
+        it (node-id order is fixed).
         """
         from repro.cache import CacheSession, resolve_cache
+        from repro.dataflow.procpool import ProcessExecutor
         from repro.dataflow.scheduler import (
+            InlineExecutor,
+            ThreadExecutor,
+            WavefrontState,
+            drive,
             resolve_backend,
             resolve_jobs,
-            run_wavefront,
         )
 
         missing = set(self._input_names) - set(inputs)
@@ -504,19 +499,20 @@ class PerFlowGraph:
                     csp.set(diagnostics=len(problems))
             if problems:
                 raise PipelineError(self.name, problems)
-            if njobs > 1 and len(self._nodes) > 1:
-                if backend_name == "process":
-                    from repro.dataflow.procpool import run_procpool
-
-                    values = run_procpool(
-                        self, inputs, njobs, session=session, cost_model=costs
-                    )
-                else:
-                    values = run_wavefront(
-                        self, inputs, njobs, session=session, cost_model=costs
-                    )
+            # The one place the executor is chosen; everything after is
+            # the same loop.  No pool for one worker or one node — that
+            # is the serial sweep, and it ignores the cost model.
+            inline = njobs == 1 or len(self._nodes) <= 1
+            state = WavefrontState(
+                self, inputs, session=session, cost_model=None if inline else costs
+            )
+            if inline:
+                executor = InlineExecutor(state)
+            elif backend_name == "process":
+                executor = ProcessExecutor(state, njobs)
             else:
-                values = self._run_serial(inputs, session=session)
+                executor = ThreadExecutor(state, njobs)
+            values = drive(state, executor)
             if psp and session is not None:
                 psp.set(
                     cache_hits=session.hits,
@@ -533,32 +529,21 @@ class PerFlowGraph:
                 named[key] = values[node.node_id]
             return named
 
-    def _run_serial(
-        self, inputs: Dict[str, Any], session: Any = None
-    ) -> List[Any]:
-        """The serial topological sweep (``jobs=1``); returns per-node values."""
-        values: List[Any] = [None] * len(self._nodes)
+    def _apply_node(self, node: _Node, args: Sequence[Any]) -> Tuple[Any, Dict[str, Any]]:
+        """Pure compute core of a node — no spans, no cache, no warning.
 
-        def resolve(ref: NodeRef) -> Any:
-            value = values[ref.node_id]
-            if ref.output_index is not None:
-                return value[ref.output_index]
-            return value
-
-        for node in self._nodes:
-            values[node.node_id] = self._execute_node(
-                node, resolve, inputs, session=session
-            )
-        return values
-
-    def _apply_fixpoint(self, node: _Node, value: Any) -> Tuple[Any, int, bool]:
-        """Iterate a fixpoint node to convergence (or ``max_iters``).
-
-        Returns ``(final value, iterations, converged)``.  Pure compute:
-        no spans, no cache, no warning — the caller (serial sweep, a
-        pool thread, or a process-backend worker reporting back to the
-        coordinator) owns that bookkeeping.
+        Runs wherever the value is actually produced; returns
+        ``(value, extra)``.  An input node is the identity on its bound
+        value.  A fixpoint node iterates to convergence (or
+        ``max_iters``) and reports ``iterations`` / ``converged`` in
+        ``extra`` — for the span and the coordinator's non-convergence
+        warning — which is empty otherwise.
         """
+        if node.kind == "input":
+            return args[0], {}
+        if node.kind == "pass":
+            return node.fn(*args), {}
+        value = args[0]
         prev_key = _stable_key(value)
         iterations = 0
         converged = False
@@ -570,29 +555,14 @@ class PerFlowGraph:
                 converged = True
                 break
             prev_key = key
-        return value, iterations, converged
-
-    def _apply_node(self, node: _Node, args: Sequence[Any]) -> Tuple[Any, Dict[str, Any]]:
-        """Pure compute core of a pass/fixpoint node — no spans, no cache.
-
-        Runs wherever the value is actually produced; returns
-        ``(value, extra)`` where ``extra`` carries fixpoint iteration
-        metadata (``iterations`` / ``converged``) for the caller's span
-        and warning bookkeeping, and is empty for plain passes.
-        """
-        if node.kind == "pass":
-            return node.fn(*args), {}
-        value, iterations, converged = self._apply_fixpoint(node, args[0])
         return value, {"iterations": iterations, "converged": converged}
 
     def _note_nonconverged(self, node: _Node, iterations: int) -> None:
         """Warn + count a fixpoint that exhausted ``max_iters``.
 
-        Coordinator-side bookkeeping: the serial sweep and thread pool
-        call it where the fixpoint ran, while the process backend calls
-        it in the parent when a worker reports ``converged=False`` — so
+        Called by ``WavefrontState.complete`` on the coordinator, so
         the warning and the ``dataflow.fixpoint.nonconverged`` counter
-        always land in the parent process regardless of backend.
+        land in the parent process whichever executor ran the node.
         """
         _metrics.counter("dataflow.fixpoint.nonconverged").inc()
         _LOG.warning(
@@ -615,9 +585,8 @@ class PerFlowGraph:
     ) -> None:
         """Record the span of a node satisfied from cache without executing.
 
-        Used by the wavefront scheduler, which probes on the coordinator
-        thread and never submits hit nodes to the pool; the serial sweep
-        records hits inside :meth:`_execute_node` instead.
+        Called from the scheduler's one probe site; a hit node is never
+        handed to the executor.
         """
         with _span(
             f"node:{node.name}",
@@ -635,27 +604,21 @@ class PerFlowGraph:
     def _execute_node(
         self,
         node: _Node,
-        resolve: Callable[[NodeRef], Any],
-        inputs: Dict[str, Any],
+        args: Sequence[Any],
         parent: Any = None,
         worker: Optional[str] = None,
         session: Any = None,
-        probe: bool = True,
-    ) -> Any:
-        """Execute one node and return its output value.
+    ) -> Tuple[Any, Dict[str, Any]]:
+        """The one node runner: span, compute, store; returns ``(value, extra)``.
 
-        Shared by the serial sweep and the wavefront scheduler's worker
-        threads: ``resolve`` maps a :class:`NodeRef` to the already
-        computed value it references.  ``parent`` / ``worker`` are set
-        by the scheduler so the node's span nests under the pipeline
-        span despite running on a worker thread, tagged with the
-        executing worker's id.
-
-        ``session`` is the run's :class:`~repro.cache.CacheSession` (or
-        ``None``); with ``probe=True`` the node is looked up before
-        executing and its result stored after.  The scheduler passes
-        ``probe=False`` for nodes it already probed (missed) on the
-        coordinator thread — the memoized key is reused for the store.
+        Used inline on the coordinator, on pool threads, and inside
+        process-backend workers.  ``args`` are the node's resolved
+        inputs (an input node's is its bound value).  ``parent`` /
+        ``worker`` nest the span under the pipeline span from another
+        thread and tag it with whoever executed it.  ``session`` is the
+        run's :class:`~repro.cache.CacheSession` on the side that owns
+        the cache: the scheduler already probed the node (a miss), and
+        the memoized key is reused for the store.
         """
         span_args: Dict[str, Any] = {"node_id": node.node_id}
         if worker is not None:
@@ -666,50 +629,14 @@ class PerFlowGraph:
             parent=parent,
             **span_args,
         ) as sp:
-            if node.kind == "input":
-                value = inputs[node.name]
-                if sp:
-                    size = _size_of(value)
-                    sp.set(in_size=size, out_size=size)
-                return value
-            if node.kind == "pass":
-                args = [resolve(r) for r in node.inputs]
-                cache_hit = False
-                if session is not None and probe:
-                    cache_hit, value = session.probe(node, args)
-                if not cache_hit:
-                    value = node.fn(*args)
-                    if session is not None:
-                        session.store(node, value)
-                if sp:
-                    sp.set(in_size=_sum_sizes(args), out_size=_size_of(value))
-                    if session is not None:
-                        sp.set(cache_hit=cache_hit)
-                return value
-            # fixpoint
-            value = resolve(node.inputs[0])
+            value, extra = self._apply_node(node, args)
             if sp:
-                sp.set(in_size=_size_of(value))
-            if session is not None and probe:
-                cache_hit, cached = session.probe(node, [value])
-                if cache_hit:
-                    if sp:
-                        sp.set(out_size=_size_of(cached), cache_hit=True)
-                    return cached
-            value, iterations, converged = self._apply_fixpoint(node, value)
-            if not converged:
-                self._note_nonconverged(node, iterations)
-            if session is not None:
+                sp.set(in_size=_sum_sizes(args), out_size=_size_of(value), **extra)
+            if session is not None and node.kind != "input":
                 session.store(node, value)
-            if sp:
-                sp.set(
-                    out_size=_size_of(value),
-                    iterations=iterations,
-                    converged=converged,
-                )
-                if session is not None:
+                if sp:
                     sp.set(cache_hit=False)
-            return value
+        return value, extra
 
     # ------------------------------------------------------------------
     # introspection

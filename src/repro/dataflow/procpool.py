@@ -1,22 +1,18 @@
-"""Process-pool wavefront backend: PerFlowGraph execution beyond the GIL.
+"""The process executor: PerFlowGraph execution beyond the GIL.
 
 Selected with ``run(jobs=N, backend="process")`` or
-``PERFLOW_BACKEND=process``.  The scheduling core — dependency counts,
-the (optionally cost-ordered) ready heap, cache probes, and the
-deterministic first error — is the same
-:class:`~repro.dataflow.scheduler.WavefrontState` the thread pool uses;
-this module only decides *where* a node's function executes and how its
-inputs and outputs cross the process boundary.
+``PERFLOW_BACKEND=process``.  Scheduling and the loop itself live in
+:mod:`repro.dataflow.scheduler`; :class:`ProcessExecutor` only decides
+*where* a node's function executes and how its inputs and outputs cross
+the process boundary.
 
-One run proceeds in five steps:
-
-1. **Publish.**  The coordinator walks the run's input values, collects
-   every distinct columnar PAG, and serializes each once — the same
-   format-3 byte layout files use — into a
+1. **Publish** (construction).  The coordinator walks the run's input
+   values, collects every distinct columnar PAG, and serializes each
+   once — the same format-3 byte layout files use — into a
    ``multiprocessing.shared_memory`` block.  A PAG is published only if
-   the stamped fingerprint equals the live graph's (i.e. the serialized
-   twin is provably content-identical); lossy graphs simply stay
-   unpublished and their nodes run on the coordinator.
+   the stamped fingerprint equals the live graph's (the serialized twin
+   is provably content-identical); lossy graphs stay unpublished and
+   their nodes run on the coordinator.
 2. **Fork.**  Workers are forked (``mp_context("fork")``), so the graph
    object — pass closures, lambdas, captured facades and all — is
    inherited through a per-run payload slot (:data:`_PAYLOADS`) and
@@ -24,28 +20,23 @@ One run proceeds in five steps:
    encoded args, want_spans)``.
 3. **Attach.**  The first time a worker needs a PAG it attaches the
    block and reconstructs a read-only zero-copy twin with
-   :func:`~repro.pag.formats.format3.load_format3_buffer`: columns are
-   lazy numpy views over shared pages (the ``SegmentBacking`` path mmap
-   loading uses), copy-on-write promotion stays local to the worker,
-   and the twin's header-seeded fingerprint is verified against the
-   published one.  The worker immediately unregisters the segment from
-   its ``resource_tracker`` — the parent owns the unlink.
-4. **Transfer.**  Arguments and results cross as the cache's wire form
-   (:class:`~repro.cache.store.CachedValue`): ``VertexSet``/``EdgeSet``
-   values travel as ``(kind, fingerprint, id-array)`` references and
-   rebind to the receiver's live graph, raw PAG values as fingerprint
-   markers.  Anything that cannot cross — an unpicklable value, a set
-   over a PAG mutated since publication (its fingerprint no longer
-   matches the published image) — degrades that node to coordinator
-   execution instead of failing the run, so *every* pipeline keeps
-   serial-equivalent semantics under this backend.
+   :func:`~repro.pag.formats.format3.load_format3_buffer` (lazy numpy
+   views over shared pages, copy-on-write promotion local to the
+   worker) and verifies its fingerprint against the published one.
+4. **Transfer** (``submit`` / ``finish``).  Arguments and results cross
+   as the cache's wire form (:class:`~repro.cache.store.CachedValue`):
+   ``VertexSet``/``EdgeSet`` values travel as ``(kind, fingerprint,
+   id-array)`` references and rebind to the receiver's live graph, raw
+   PAG values as fingerprint markers.  Anything that cannot cross — an
+   unpicklable value, a set over a PAG mutated since publication (its
+   fingerprint no longer matches the published image) — degrades that
+   node to coordinator execution instead of failing the run, so *every*
+   pipeline keeps serial-equivalent semantics under this backend.
 5. **Merge.**  With tracing enabled, each worker records its node span
    (plus any library-internal spans) in a private recorder and ships
    the flattened batch home; the parent replays it under the pipeline
-   span via :meth:`~repro.obs.trace.SpanRecorder.record_completed`,
-   ``tid`` = worker pid.  Fixpoint non-convergence warnings, cache
-   stores, and the ``dataflow.fixpoint.nonconverged`` counter all land
-   in the parent.
+   span, ``tid`` = worker pid.  Fixpoint non-convergence warnings and
+   cache stores land in the parent.
 
 Pinned to the coordinator by construction: input nodes (trivial) and
 ``cacheable=False`` nodes — the flag marks side effects / hidden state
@@ -55,17 +46,18 @@ in the parent process to be visible to the rest of the run.
 Failure taxonomy (all :class:`ProcPoolError`, a ``RuntimeError``):
 
 * a node's own exception re-raises with serial-equivalent first-error
-  semantics, exactly like the thread pool;
+  semantics, exactly like the thread pool, and beats the two below;
 * :class:`WorkerCrashed` — a worker died without reporting (SIGKILL,
-  OOM); names the lowest-id node that was in flight;
+  OOM); names a node that was in flight;
 * :class:`ShmAttachError` — a worker could not attach or validate a
   published segment (environmental, fails the run);
 * :class:`NotTransferable` — internal signal for step 4's degradation;
   callers never see it escape ``run()``.
 
-Shared-memory lifecycle: blocks are created in ``publish``, unlinked by
-the parent in a ``finally`` after the pool has shut down — a crashed
-run leaks nothing (asserted by ``tests/test_procpool_faults.py``).
+Shared-memory lifecycle: blocks are created in ``publish_pags`` and
+unlinked by ``ProcessExecutor.close`` once the pool has shut down, on
+every exit path of the drive loop — a crashed run leaks nothing
+(asserted by ``tests/test_procpool_faults.py``).
 """
 
 from __future__ import annotations
@@ -73,7 +65,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -95,6 +87,7 @@ from repro.pag.sets import EdgeSet, VertexSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.graph import PerFlowGraph
+    from repro.dataflow.scheduler import WavefrontState
 
 __all__ = [
     "ProcPoolError",
@@ -103,7 +96,7 @@ __all__ = [
     "NotTransferable",
     "collect_pags",
     "publish_pags",
-    "run_procpool",
+    "ProcessExecutor",
 ]
 
 _LOG = get_logger("dataflow.procpool")
@@ -457,41 +450,21 @@ def _worker_run(
     converged), and — when the parent is tracing — the flattened span
     batch to replay into the parent recorder.
     """
-    from repro.dataflow.graph import _size_of, _sum_sizes
-
     state = _WORKER_STATES.get(token)
-    if state is None:
-        payload = _PAYLOADS.get(token)
-        if payload is None:  # pragma: no cover - fork guarantees it
-            raise ProcPoolError(
-                "worker has no fork-inherited run payload; the process "
-                "backend requires the fork start method"
-            )
-        state = _WORKER_STATES[token] = _WorkerState(payload)
+    if state is None:  # _worker_init checked the payload arrived
+        state = _WORKER_STATES[token] = _WorkerState(_PAYLOADS[token])
     graph = state.graph
     node = graph._nodes[nid]
     args = list(decode_transfer(entry, state.registry))
-    meta: Dict[str, Any] = {"pid": os.getpid()}
-
-    def execute() -> Tuple[Any, Dict[str, Any]]:
-        with _trace.span(
-            f"node:{node.name}",
-            category=f"dataflow.{node.kind}",
-            node_id=node.node_id,
-            worker=f"pid-{os.getpid()}",
-        ) as sp:
-            value, extra = graph._apply_node(node, args)
-            if sp:
-                sp.set(in_size=_sum_sizes(args), out_size=_size_of(value), **extra)
-        return value, extra
-
+    pid = os.getpid()
+    meta: Dict[str, Any] = {"pid": pid}
+    # No session here: the store happens in the parent, on arrival.
     if want_spans:
-        rec = _trace.SpanRecorder()
-        with _trace.scoped_recorder(rec):
-            value, extra = execute()
+        with _trace.scoped_recorder() as rec:
+            value, extra = graph._execute_node(node, args, worker=f"pid-{pid}")
         meta["spans"] = _flatten_spans(rec)
     else:
-        value, extra = execute()
+        value, extra = graph._execute_node(node, args, worker=f"pid-{pid}")
     meta["extra"] = extra
     try:
         result = encode_transfer(value, state.fps)
@@ -529,178 +502,130 @@ def _merge_spans(
     return built
 
 
-def run_procpool(
-    graph: "PerFlowGraph",
-    inputs: Dict[str, Any],
-    jobs: int,
-    session: Any = None,
-    cost_model: Any = None,
-) -> List[Any]:
-    """Execute ``graph`` on ``jobs`` forked worker processes.
+class ProcessExecutor:
+    """Runs transferable nodes on ``jobs`` forked workers, the rest inline.
 
-    Same contract as :func:`~repro.dataflow.scheduler.run_wavefront`
-    (per-node values, serial-equivalent results and first error, cache
-    probes/stores on the coordinator) with node functions running in
-    forked workers — see the module docstring for the architecture.
+    Publish on construction, pin/encode on :meth:`submit`, decode and
+    fatal-triage on :meth:`finish`, unlink + metrics on :meth:`close`.
     """
-    from repro.dataflow.scheduler import WavefrontState
 
-    state = WavefrontState(graph, inputs, session=session, cost_model=cost_model)
-    nodes = state.nodes
-    want_spans = _trace.enabled()
-
-    pags = {}
-    for value in inputs.values():
-        collect_pags(value, pags)
-    with _trace.span("procpool.publish", category="dataflow") as psp:
-        segments = publish_pags(pags)
-        shm_bytes = sum(shm.size for shm in segments.values())
-        if psp:
-            psp.set(pags=len(pags), segments=len(segments), bytes=shm_bytes)
-    # Decode registry: published graphs by their live fingerprint (the
-    # key workers rebind against is identical by construction).
-    registry = {fp: pags[fp] for fp in segments}
-    fps = frozenset(segments)
-
-    token = next(_TOKENS)
-    _PAYLOADS[token] = _Payload(
-        graph=graph, shm_names={fp: shm.name for fp, shm in segments.items()}
-    )
-
-    inline_count = 0
-    worker_tasks = 0
-    transfer_bytes = 0
-    crashes = 0
-    fatal: Optional[BaseException] = None
-
-    def run_inline(nid: int) -> None:
-        """Execute a node on the coordinator (pinned or degraded)."""
-        nonlocal inline_count
-        inline_count += 1
-        node = nodes[nid]
-        try:
-            value = graph._execute_node(
-                node,
-                state.resolve,
-                inputs,
-                parent=state.parent,
-                worker="coordinator" if node.kind != "input" else None,
-                session=session,
-                probe=False,
-            )
-        except BaseException as exc:
-            state.fail(nid, exc)
-            return
-        state.complete(nid, value)
-
-    try:
-        with ProcessPoolExecutor(
+    def __init__(self, state: "WavefrontState", jobs: int):
+        self.state = state
+        self.jobs = jobs
+        self.want_spans = _trace.enabled()
+        self.token = next(_TOKENS)
+        # Created before anything is published (it forks lazily, at the
+        # first submit), so no failure here can leave a segment behind.
+        self.pool = ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=get_context("fork"),
             initializer=_worker_init,
-            initargs=(token,),
-        ) as pool:
-            running: Dict[Any, int] = {}  # future -> node_id
+            initargs=(self.token,),
+        )
+        pags: Dict[str, PAG] = {}
+        for value in state.inputs.values():
+            collect_pags(value, pags)
+        with _trace.span("procpool.publish", category="dataflow") as psp:
+            self.segments = publish_pags(pags)
+            self.shm_bytes = sum(shm.size for shm in self.segments.values())
+            if psp:
+                psp.set(pags=len(pags), segments=len(self.segments), bytes=self.shm_bytes)
+        # Decode registry: published graphs by their live fingerprint (the
+        # key workers rebind against is identical by construction).
+        self.registry = {fp: pags[fp] for fp in self.segments}
+        self.fps = frozenset(self.segments)
+        _PAYLOADS[self.token] = _Payload(
+            graph=state.graph,
+            shm_names={fp: shm.name for fp, shm in self.segments.items()},
+        )
+        self.inline_count = 0
+        self.worker_tasks = 0
+        self.transfer_bytes = 0
+        self.crashes = 0
 
-            def submit_ready() -> None:
-                nonlocal fatal, transfer_bytes, worker_tasks
-                nid = state.next_ready()
-                while nid is not None:
-                    node = nodes[nid]
-                    if fatal is not None or node.kind == "input" or not node.cacheable:
-                        # After a fatal infrastructure error only pinned
-                        # execution remains meaningful; input and
-                        # side-effecting nodes always stay in the parent.
-                        run_inline(nid)
-                    else:
-                        try:
-                            entry = encode_transfer(
-                                tuple(state.resolve_args(nid)), fps
-                            )
-                        except NotTransferable:
-                            run_inline(nid)
-                        else:
-                            transfer_bytes += entry.nbytes
-                            try:
-                                fut = pool.submit(
-                                    _worker_run, token, nid, entry, want_spans
-                                )
-                            except BrokenProcessPool as exc:
-                                if fatal is None:
-                                    fatal = WorkerCrashed(
-                                        "worker pool broke before node "
-                                        f"{nid} ({node.name!r}) could be "
-                                        f"submitted: {exc}"
-                                    )
-                                run_inline(nid)
-                            else:
-                                worker_tasks += 1
-                                running[fut] = nid
-                    nid = state.next_ready()
+    def _inline(self, nid: int) -> None:
+        """Execute a node on the coordinator (pinned or degraded)."""
+        self.inline_count += 1
+        is_input = self.state.nodes[nid].kind == "input"
+        self.state.run_inline(nid, None if is_input else "coordinator")
 
-            def finish_worker(nid: int, entry: CachedValue, meta: Dict[str, Any]) -> None:
-                nonlocal transfer_bytes
-                node = nodes[nid]
-                value = decode_transfer(entry, registry)  # may raise NotTransferable
-                transfer_bytes += entry.nbytes
-                extra = meta.get("extra") or {}
-                if extra.get("converged") is False:
-                    graph._note_nonconverged(
-                        node, extra.get("iterations", node.max_iters)
-                    )
-                merged = _merge_spans(
-                    meta.get("spans") or [], state.parent, meta.get("pid", 0)
+    def submit(self, nid: int) -> Any:
+        state = self.state
+        node = state.nodes[nid]
+        # Input and side-effecting nodes always stay in the parent, and
+        # after a fatal infrastructure error only pinned execution
+        # remains meaningful.
+        if state.fatal is None and node.kind != "input" and node.cacheable:
+            try:
+                entry = encode_transfer(tuple(state.resolve_args(nid)), self.fps)
+                fut = self.pool.submit(
+                    _worker_run, self.token, nid, entry, self.want_spans
                 )
-                if session is not None:
-                    for sp in merged:
-                        if sp.name == f"node:{node.name}":
-                            sp.set(cache_hit=False)
-                    session.store(node, value)
-                state.complete(nid, value)
+            except NotTransferable:
+                pass
+            except BrokenProcessPool as exc:
+                state.abort(
+                    WorkerCrashed(
+                        f"worker pool broke before node {nid} ({node.name!r}) "
+                        f"could be submitted: {exc}"
+                    )
+                )
+            else:
+                self.transfer_bytes += entry.nbytes
+                self.worker_tasks += 1
+                return fut
+        self._inline(nid)
+        return None
 
-            submit_ready()
-            while running:
-                done, _ = wait(set(running), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    nid = running.pop(fut)
-                    exc = fut.exception()
-                    if exc is None:
-                        entry, meta = fut.result()
-                        try:
-                            finish_worker(nid, entry, meta)
-                        except NotTransferable:
-                            run_inline(nid)
-                    elif isinstance(exc, NotTransferable):
-                        run_inline(nid)
-                    elif isinstance(exc, BrokenProcessPool):
-                        crashes += 1
-                        if fatal is None:
-                            fatal = WorkerCrashed(
-                                f"worker process died while node {nid} "
-                                f"({nodes[nid].name!r}) was in flight"
-                            )
-                    elif isinstance(exc, ShmAttachError):
-                        if fatal is None:
-                            fatal = exc
-                    else:
-                        state.fail(nid, exc)
-                submit_ready()
-                state.note_wavefront(len(running))
-    finally:
-        _PAYLOADS.pop(token, None)
-        unpublish_pags(segments)
+    def _accept(self, nid: int, entry: CachedValue, meta: Dict[str, Any]) -> None:
+        """Rebind a worker's result in the parent; may raise NotTransferable."""
+        state = self.state
+        node = state.nodes[nid]
+        value = decode_transfer(entry, self.registry)
+        self.transfer_bytes += entry.nbytes
+        merged = _merge_spans(meta.get("spans") or [], state.parent, meta["pid"])
+        if state.session is not None:
+            for sp in merged:
+                if sp.name == f"node:{node.name}":
+                    sp.set(cache_hit=False)
+            state.session.store(node, value)
+        state.complete(nid, value, meta["extra"])
 
-    state.emit_metrics(jobs)
-    _metrics.gauge("dataflow.procpool.jobs").set(jobs)
-    _metrics.counter("dataflow.procpool.tasks").inc(worker_tasks)
-    _metrics.counter("dataflow.procpool.inline").inc(inline_count)
-    _metrics.counter("dataflow.procpool.shm_segments").inc(len(registry))
-    _metrics.counter("dataflow.procpool.shm_bytes").inc(shm_bytes)
-    _metrics.counter("dataflow.procpool.transfer_bytes").inc(transfer_bytes)
-    if crashes:
-        _metrics.counter("dataflow.procpool.crashes").inc(crashes)
-    if state.errors:
-        state.raise_first_error()
-    if fatal is not None:
-        raise fatal
-    return state.values
+    def finish(self, nid: int, fut: Any) -> None:
+        state = self.state
+        exc = fut.exception()
+        if exc is None:
+            try:
+                self._accept(nid, *fut.result())
+            except NotTransferable:
+                self._inline(nid)
+        elif isinstance(exc, NotTransferable):
+            self._inline(nid)
+        elif isinstance(exc, BrokenProcessPool):
+            self.crashes += 1
+            state.abort(
+                WorkerCrashed(
+                    f"worker process died while node {nid} "
+                    f"({state.nodes[nid].name!r}) was in flight"
+                )
+            )
+        elif isinstance(exc, ShmAttachError):
+            state.abort(exc)
+        else:
+            state.fail(nid, exc)
+
+    def close(self) -> None:
+        try:
+            self.pool.shutdown()
+        finally:
+            _PAYLOADS.pop(self.token, None)
+            unpublish_pags(self.segments)
+        self.state.emit_metrics(self.jobs)
+        _metrics.gauge("dataflow.procpool.jobs").set(self.jobs)
+        _metrics.counter("dataflow.procpool.tasks").inc(self.worker_tasks)
+        _metrics.counter("dataflow.procpool.inline").inc(self.inline_count)
+        _metrics.counter("dataflow.procpool.shm_segments").inc(len(self.registry))
+        _metrics.counter("dataflow.procpool.shm_bytes").inc(self.shm_bytes)
+        _metrics.counter("dataflow.procpool.transfer_bytes").inc(self.transfer_bytes)
+        if self.crashes:
+            _metrics.counter("dataflow.procpool.crashes").inc(self.crashes)

@@ -1,68 +1,54 @@
-"""Wavefront scheduler: parallel PerFlowGraph execution (``jobs > 1``).
+"""The execution core: one drive loop behind every ``PerFlowGraph.run``.
 
 The PerFlowGraph is a DAG whose edges always point from lower to higher
 node ids (construction order guarantees acyclicity), so the classic
 dependency-counting wavefront applies directly: every node carries a
 count of unfinished dependencies; nodes whose count is zero form the
-*ready set* and are submitted to a worker pool; each completion
-decrements its dependents' counts and releases the newly ready ones.
-Independent branches of the pipeline — the very structure the paper's
-dataflow abstraction exposes — execute concurrently, while chains still
-serialize on their data dependencies.
+*ready set*; each completion decrements its dependents' counts and
+releases the newly ready ones.  Three pieces, kept apart:
 
-The dependency-counting / ready-heap / deterministic-first-error core
-lives in :class:`WavefrontState` and is **backend-agnostic**: the
-thread driver below (:func:`run_wavefront`) and the multiprocessing
-driver in :mod:`repro.dataflow.procpool` (:func:`~repro.dataflow.
-procpool.run_procpool`) share it verbatim, so both pools provide the
-identical scheduling semantics and differ only in where a node's
-function executes.
+* :class:`WavefrontState` — *what* may run next: dependency counts, the
+  ready heap, the cache probe, the per-node values, the first-error cut.
+* An **executor** — *where* a node runs.  ``submit(nid)`` returns a
+  future, or ``None`` after completing the node on the coordinator.
+  :class:`InlineExecutor` (no pool: the serial sweep, ``jobs=1``),
+  :class:`ThreadExecutor` and
+  :class:`~repro.dataflow.procpool.ProcessExecutor` (forked workers,
+  PAGs in shared memory) are the three there are.
+* :func:`drive` — the loop: pop ready nodes, submit, wait for the first
+  completion, settle it, repeat.
 
-Semantics are observably identical to the serial sweep in
-:meth:`~repro.dataflow.graph.PerFlowGraph.run`:
+Whatever the executor, a run is observably the serial sweep:
 
 * **Same results.**  Each node runs exactly once with the same resolved
-  input values, so the ``{name: output}`` mapping is value-identical
-  (pure passes) to serial execution.  Fixpoint nodes iterate inside a
-  single worker to the same ``_stable_key`` fixed point.
+  inputs; a fixpoint node iterates inside a single worker.
 * **Deterministic first error.**  The serial sweep surfaces the failing
   node with the smallest node id whose dependencies all succeeded
-  (everything after it never runs).  The wavefront reproduces that
-  exactly: after a failure it keeps executing only nodes with a
-  *smaller* id than the best failure seen so far (only those can
-  precede it serially — every dependency edge points id-upward), then
-  re-raises the winning node's original exception.  Nodes downstream of
-  a failure, and ready nodes with larger ids, are cancelled without
-  running.
-* **Same observability, plus scheduler metrics.**  One ``node:<name>``
-  span per node, parented under the ``pipeline:<name>`` span across
-  threads and tagged with the executing ``worker``; gauges
-  ``dataflow.scheduler.jobs`` and ``dataflow.scheduler.ready_max`` (the
-  widest observed wavefront) and counter
-  ``dataflow.scheduler.nodes_parallel`` (nodes executed by the parallel
-  path) land in the metrics registry.
+  (everything after it never runs).  After a failure the loop keeps
+  executing only nodes with a *smaller* id than the best failure seen
+  so far (only those can precede it serially — every dependency edge
+  points id-upward), then re-raises the winning node's original
+  exception.  Nodes downstream of a failure, and ready nodes with
+  larger ids, are cancelled without running.
+* **Same observability.**  One ``node:<name>`` span per node under the
+  ``pipeline:<name>`` span.  Pool executors tag it with the executing
+  ``worker`` and publish the ``dataflow.scheduler.*`` metrics (``jobs``,
+  ``ready_max`` — the widest observed wavefront — ``cost_ordered``,
+  ``nodes_parallel``); the inline executor publishes none.
 
-Thread-safety contract: passes run concurrently only when they are
-dependency-independent, so any pass that touches shared mutable state
-must synchronize it.  The built-in set passes are pure readers of the
-columnar PAG (bulk numpy reads are shared-read-safe), which is why the
-built-in paradigms can opt in wholesale.
+Passes run concurrently only when they are dependency-independent, so
+a pass that touches shared mutable state must synchronize it; the
+built-in set passes are pure readers of the columnar PAG.
 
-``jobs`` resolution (:func:`resolve_jobs`): an explicit argument wins,
-then the ``PERFLOW_JOBS`` environment variable, then ``1`` (serial).
-``backend`` resolution (:func:`resolve_backend`) mirrors it: an
-explicit argument wins, then ``PERFLOW_BACKEND``, then ``"thread"``.
-
-**Cost-ordered scheduling** (the first step of the pipeline-optimizer
-roadmap item): when a ``cost_model`` is supplied — anything with a
+**Cost-ordered scheduling**: with a ``cost_model`` — anything with a
 ``cost(name) -> seconds`` method, e.g.
 :meth:`repro.obs.ledger.Ledger.cost_model`, or a plain name→seconds
 mapping — the ready heap orders by *descending measured cost* instead
-of node id, so the longest-running independent nodes start first and
-the critical path shrinks (classic LPT list scheduling).  Results and
-the deterministic first error are unaffected: ordering among ready
-nodes was never observable in outputs, and error selection still picks
-the smallest failing node id.
+of node id, so the longest-running independent nodes start first
+(classic LPT list scheduling).  Ordering among ready nodes is not
+observable in outputs, and error selection still picks the smallest
+failing node id.  ``run(jobs=1)`` never passes the model on: the serial
+sweep's order is node id, and side-effecting passes may depend on it.
 """
 
 from __future__ import annotations
@@ -87,7 +73,9 @@ __all__ = [
     "resolve_jobs",
     "resolve_backend",
     "WavefrontState",
-    "run_wavefront",
+    "InlineExecutor",
+    "ThreadExecutor",
+    "drive",
 ]
 
 #: Environment variable supplying the default worker count.
@@ -174,24 +162,14 @@ def _lookup_cost(cost_model: Any, name: str) -> float:
 
 
 class WavefrontState:
-    """The backend-agnostic wavefront core, shared by every pool driver.
+    """What may run next, and what has been computed so far.
 
-    Owns everything that makes parallel execution serial-equivalent —
+    Owns everything that makes any executor serial-equivalent —
     dependency counting, the (optionally cost-ordered) ready heap, the
-    deterministic first-error cut, coordinator-side cache probes, and
-    the per-node ``values`` slab — while staying completely ignorant of
-    *where* a node's function runs.  A driver's contract is a loop::
-
-        state = WavefrontState(graph, inputs, session, cost_model)
-        while work remains:
-            nid = state.next_ready()        # None = heap drained
-            …execute node nid somewhere…
-            state.complete(nid, value)      # or state.fail(nid, exc)
-        state.raise_first_error()
-        return state.values
-
-    Not thread-safe: drivers call every method from the coordinator
-    thread only (workers hand results back through futures).
+    deterministic first-error cut, the one cache probe, and the
+    per-node ``values`` slab.  Not thread-safe: :func:`drive` and the
+    executors call every method except :meth:`run_node` from the
+    coordinator thread only (workers hand results back through futures).
     """
 
     def __init__(
@@ -225,8 +203,7 @@ class WavefrontState:
         self.parent = pipeline_span if pipeline_span else None
 
         # Heap entries are uniform (priority, node_id) pairs.  Without a
-        # cost model the priority IS the node id — identical submission
-        # order to the historical int heap.  With one, priority is
+        # cost model the priority IS the node id.  With one, priority is
         # negated measured cost (largest first), node id as the
         # deterministic tie break.
         if cost_model is not None:
@@ -246,21 +223,19 @@ class WavefrontState:
         heapq.heapify(self.ready)
         self.errors: List[Tuple[int, BaseException]] = []
         self.best_error_id = n  # smallest failing node id seen so far
+        self.fatal: Optional[BaseException] = None
         self.executed = 0
         self.cache_hits = 0
         self.ready_max = len(self.ready)
 
     # -- value plumbing ----------------------------------------------------
-    def resolve(self, ref: Any) -> Any:
-        """The already-computed value a :class:`NodeRef` points at."""
-        value = self.values[ref.node_id]
-        if ref.output_index is not None:
-            return value[ref.output_index]
-        return value
-
     def resolve_args(self, nid: int) -> List[Any]:
-        """The resolved positional inputs of node ``nid``."""
-        return [self.resolve(r) for r in self.nodes[nid].inputs]
+        """The already-computed values node ``nid``'s input refs point at."""
+        args = []
+        for ref in self.nodes[nid].inputs:
+            value = self.values[ref.node_id]
+            args.append(value if ref.output_index is None else value[ref.output_index])
+        return args
 
     # -- scheduling --------------------------------------------------------
     def next_ready(self) -> Optional[int]:
@@ -270,10 +245,9 @@ class WavefrontState:
         precede it serially (smaller id) may still run; larger-id
         entries are popped and discarded, and since ``best_error_id``
         only ever decreases a discarded node could never become
-        runnable again.  Also applies the coordinator-side cache probe:
-        a hit completes the node right here — span recorded, dependents
-        released — without the driver ever seeing it; a miss memoizes
-        the key for the post-execution store.
+        runnable again.  Also the one cache probe: a hit completes the
+        node right here — span recorded, dependents released — and the
+        executor never sees it; a miss memoizes the key for the store.
         """
         while self.ready:
             _, nid = heapq.heappop(self.ready)
@@ -298,8 +272,15 @@ class WavefrontState:
             if self.pending[dep] == 0:
                 heapq.heappush(self.ready, (self._prio(dep), dep))
 
-    def complete(self, nid: int, value: Any) -> None:
-        """Record a node's result and release its dependents."""
+    def complete(self, nid: int, value: Any, extra: Dict[str, Any]) -> None:
+        """Record a node's result and release its dependents.
+
+        ``extra`` is the runner's fixpoint metadata; a fixpoint that
+        did not converge is warned about and counted here, on the
+        coordinator, wherever it ran.
+        """
+        if extra.get("converged") is False:
+            self.graph._note_nonconverged(self.nodes[nid], extra["iterations"])
         self.values[nid] = value
         self.executed += 1
         self._release_dependents(nid)
@@ -310,20 +291,41 @@ class WavefrontState:
         if nid < self.best_error_id:
             self.best_error_id = nid
 
-    def note_wavefront(self, in_flight: int) -> None:
-        """Track the widest observed wavefront for the metrics gauge."""
-        width = in_flight + len(self.ready)
-        if width > self.ready_max:
-            self.ready_max = width
+    def abort(self, exc: BaseException) -> None:
+        """Record an infrastructure failure: the first one fails the run,
+        unless a node's own error does (:meth:`raise_first_error`)."""
+        if self.fatal is None:
+            self.fatal = exc
+
+    # -- execution ---------------------------------------------------------
+    def run_node(self, nid: int, worker: Optional[str] = None) -> Tuple[Any, Dict[str, Any]]:
+        """Run node ``nid`` on the calling thread; ``(value, extra)``."""
+        node = self.nodes[nid]
+        args = [self.inputs[node.name]] if node.kind == "input" else self.resolve_args(nid)
+        return self.graph._execute_node(
+            node, args, parent=self.parent, worker=worker, session=self.session
+        )
+
+    def run_inline(self, nid: int, worker: Optional[str] = None) -> None:
+        """Run node ``nid`` on the coordinator and complete or fail it."""
+        try:
+            result = self.run_node(nid, worker)
+        except BaseException as exc:  # re-raised by raise_first_error
+            self.fail(nid, exc)
+        else:
+            self.complete(nid, *result)
 
     # -- completion --------------------------------------------------------
     def raise_first_error(self) -> None:
         """Re-raise the serial-equivalent first error, if any occurred.
 
         The winning error is the one with the smallest node id — exactly
-        the failure the serial sweep would have surfaced.
+        the failure the serial sweep would have surfaced.  Only a run
+        with no node error raises its infrastructure failure.
         """
         if not self.errors:
+            if self.fatal is not None:
+                raise self.fatal
             return
         cancelled = self.n - self.executed - self.cache_hits - len(self.errors)
         node_id, exc = min(self.errors, key=lambda pair: pair[0])
@@ -348,74 +350,82 @@ class WavefrontState:
         _metrics.counter("dataflow.scheduler.nodes_parallel").inc(self.executed)
 
 
-def run_wavefront(
-    graph: "PerFlowGraph",
-    inputs: Dict[str, Any],
-    jobs: int,
-    session: Any = None,
-    cost_model: Any = None,
-) -> List[Any]:
-    """Execute ``graph`` on ``jobs`` worker threads; returns per-node values.
+class InlineExecutor:
+    """No pool: a node completes on the calling thread as it is popped.
 
-    Called by :meth:`PerFlowGraph.run` after the pipeline check, with
-    the same ``inputs`` mapping the serial sweep would use.  Raises the
-    serial-equivalent first error (see the module docstring) after all
-    in-flight work has drained — no orphaned futures survive a failure.
-
-    ``session`` (a :class:`~repro.cache.CacheSession`) enables the
-    result cache: each ready pass/fixpoint node is probed on the
-    coordinator thread *before* submission, and a hit marks the node
-    complete — recording its span and releasing its dependents —
-    without ever occupying a pool worker.  Missed nodes execute with
-    ``probe=False`` (the memoized key is reused for the store).
-
-    ``cost_model`` switches the ready heap from node-id order to
-    descending measured cost (see the module docstring) — purely a
-    submission-order heuristic, results and error semantics unchanged.
+    This *is* the serial sweep.  Every dependency edge points id-upward
+    and nothing is ever in flight, so the id-ordered heap yields
+    0, 1, 2, … and the first failure cuts everything after it.
     """
-    state = WavefrontState(graph, inputs, session=session, cost_model=cost_model)
-    nodes = state.nodes
 
-    def worker_name() -> str:
-        # ThreadPoolExecutor names workers "<prefix>_<k>"; the suffix is
-        # the stable worker id within this pool.
-        return threading.current_thread().name.rsplit("_", 1)[-1]
+    def __init__(self, state: WavefrontState):
+        self.state = state
 
-    def execute(nid: int) -> Any:
-        return graph._execute_node(
-            nodes[nid],
-            state.resolve,
-            inputs,
-            parent=state.parent,
-            worker=worker_name(),
-            session=session,
-            probe=False,
+    def submit(self, nid: int) -> None:
+        self.state.run_inline(nid)
+
+    def close(self) -> None:
+        pass
+
+
+class ThreadExecutor:
+    """Runs every node on a pool of ``jobs`` threads."""
+
+    def __init__(self, state: WavefrontState, jobs: int):
+        self.state = state
+        self.jobs = jobs
+        self.pool = ThreadPoolExecutor(
+            max_workers=jobs, thread_name_prefix=f"perflow-{state.graph.name}"
         )
 
-    with ThreadPoolExecutor(
-        max_workers=jobs, thread_name_prefix=f"perflow-{graph.name}"
-    ) as pool:
-        running: Dict[Any, int] = {}  # future -> node_id
+    def _run(self, nid: int) -> Tuple[Any, Dict[str, Any]]:
+        # ThreadPoolExecutor names workers "<prefix>_<k>"; the suffix is
+        # the stable worker id within this pool.
+        worker = threading.current_thread().name.rsplit("_", 1)[-1]
+        return self.state.run_node(nid, worker)
 
-        def submit_ready() -> None:
+    def submit(self, nid: int) -> Any:
+        return self.pool.submit(self._run, nid)
+
+    def finish(self, nid: int, fut: Any) -> None:
+        exc = fut.exception()
+        if exc is not None:
+            self.state.fail(nid, exc)
+        else:
+            self.state.complete(nid, *fut.result())
+
+    def close(self) -> None:
+        self.pool.shutdown()
+        self.state.emit_metrics(self.jobs)
+
+
+def drive(state: WavefrontState, executor: Any) -> List[Any]:
+    """The one drive loop; returns per-node values.
+
+    ``executor.submit(nid)`` returns a future for a node it started
+    elsewhere, or ``None`` after completing (or failing) it on the
+    coordinator; ``executor.finish(nid, future)`` settles a done future
+    into ``state``; ``executor.close()`` runs on every exit path and
+    joins the pool — no orphaned futures survive a failure.  Raises
+    the serial-equivalent first error (see the module docstring).
+    """
+    running: Dict[Any, int] = {}  # future -> node_id
+    try:
+        while True:
             nid = state.next_ready()
             while nid is not None:
-                running[pool.submit(execute, nid)] = nid
+                fut = executor.submit(nid)
+                if fut is not None:
+                    running[fut] = nid
                 nid = state.next_ready()
-
-        submit_ready()
-        while running:
-            done, _ = wait(set(running), return_when=FIRST_COMPLETED)
+            if not running:
+                break
+            # The heap is drained: what is in flight is the wavefront.
+            state.ready_max = max(state.ready_max, len(running))
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
             for fut in done:
-                nid = running.pop(fut)
-                exc = fut.exception()
-                if exc is not None:
-                    state.fail(nid, exc)
-                    continue
-                state.complete(nid, fut.result())
-            submit_ready()
-            state.note_wavefront(len(running))
-
-    state.emit_metrics(jobs)
+                executor.finish(running.pop(fut), fut)
+    finally:
+        executor.close()
     state.raise_first_error()
     return state.values

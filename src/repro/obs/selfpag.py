@@ -214,8 +214,7 @@ def analyze_trace(
     (drop the synthetic root) → hotspot detection → imbalance analysis.
     """
     # Imported here: repro.obs must stay importable without the pass
-    # library (and without triggering the passes/dataflow import cycle).
-    import repro.dataflow  # noqa: F401 - resolves the passes import cycle
+    # library.
     from repro.passes.hotspot import hotspot_detection
     from repro.passes.imbalance import imbalance_analysis
 

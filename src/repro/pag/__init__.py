@@ -32,7 +32,7 @@ from repro.pag.edge import Edge, EdgeLabel, CommKind
 from repro.pag.graph import PAG
 from repro.pag.sets import VertexSet, EdgeSet
 
-# The view/embedding/serialize modules depend on repro.ir, which itself
+# The view/embedding/formats modules depend on repro.ir, which itself
 # imports repro.pag submodules — load them lazily to keep the package
 # import-order independent.
 _LAZY = {

@@ -464,7 +464,7 @@ class ReproServer:
 
     def _load_pag(self, req: AnalyzeRequest) -> Any:
         from repro.pag.formats import detect_format, load_pag, pag_from_dict
-        from repro.pag.serialize import PAGFormatError
+        from repro.pag.formats import PAGFormatError
 
         try:
             if req.pag_doc is not None:

@@ -114,7 +114,7 @@ def test_fingerprint_ignores_unused_interned_strings():
 
 
 def test_fingerprint_survives_save_load(tmp_path):
-    from repro.pag.serialize import load_pag, save_pag
+    from repro.pag.formats import load_pag, save_pag
 
     pag = make_pag()
     pag.metadata["case"] = "x"

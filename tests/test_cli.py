@@ -238,7 +238,7 @@ def test_bad_cache_env_is_usage_error(monkeypatch, capsys):
 def _saved_pag(tmp_path):
     from repro.apps import npb
     from repro.dataflow.api import PerFlow
-    from repro.pag.serialize import save_pag
+    from repro.pag.formats import save_pag
 
     pflow = PerFlow()
     pag = pflow.run(bin=npb.build_cg("S", iterations=2), nprocs=4)
@@ -306,7 +306,7 @@ def test_run_dot_oserror_is_clean_usage_error(tmp_path, capsys):
 # pag convert, --mmap, and --save-pag (out-of-core storage plumbing)
 # ----------------------------------------------------------------------
 def test_pag_convert_roundtrip_preserves_fingerprint(tmp_path, capsys):
-    from repro.pag.serialize import detect_format, load_pag
+    from repro.pag.formats import detect_format, load_pag
 
     src = _saved_pag(tmp_path)  # format 2 JSON
     binpath = tmp_path / "cg.pag3"
@@ -356,7 +356,7 @@ def test_pag_stats_mmap_requires_format3(tmp_path, capsys):
 
 
 def test_run_save_pag_writes_format3(tmp_path, capsys):
-    from repro.pag.serialize import detect_format, load_pag
+    from repro.pag.formats import detect_format, load_pag
 
     out = tmp_path / "run.pag3"
     assert main(

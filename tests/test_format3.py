@@ -241,7 +241,6 @@ def test_metrics_count_lazy_and_promotions(saved):
 # passes over mmap graphs
 # ----------------------------------------------------------------------
 def test_hotspot_pass_runs_on_mmap_pag(saved):
-    import repro.dataflow  # noqa: F401 -- passes<->dataflow import cycle
     from repro.passes import hotspot_detection
 
     _pag, path = saved

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import EXIT_ISSUES, EXIT_OK, EXIT_USAGE, main
 from repro.dataflow.graph import PerFlowGraph
-from repro.dataflow.scheduler import run_wavefront
+from repro.dataflow.scheduler import ThreadExecutor, WavefrontState, drive
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs_trace
 from repro.obs.ledger import (
@@ -278,6 +278,12 @@ def test_cost_model_identity_filter(tmp_path):
     assert cm.cost("hot") == pytest.approx(0.1)
 
 
+def _drive_on_one_thread(g, inputs, cost_model=None):
+    """The drive loop on a 1-worker thread pool (run(jobs=1) is inline)."""
+    state = WavefrontState(g, inputs, cost_model=cost_model)
+    return drive(state, ThreadExecutor(state, 1))
+
+
 def _order_probe_graph(order):
     """Independent passes recording their execution order."""
     g = PerFlowGraph("probe")
@@ -300,10 +306,10 @@ def test_wavefront_orders_ready_heap_by_measured_cost():
     order = []
     g = _order_probe_graph(order)
     cm = CostModel({"cheap": 0.001, "medium": 0.01, "pricey": 0.5})
-    run_wavefront(g, {"src": 0}, jobs=1, cost_model=cm)
+    _drive_on_one_thread(g, {"src": 0}, cost_model=cm)
     assert order == ["pricey", "medium", "cheap"]  # descending cost
     order.clear()
-    run_wavefront(g, {"src": 0}, jobs=1)  # no model: node-id order
+    _drive_on_one_thread(g, {"src": 0})  # no model: node-id order
     assert order == ["cheap", "medium", "pricey"]
 
 
@@ -329,7 +335,7 @@ def test_broken_cost_model_degrades_gracefully():
 
     order = []
     g = _order_probe_graph(order)
-    run_wavefront(g, {"src": 0}, jobs=1, cost_model=Evil())
+    _drive_on_one_thread(g, {"src": 0}, cost_model=Evil())
     assert sorted(order) == ["cheap", "medium", "pricey"]
 
 

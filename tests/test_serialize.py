@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pag.serialize import (
+from repro.pag.formats import (
     load_pag,
     pag_from_dict,
     pag_to_dict,

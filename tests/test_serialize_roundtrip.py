@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.cache.fingerprint import fingerprint_pag
 from repro.pag.edge import CommKind, EdgeLabel
 from repro.pag.graph import PAG
-from repro.pag.serialize import (
+from repro.pag.formats import (
     PAGFormatError,
     load_pag,
     pag_from_dict,

@@ -84,7 +84,7 @@ def test_hpctoolkit_flags_scaling_issues_without_causes(zmp_runs):
 def test_scalasca_costs_dwarf_perflow(zmp_runs):
     prog, _r8, r64 = zmp_runs
     from repro.pag.views import build_top_down_view
-    from repro.pag.serialize import storage_size
+    from repro.pag.formats import storage_size
     from repro.runtime.sampler import dynamic_overhead_percent
 
     tr = scalasca_trace(prog, 64, run=r64)
