@@ -17,10 +17,9 @@ change its output changes:
 Anything that cannot be keyed soundly raises :class:`Uncacheable` and
 the node simply executes: bound methods and callable objects (receiver
 state is invisible), closures over arbitrary objects (e.g. a
-``PerFlow`` facade), legacy-mode sets (mixed PAGs / detached
-elements), and unrecognized input types.  *Global* variables read by a
-pass are hashed only by name (via the source text), not by value —
-passes reading mutable global state should opt out with
+``PerFlow`` facade), and unrecognized input types.  *Global* variables
+read by a pass are hashed only by name (via the source text), not by
+value — passes reading mutable global state should opt out with
 ``add_pass(..., cacheable=False)``.
 
 Keys deliberately never include PAG identity ``token``\\ s, object ids,
@@ -70,11 +69,6 @@ def _update_str(h, s: str) -> None:
 
 
 def _update_set(h, value, registry: Optional[Dict[str, Any]]) -> None:
-    if value._els is not None:
-        raise Uncacheable(
-            "legacy-mode set (mixed PAGs or detached elements) has no "
-            "stable content key"
-        )
     h.update(b"V" if isinstance(value, VertexSet) else b"E")
     if value._pag is None:
         h.update(b"-")

@@ -118,8 +118,6 @@ class _GuardPickler(pickle.Pickler):
 
 
 def _set_ref(s: Union[VertexSet, EdgeSet]) -> Tuple[str, Optional[str], bytes]:
-    if s._els is not None:
-        raise Uncacheable("legacy-mode set results cannot be cached")
     kind = "v" if isinstance(s, VertexSet) else "e"
     if s._pag is None:
         return (kind, None, b"")
@@ -166,8 +164,7 @@ def _resolve_ref(
     if pag is None:
         raise CacheMiss(f"no live PAG with fingerprint {fp} in this run")
     ids = np.frombuffer(id_bytes, dtype=np.int64).copy()
-    n = pag.num_vertices if kind == "v" else pag.num_edges
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
+    if not cls._valid_ids(pag, ids):
         raise CacheMiss("cached element ids out of range for the live PAG")
     return cls._from_ids(pag, ids)
 

@@ -1023,8 +1023,8 @@ def make_parser() -> argparse.ArgumentParser:
             help="save the analyzed PAG to FILE (see --pag-format)",
         )
         p.add_argument(
-            "--pag-format", type=int, choices=(1, 2, 3), default=2,
-            help="on-disk format for --save-pag: 1/2 JSON, 3 binary mmap-able",
+            "--pag-format", type=int, choices=(2, 3), default=2,
+            help="on-disk format for --save-pag: 2 JSON, 3 binary mmap-able",
         )
 
     p_pag = sub.add_parser(
@@ -1060,8 +1060,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("infile", help="saved PAG (any format; sniffed)")
     p_conv.add_argument("outfile", help="destination file")
     p_conv.add_argument(
-        "--format", type=int, choices=(1, 2, 3), default=3,
-        help="target format: 1/2 JSON, 3 binary mmap-able (default: 3)",
+        "--format", type=int, choices=(2, 3), default=3,
+        help="target format: 2 JSON, 3 binary mmap-able (default: 3)",
     )
     p_conv.add_argument(
         "--per-rank", action="store_true",

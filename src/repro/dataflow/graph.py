@@ -139,13 +139,14 @@ def _sum_sizes(values: Sequence[Any]) -> Optional[int]:
 def _stable_key(value: Any) -> Any:
     """Identity key for fixpoint comparison.
 
-    Elements are keyed by their PAG's monotonically assigned token rather
-    than ``id(pag)`` — interpreter address reuse after a GC could otherwise
+    A set is keyed by its PAG's monotonically assigned token rather than
+    ``id(pag)`` — interpreter address reuse after a GC could otherwise
     alias elements of a dead PAG with a newly allocated one across fixpoint
     iterations.
     """
     if isinstance(value, (VertexSet, EdgeSet)):
-        return frozenset((el._token(), el.id) for el in value)
+        ids = frozenset(value._ids.tolist())
+        return (value._pag.token if ids else 0, ids)
     if isinstance(value, tuple):
         return tuple(_stable_key(v) for v in value)
     return value

@@ -7,7 +7,7 @@ Selected with ``run(jobs=N, backend="process")`` or
 the process boundary.
 
 1. **Publish** (construction).  The coordinator walks the run's input
-   values, collects every distinct columnar PAG, and serializes each
+   values, collects every distinct PAG, and serializes each
    once — the same format-3 byte layout files use — into a
    ``multiprocessing.shared_memory`` block.  A PAG is published only if
    the stamped fingerprint equals the live graph's (the serialized twin
@@ -29,8 +29,10 @@ the process boundary.
    id-array)`` references and rebind to the receiver's live graph, raw
    PAG values as fingerprint markers.  Anything that cannot cross — an
    unpicklable value, a set over a PAG mutated since publication (its
-   fingerprint no longer matches the published image) — degrades that
-   node to coordinator execution instead of failing the run, so *every*
+   fingerprint no longer matches the published image), a pass that
+   unions its argument (bound to the twin) with elements of a graph it
+   closed over (still the original object) — degrades that node to
+   coordinator execution instead of failing the run, so *every*
    pipeline keeps serial-equivalent semantics under this backend.
 5. **Merge.**  With tracing enabled, each worker records its node span
    (plus any library-internal spans) in a private recorder and ships
@@ -83,7 +85,7 @@ from repro.pag.formats.format3 import (
     write_format3,
 )
 from repro.pag.graph import PAG
-from repro.pag.sets import EdgeSet, VertexSet
+from repro.pag.sets import CrossPAGError, EdgeSet, VertexSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.graph import PerFlowGraph
@@ -147,18 +149,17 @@ _WORKER_STATES: Dict[int, "_WorkerState"] = {}
 # publish: PAGs -> shared memory (coordinator side)
 # ----------------------------------------------------------------------
 def collect_pags(value: Any, out: Optional[Dict[str, PAG]] = None) -> Dict[str, PAG]:
-    """Distinct columnar PAGs reachable from ``value``, by fingerprint.
+    """Distinct PAGs reachable from ``value``, by fingerprint.
 
     Walks sets (their backing graph), raw PAG values, and
-    tuple/list/dict containers.  Legacy-mode sets (no backing graph)
-    contribute nothing — they cannot travel by reference anyway.
+    tuple/list/dict containers.
     """
     if out is None:
         out = {}
     if isinstance(value, PAG):
         out.setdefault(value.fingerprint(), value)
     elif isinstance(value, (VertexSet, EdgeSet)):
-        if value._els is None and value._pag is not None:
+        if value._pag is not None:
             pag = value._pag
             out.setdefault(pag.fingerprint(), pag)
     elif isinstance(value, (tuple, list)):
@@ -459,12 +460,19 @@ def _worker_run(
     pid = os.getpid()
     meta: Dict[str, Any] = {"pid": pid}
     # No session here: the store happens in the parent, on arrival.
-    if want_spans:
-        with _trace.scoped_recorder() as rec:
+    try:
+        if want_spans:
+            with _trace.scoped_recorder() as rec:
+                value, extra = graph._execute_node(node, args, worker=f"pid-{pid}")
+            meta["spans"] = _flatten_spans(rec)
+        else:
             value, extra = graph._execute_node(node, args, worker=f"pid-{pid}")
-        meta["spans"] = _flatten_spans(rec)
-    else:
-        value, extra = graph._execute_node(node, args, worker=f"pid-{pid}")
+    except CrossPAGError as exc:
+        # The arguments are bound to attached twins, but a graph the pass
+        # closed over is still the fork-inherited original: equal content,
+        # two identities.  Only the coordinator, where both are one
+        # object, can tell that from a real mixed-PAG error.
+        raise NotTransferable(f"node {node.name!r} mixed graph identities: {exc}") from exc
     meta["extra"] = extra
     try:
         result = encode_transfer(value, state.fps)

@@ -2,11 +2,9 @@
 
 Metrics complement spans: a span tells you *when and how long*, a
 metric aggregates *how often and how much* across the whole process —
-columnar vs. legacy set-path hits, serialized bytes, fixpoint
-non-convergence events.  The registry is deliberately tiny (no labels,
-no time series) and always on: an increment is one lock-guarded
-attribute add, cheap enough to live on hot paths like
-:class:`~repro.pag.sets.VertexSet` construction.
+cache hits and misses, serialized bytes, fixpoint non-convergence
+events.  The registry is deliberately tiny (no labels, no time series)
+and always on: an increment is one lock-guarded attribute add.
 
 Thread-safety: counters and histograms take a per-metric lock around
 their read-modify-write updates — the parallel wavefront scheduler
@@ -15,7 +13,7 @@ an unguarded ``+=`` drops increments under contention.  Gauges are a
 single attribute store (last write wins) and need no lock.
 
 Naming convention: dotted lowercase, ``<layer>.<thing>[.<aspect>]`` —
-``pag.sets.columnar``, ``pag.save.bytes``, ``dataflow.fixpoint.nonconverged``.
+``pag.load.header_only``, ``pag.save.bytes``, ``dataflow.fixpoint.nonconverged``.
 The full table lives in ``docs/OBSERVABILITY.md``.
 
 Export: :meth:`MetricsRegistry.to_dict` / :meth:`MetricsRegistry.save`

@@ -4,8 +4,9 @@ Three on-disk formats exist, all behind the same three entry points
 (plus :func:`detect_format` / :func:`pag_file_fingerprint` for
 sniffing and header-only probes):
 
-* **Format 1** (legacy JSON, element-wise) — read-only compatibility
-  via :func:`pag_from_dict`; written only on request.
+* **Format 1** (JSON, element-wise) — read-only: :func:`load_pag` and
+  :func:`pag_from_dict` accept it, nothing writes it to a file
+  (:func:`pag_to_dict` still builds the document for HTTP uploads).
 * **Format 2** (columnar streaming JSON, the default) — one streaming
   pass over the columns; human-greppable; fully materializes on load.
 * **Format 3** (binary, mmap-able columnar) — fingerprint in the
@@ -54,19 +55,9 @@ __all__ = [
 _LOG = get_logger("pag.serialize")
 
 #: Formats ``save_pag``/``storage_size`` can produce.
-WRITABLE_FORMATS = (1, 2, 3)
+WRITABLE_FORMATS = (2, 3)
 
-
-def _write_format1(pag: PAG, write, include_per_rank: bool) -> None:
-    write(
-        json.dumps(
-            pag_to_dict(pag, include_per_rank=include_per_rank),
-            separators=(",", ":"),
-        )
-    )
-
-
-_WRITERS = {1: _write_format1, 2: write_format2, 3: write_format3}
+_WRITERS = {2: write_format2, 3: write_format3}
 
 
 def save_pag(
@@ -82,7 +73,7 @@ def save_pag(
     enabled) a ``pag.save`` span tagged with the format.
     """
     if format not in _WRITERS:
-        raise ValueError(f"unknown PAG format {format!r} (writable: 1, 2, 3)")
+        raise ValueError(f"unknown PAG format {format!r} (writable: 2, 3)")
     writer = _WRITERS[format]
     binary = format == 3
     total = 0
@@ -171,7 +162,7 @@ def storage_size(
     including binary format 3).
     """
     if format not in _WRITERS:
-        raise ValueError(f"unknown PAG format {format!r} (writable: 1, 2, 3)")
+        raise ValueError(f"unknown PAG format {format!r} (writable: 2, 3)")
     total = 0
 
     def write(chunk) -> None:

@@ -10,15 +10,15 @@ elements.
 Both set types preserve insertion order and deduplicate by element id,
 so ``sort_by(m).top(n)`` (Listing 3) is deterministic.
 
-Storage: a set whose elements all belong to one PAG is *columnar* — it
-holds only the owning graph plus an ``int64`` id-array, and the algebra
-(union/intersection/difference), ``sort_by``, ``select`` and the bulk
-:meth:`values` API run as O(n) vectorized array operations without ever
-materializing element handles.  Sets mixing PAGs or holding detached
-elements fall back to a *legacy* handle-list representation with the
-original per-element semantics.  Identity is keyed on the owning PAG's
-monotonically assigned ``token`` (never reused, unlike ``id(pag)``,
-which can collide after garbage collection reuses an address).
+Storage: a set is the owning graph plus an ``int64`` id-array, and the
+algebra (union/intersection/difference), ``sort_by``, ``select`` and the
+bulk :meth:`values` API run as O(n) vectorized array operations without
+ever materializing element handles.  A set therefore covers exactly one
+PAG (or none, when empty): building one from elements of two graphs, or
+from a detached element, is a ``ValueError``, and so is a ``union`` of
+non-empty sets over different graphs.  The other operators treat a set
+as a set of ``(pag, id)`` pairs, so across graphs ``a & b`` is empty,
+``a - b`` is ``a``, ``a == b`` is false and ``x in s`` is false.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Optio
 
 import numpy as np
 
-from repro.obs import metrics as _obs_metrics
 from repro.pag.columns import FloatColumn, IntColumn, StrColumn, _np_view
 from repro.pag.edge import COMMKIND_CODE, ELABEL_CODE, CommKind, Edge, EdgeLabel
 from repro.pag.vertex import (
@@ -48,14 +47,6 @@ IN_EDGE = "in"
 OUT_EDGE = "out"
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-#: Storage-path hit counters (``repro.obs``): every set construction is
-#: either *columnar* (id-array over one PAG — the fast path) or *legacy*
-#: (handle list — mixed PAGs / detached elements).  The counters make the
-#: fast/slow-path split visible in exported metrics; an increment is one
-#: attribute add, cheap enough for this hot path.
-_COLUMNAR_HITS = _obs_metrics.counter("pag.sets.columnar")
-_LEGACY_HITS = _obs_metrics.counter("pag.sets.legacy")
 
 
 def _stable_unique(a: np.ndarray) -> np.ndarray:
@@ -85,10 +76,27 @@ def _membership(query: np.ndarray, ids: np.ndarray, universe: int) -> np.ndarray
     return np.isin(query, ids)
 
 
+class CrossPAGError(ValueError):
+    """Elements of two PAGs met in one set; a set covers exactly one.
+
+    Its own type because it is the one error that depends on graph
+    *identity*: a process-backend worker sees a graph the pass closed
+    over and the shared-memory twin of the same graph as two objects,
+    and must be able to tell this error from the pass's own failures.
+    """
+
+
+def _cross_pag(cls: type, a, b) -> CrossPAGError:
+    return CrossPAGError(
+        f"a {cls.__name__} covers one PAG; got elements of both "
+        f"{a.name!r} and {b.name!r}"
+    )
+
+
 class _ElementSet(Generic[T]):
     """Ordered, deduplicated collection of PAG elements."""
 
-    __slots__ = ("_pag", "_ids", "_els", "_members")
+    __slots__ = ("_pag", "_ids", "_members")
 
     #: Element class of this set family (Vertex or Edge); set in subclasses.
     _ELEMENT: type = object
@@ -97,51 +105,32 @@ class _ElementSet(Generic[T]):
         pag = None
         ids: List[int] = []
         seen: set = set()
-        els: Optional[List[T]] = None
         for el in elements:
-            if els is None:
-                p = el.pag
-                if p is not None and (pag is None or p is pag):
-                    pag = p
-                    i = el.id
-                    if i not in seen:
-                        seen.add(i)
-                        ids.append(i)
-                    continue
-                # mixed PAGs or a detached element: switch to legacy mode
+            p = el.pag
+            if p is None:
+                raise ValueError(
+                    f"{el!r} is detached (it belongs to no PAG) and "
+                    f"cannot be a member of a {type(self).__name__}"
+                )
+            if p is not pag:
                 if pag is not None:
-                    att = self._ELEMENT._attached
-                    els = [att(pag, i) for i in ids]
-                    token = pag.token
-                    seen = {(token, i) for i in ids}
-                else:
-                    els = []
-                    seen = set()
-            key = (el._token(), el.id)
-            if key not in seen:
-                seen.add(key)
-                els.append(el)
-        if els is None:
-            self._pag = pag
-            self._ids = np.array(ids, dtype=np.int64) if ids else _EMPTY_IDS
-            self._els = None
-            _COLUMNAR_HITS.value += 1
-        else:
-            self._pag = None
-            self._ids = None
-            self._els = els
-            _LEGACY_HITS.value += 1
+                    raise _cross_pag(type(self), pag, p)
+                pag = p
+            i = el.id
+            if i not in seen:
+                seen.add(i)
+                ids.append(i)
+        self._pag = pag
+        self._ids = np.array(ids, dtype=np.int64) if ids else _EMPTY_IDS
         self._members = None
 
     @classmethod
     def _from_ids(cls, pag, ids: np.ndarray) -> "_ElementSet[T]":
-        """Internal columnar constructor; ``ids`` must already be deduped."""
+        """Internal constructor; ``ids`` must be deduped rows of ``pag``."""
         s = object.__new__(cls)
         s._pag = pag
         s._ids = ids
-        s._els = None
         s._members = None
-        _COLUMNAR_HITS.value += 1
         return s
 
     @classmethod
@@ -149,85 +138,48 @@ class _ElementSet(Generic[T]):
         """Build a set from element ids of ``pag`` (bulk API).
 
         Ids are deduplicated preserving first-occurrence order, matching
-        the constructor's semantics.
+        the constructor's semantics; an id that is not a row of ``pag``
+        is a ``ValueError``.
         """
         arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64)
+        if not cls._valid_ids(pag, arr):
+            raise ValueError(
+                f"element ids outside [0, {cls._nrows(pag)}) for {pag!r}"
+            )
         return cls._from_ids(pag, _stable_unique(arr))
 
     # -- internal helpers --------------------------------------------------
-    def _handles(self) -> List[T]:
-        if self._els is not None:
-            return self._els
-        pag = self._pag
-        att = self._ELEMENT._attached
-        return [att(pag, int(i)) for i in self._ids]
-
-    def _keyset(self) -> set:
-        if self._els is not None:
-            return {(e._token(), e.id) for e in self._els}
-        token = self._pag.token if self._pag is not None else 0
-        return {(token, int(i)) for i in self._ids}
+    @classmethod
+    def _valid_ids(cls, pag, ids: np.ndarray) -> bool:
+        """True when every id is a row of this element family in ``pag``."""
+        return ids.size == 0 or (ids.min() >= 0 and ids.max() < cls._nrows(pag))
 
     def _id_members(self):
         if self._members is None:
             self._members = frozenset(self._ids.tolist())
         return self._members
 
-    def _nrows(self) -> int:
-        """Universe size (row count of this element family in the PAG)."""
+    @staticmethod
+    def _nrows(pag) -> int:
+        """Universe size (row count of this element family in ``pag``)."""
         raise NotImplementedError
-
-    def _columnar_with(self, *others: "_ElementSet[T]") -> bool:
-        """True when all operands are columnar over one common PAG."""
-        if self._els is not None:
-            return False
-        pag = self._pag
-        for o in others:
-            if o._els is not None:
-                return False
-            if o._pag is not None:
-                if pag is None:
-                    pag = o._pag
-                elif o._pag is not pag:
-                    return False
-        return True
-
-    def _common_pag(self, *others: "_ElementSet[T]"):
-        if self._pag is not None:
-            return self._pag
-        for o in others:
-            if o._pag is not None:
-                return o._pag
-        return None
 
     # -- container protocol ------------------------------------------------
     def __iter__(self) -> Iterator[T]:
-        if self._els is not None:
-            return iter(self._els)
         pag = self._pag
         att = self._ELEMENT._attached
         return (att(pag, int(i)) for i in self._ids)
 
     def __len__(self) -> int:
-        if self._els is not None:
-            return len(self._els)
         return len(self._ids)
 
     def __getitem__(self, idx):
-        if self._els is not None:
-            if isinstance(idx, slice):
-                return type(self)(self._els[idx])
-            return self._els[idx]
         if isinstance(idx, slice):
             return type(self)._from_ids(self._pag, self._ids[idx])
         return self._ELEMENT._attached(self._pag, int(self._ids[idx]))
 
     def __contains__(self, el: object) -> bool:
-        if self._els is not None:
-            return any(e is el or e == el for e in self._els)
-        if not isinstance(el, self._ELEMENT):
-            return False
-        if el._pag is not self._pag or self._pag is None:
+        if not isinstance(el, self._ELEMENT) or el._pag is not self._pag:
             return False
         return el.id in self._id_members()
 
@@ -235,49 +187,37 @@ class _ElementSet(Generic[T]):
         return len(self) > 0
 
     def to_list(self) -> List[T]:
-        if self._els is not None:
-            return list(self._els)
-        return self._handles()
+        return list(self)
 
     def ids(self) -> np.ndarray:
         """Element ids in set order as an ``int64`` array (bulk API)."""
-        if self._els is not None:
-            return np.fromiter((e.id for e in self._els), dtype=np.int64, count=len(self._els))
         return self._ids.copy()
 
     # -- set algebra ---------------------------------------------------------
     def union(self, *others: "_ElementSet[T]") -> "_ElementSet[T]":
-        if self._columnar_with(*others):
-            pag = self._common_pag(*others)
-            arrays = [self._ids] + [o._ids for o in others]
-            cat = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
-            return type(self)._from_ids(pag, _stable_unique(cat))
-        out: List[T] = list(self._handles())
-        for other in others:
-            out.extend(other._handles())
-        return type(self)(out)
+        parts = [s for s in (self, *others) if len(s._ids)]
+        if not parts:
+            return type(self)._from_ids(self._pag, _EMPTY_IDS)
+        pag = parts[0]._pag
+        for s in parts:
+            if s._pag is not pag:
+                raise _cross_pag(type(self), pag, s._pag)
+        if len(parts) == 1:
+            return type(self)._from_ids(pag, parts[0]._ids)
+        cat = np.concatenate([s._ids for s in parts])
+        return type(self)._from_ids(pag, _stable_unique(cat))
 
     def intersection(self, other: "_ElementSet[T]") -> "_ElementSet[T]":
-        if self._columnar_with(other):
-            pag = self._common_pag(other)
-            if pag is None:
-                return type(self)._from_ids(None, _EMPTY_IDS)
-            mask = _membership(self._ids, other._ids, self._nrows())
-            return type(self)._from_ids(pag, self._ids[mask])
-        keys = other._keyset()
-        return type(self)(e for e in self._handles() if (e._token(), e.id) in keys)
+        if other._pag is not self._pag:
+            return type(self)._from_ids(self._pag, _EMPTY_IDS)
+        mask = _membership(self._ids, other._ids, self._nrows(self._pag))
+        return type(self)._from_ids(self._pag, self._ids[mask])
 
     def difference(self, other: "_ElementSet[T]") -> "_ElementSet[T]":
-        if self._columnar_with(other):
-            pag = self._pag
-            if pag is None:
-                return type(self)._from_ids(None, _EMPTY_IDS)
-            if other._pag is not None and other._pag is pag:
-                mask = _membership(self._ids, other._ids, self._nrows())
-                return type(self)._from_ids(pag, self._ids[~mask])
-            return type(self)._from_ids(pag, self._ids)
-        keys = other._keyset()
-        return type(self)(e for e in self._handles() if (e._token(), e.id) not in keys)
+        if other._pag is not self._pag:
+            return type(self)._from_ids(self._pag, self._ids)
+        mask = _membership(self._ids, other._ids, self._nrows(self._pag))
+        return type(self)._from_ids(self._pag, self._ids[~mask])
 
     def complement(self, universe: "_ElementSet[T]") -> "_ElementSet[T]":
         """Elements of ``universe`` not in this set."""
@@ -290,15 +230,13 @@ class _ElementSet(Generic[T]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _ElementSet):
             return NotImplemented
-        if (
-            self._els is None
-            and other._els is None
-            and self._pag is other._pag
-        ):
-            if len(self._ids) != len(other._ids):
-                return False
-            return bool(np.array_equal(np.sort(self._ids), np.sort(other._ids)))
-        return self._keyset() == other._keyset()
+        if len(self._ids) != len(other._ids):
+            return False
+        if len(self._ids) == 0:
+            return True
+        return self._pag is other._pag and bool(
+            np.array_equal(np.sort(self._ids), np.sort(other._ids))
+        )
 
     def __hash__(self):  # sets are mutable-ish views; keep them unhashable
         raise TypeError(f"{type(self).__name__} is unhashable")
@@ -310,63 +248,45 @@ class _ElementSet(Generic[T]):
         Elements missing the metric sort as 0.  The sort is stable, so
         ties keep their original relative order either way.
         """
-        if self._els is None:
-            if self._pag is None or len(self._ids) == 0:
-                return type(self)._from_ids(self._pag, self._ids)
-            vals = self._numeric_column(metric)
-            order = np.argsort(-vals if reverse else vals, kind="stable")
-            return type(self)._from_ids(self._pag, self._ids[order])
-
-        def key(el: T) -> float:
-            val = el[metric]
-            return float(val) if isinstance(val, (int, float)) else 0.0
-
-        return type(self)(sorted(self._els, key=key, reverse=reverse))
+        if len(self._ids) == 0:
+            return type(self)._from_ids(self._pag, self._ids)
+        vals = self._numeric_column(metric)
+        order = np.argsort(-vals if reverse else vals, kind="stable")
+        return type(self)._from_ids(self._pag, self._ids[order])
 
     def top(self, n: int) -> "_ElementSet[T]":
         """First ``n`` elements (combine with :meth:`sort_by`, Listing 3)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        if self._els is None:
-            return type(self)._from_ids(self._pag, self._ids[:n])
-        return type(self)(self._els[:n])
+        return type(self)._from_ids(self._pag, self._ids[:n])
 
     def filter(self, predicate: Callable[[T], bool]) -> "_ElementSet[T]":
-        if self._els is None:
-            pag = self._pag
-            att = self._ELEMENT._attached
-            kept = [int(i) for i in self._ids if predicate(att(pag, int(i)))]
-            return type(self)._from_ids(pag, np.array(kept, dtype=np.int64))
-        return type(self)(e for e in self._els if predicate(e))
+        pag = self._pag
+        att = self._ELEMENT._attached
+        kept = [int(i) for i in self._ids if predicate(att(pag, int(i)))]
+        return type(self)._from_ids(pag, np.array(kept, dtype=np.int64))
 
     def classify(self, key: Callable[[T], Any]) -> Dict[Any, "_ElementSet[T]"]:
         """Partition the set by a key function (the classification op of §4.3.1)."""
-        if self._els is None:
-            pag = self._pag
-            att = self._ELEMENT._attached
-            id_groups: Dict[Any, List[int]] = {}
-            for i in self._ids:
-                i = int(i)
-                id_groups.setdefault(key(att(pag, i)), []).append(i)
-            return {
-                k: type(self)._from_ids(pag, np.array(v, dtype=np.int64))
-                for k, v in id_groups.items()
-            }
-        groups: Dict[Any, List[T]] = {}
-        for el in self._els:
-            groups.setdefault(key(el), []).append(el)
-        return {k: type(self)(v) for k, v in groups.items()}
+        pag = self._pag
+        att = self._ELEMENT._attached
+        id_groups: Dict[Any, List[int]] = {}
+        for i in self._ids:
+            i = int(i)
+            id_groups.setdefault(key(att(pag, i)), []).append(i)
+        return {
+            k: type(self)._from_ids(pag, np.array(v, dtype=np.int64))
+            for k, v in id_groups.items()
+        }
 
     # -- bulk property access -------------------------------------------------
     def values(self, key: str) -> List[Any]:
         """Property values in set order (bulk API; ``None`` where absent).
 
         Equivalent to ``[el[key] for el in self]`` but reads the owning
-        PAG's columns directly for columnar sets.
+        PAG's columns directly.
         """
-        if self._els is not None:
-            return [el[key] for el in self._els]
-        if self._pag is None or len(self._ids) == 0:
+        if len(self._ids) == 0:
             return []
         return self._bulk_values(key)
 
@@ -382,16 +302,9 @@ class _ElementSet(Generic[T]):
         raise NotImplementedError
 
     def sum(self, metric: str) -> float:
-        if self._els is None:
-            if self._pag is None or len(self._ids) == 0:
-                return 0.0
-            return float(self._numeric_column(metric).sum())
-        total = 0.0
-        for el in self._els:
-            val = el[metric]
-            if isinstance(val, (int, float)):
-                total += val
-        return total
+        if len(self._ids) == 0:
+            return 0.0
+        return float(self._numeric_column(metric).sum())
 
     def _prop_mask(self, store, ids: np.ndarray, key: str, want: Any) -> np.ndarray:
         """Vectorized ``el[key] == want`` over typed columns where possible."""
@@ -419,8 +332,9 @@ class VertexSet(_ElementSet[Vertex]):
 
     _ELEMENT = Vertex
 
-    def _nrows(self) -> int:
-        return self._pag.num_vertices if self._pag is not None else 0
+    @staticmethod
+    def _nrows(pag) -> int:
+        return pag.num_vertices if pag is not None else 0
 
     def _bulk_values(self, key: str) -> List[Any]:
         pag = self._pag
@@ -458,63 +372,46 @@ class VertexSet(_ElementSet[Vertex]):
         ``V.select(name="MPI_*")`` keeps communication vertices and
         ``V.select(name="istream::read")`` keeps IO vertices.
 
-        On a columnar set this runs vectorized: label/kind compare code
-        arrays, the name glob is matched once per *distinct* interned
-        string, and typed property columns compare in bulk.
+        Runs vectorized: label/kind compare code arrays, the name glob
+        is matched once per *distinct* interned string, and typed
+        property columns compare in bulk.
         """
-        if self._els is None:
-            pag = self._pag
-            if pag is None or len(self._ids) == 0:
-                return VertexSet._from_ids(pag, _EMPTY_IDS)
-            ids = self._ids
-            mask = np.ones(len(ids), dtype=bool)
-            if label is not None:
-                mask &= _np_view(pag._v_label, np.int8)[ids] == VLABEL_CODE[label]
-            if call_kind is not None:
-                mask &= _np_view(pag._v_kind, np.int8)[ids] == CALLKIND_CODE[call_kind]
-            if name is not None:
-                lookup = np.zeros(max(len(pag.strings), 1), dtype=bool)
-                match = pag.strings.matching_ids(
-                    lambda s: fnmatch.fnmatchcase(s, name)
+        pag = self._pag
+        ids = self._ids
+        if len(ids) == 0:
+            return VertexSet._from_ids(pag, _EMPTY_IDS)
+        mask = np.ones(len(ids), dtype=bool)
+        if label is not None:
+            mask &= _np_view(pag._v_label, np.int8)[ids] == VLABEL_CODE[label]
+        if call_kind is not None:
+            mask &= _np_view(pag._v_kind, np.int8)[ids] == CALLKIND_CODE[call_kind]
+        if name is not None:
+            lookup = np.zeros(max(len(pag.strings), 1), dtype=bool)
+            match = pag.strings.matching_ids(
+                lambda s: fnmatch.fnmatchcase(s, name)
+            )
+            if match:
+                lookup[list(match)] = True
+            mask &= lookup[_np_view(pag._v_name, np.int64)[ids]]
+        for key, want in props.items():
+            if not mask.any():
+                break
+            if key == "name" or key == "type":
+                vals = self._bulk_values(key)
+                mask &= np.fromiter(
+                    (v == want for v in vals), dtype=bool, count=len(ids)
                 )
-                if match:
-                    lookup[list(match)] = True
-                mask &= lookup[_np_view(pag._v_name, np.int64)[ids]]
-            for key, want in props.items():
-                if not mask.any():
-                    break
-                if key == "name" or key == "type":
-                    vals = VertexSet._from_ids(pag, ids)._bulk_values(key)
-                    mask &= np.fromiter(
-                        (v == want for v in vals), dtype=bool, count=len(ids)
-                    )
-                else:
-                    mask &= self._prop_mask(pag._vprops, ids, key, want)
-            return VertexSet._from_ids(pag, ids[mask])
-
-        def ok(v: Vertex) -> bool:
-            if name is not None and not fnmatch.fnmatchcase(v.name, name):
-                return False
-            if label is not None and v.label is not label:
-                return False
-            if call_kind is not None and v.call_kind is not call_kind:
-                return False
-            for key, want in props.items():
-                if v[key] != want:
-                    return False
-            return True
-
-        return VertexSet(v for v in self._els if ok(v))
+            else:
+                mask &= self._prop_mask(pag._vprops, ids, key, want)
+        return VertexSet._from_ids(pag, ids[mask])
 
     @property
     def pag(self):
-        """The PAG that the (first) element belongs to.
+        """The PAG the elements belong to (``None`` for an empty set).
 
         Listing 6 uses ``V.pag`` to hand the environment graph to a graph
-        algorithm.  Mixed-PAG sets return the first element's graph.
+        algorithm.
         """
-        if self._els is not None:
-            return self._els[0].pag if self._els else None
         return self._pag if len(self._ids) else None
 
 
@@ -523,8 +420,9 @@ class EdgeSet(_ElementSet[Edge]):
 
     _ELEMENT = Edge
 
-    def _nrows(self) -> int:
-        return self._pag.num_edges if self._pag is not None else 0
+    @staticmethod
+    def _nrows(pag) -> int:
+        return pag.num_edges if pag is not None else 0
 
     def _bulk_values(self, key: str) -> List[Any]:
         return self._pag._eprops.values(key, self._ids)
@@ -546,57 +444,36 @@ class EdgeSet(_ElementSet[Edge]):
         ``select(type=EdgeLabel.INTER_PROCESS)`` keeps communication edges
         (the paper's ``in_es.select(type=pflow.COMM)``, Listing 7).
         """
-        if self._els is None:
-            pag = self._pag
-            if pag is None or len(self._ids) == 0:
-                return EdgeSet._from_ids(pag, _EMPTY_IDS)
-            ids = self._ids
-            mask = np.ones(len(ids), dtype=bool)
-            if direction == IN_EDGE and of is not None:
-                mask &= _np_view(pag._e_dst, np.int64)[ids] == of.id
-            if direction == OUT_EDGE and of is not None:
-                mask &= _np_view(pag._e_src, np.int64)[ids] == of.id
-            if type is not None:
-                mask &= _np_view(pag._e_label, np.int8)[ids] == ELABEL_CODE[type]
-            if comm_kind is not None:
-                mask &= _np_view(pag._e_kind, np.int8)[ids] == COMMKIND_CODE[comm_kind]
-            for key, want in props.items():
-                if not mask.any():
-                    break
-                mask &= self._prop_mask(pag._eprops, ids, key, want)
-            return EdgeSet._from_ids(pag, ids[mask])
-
-        def ok(e: Edge) -> bool:
-            if direction == IN_EDGE and of is not None and e.dst_id != of.id:
-                return False
-            if direction == OUT_EDGE and of is not None and e.src_id != of.id:
-                return False
-            if type is not None and e.label is not type:
-                return False
-            if comm_kind is not None and e.comm_kind is not comm_kind:
-                return False
-            for key, want in props.items():
-                if e[key] != want:
-                    return False
-            return True
-
-        return EdgeSet(e for e in self._els if ok(e))
+        pag = self._pag
+        ids = self._ids
+        if len(ids) == 0:
+            return EdgeSet._from_ids(pag, _EMPTY_IDS)
+        mask = np.ones(len(ids), dtype=bool)
+        if direction == IN_EDGE and of is not None:
+            mask &= _np_view(pag._e_dst, np.int64)[ids] == of.id
+        if direction == OUT_EDGE and of is not None:
+            mask &= _np_view(pag._e_src, np.int64)[ids] == of.id
+        if type is not None:
+            mask &= _np_view(pag._e_label, np.int8)[ids] == ELABEL_CODE[type]
+        if comm_kind is not None:
+            mask &= _np_view(pag._e_kind, np.int8)[ids] == COMMKIND_CODE[comm_kind]
+        for key, want in props.items():
+            if not mask.any():
+                break
+            mask &= self._prop_mask(pag._eprops, ids, key, want)
+        return EdgeSet._from_ids(pag, ids[mask])
 
     def sources(self) -> VertexSet:
-        if self._els is None:
-            if self._pag is None or len(self._ids) == 0:
-                return VertexSet._from_ids(None, _EMPTY_IDS)
-            vids = _np_view(self._pag._e_src, np.int64)[self._ids]
-            return VertexSet._from_ids(self._pag, _stable_unique(vids))
-        return VertexSet(e.src for e in self._els)
+        if len(self._ids) == 0:
+            return VertexSet._from_ids(None, _EMPTY_IDS)
+        vids = _np_view(self._pag._e_src, np.int64)[self._ids]
+        return VertexSet._from_ids(self._pag, _stable_unique(vids))
 
     def destinations(self) -> VertexSet:
-        if self._els is None:
-            if self._pag is None or len(self._ids) == 0:
-                return VertexSet._from_ids(None, _EMPTY_IDS)
-            vids = _np_view(self._pag._e_dst, np.int64)[self._ids]
-            return VertexSet._from_ids(self._pag, _stable_unique(vids))
-        return VertexSet(e.dst for e in self._els)
+        if len(self._ids) == 0:
+            return VertexSet._from_ids(None, _EMPTY_IDS)
+        vids = _np_view(self._pag._e_dst, np.int64)[self._ids]
+        return VertexSet._from_ids(self._pag, _stable_unique(vids))
 
 
 #: Precomputed codes for the vectorized ``"type"`` pseudo-property.

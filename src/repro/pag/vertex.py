@@ -309,4 +309,7 @@ class Vertex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vertex):
             return NotImplemented
+        if self._pag is None:
+            # detached handles have no graph-assigned id to compare by
+            return self is other
         return self._pag is other._pag and self.id == other.id

@@ -12,6 +12,7 @@ VertexSet/EdgeSet operation must agree element-for-element, in order.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.pag.edge import CommKind, EdgeLabel
@@ -162,6 +163,31 @@ def test_set_algebra_matches(spec, raw_a, raw_b):
     assert ids_of(A.difference(B)) == RefPAG.difference(da, db)
     assert ids_of(A.complement(pag.vs)) == RefPAG.difference(list(range(nv)), da)
     assert (A == B) == (set(da) == set(db))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_spec, graph_spec, subset, subset)
+def test_cross_pag_algebra_matches(spec_a, spec_b, raw_a, raw_b):
+    """Across two graphs a set still behaves as a set of (pag, id) pairs."""
+    pag_a, pag_b = build(spec_a)[0], build(spec_b)[0]
+    A = VertexSet.from_ids(pag_a, [i % pag_a.num_vertices for i in raw_a])
+    B = VertexSet.from_ids(pag_b, [i % pag_b.num_vertices for i in raw_b])
+
+    def pairs(s):
+        tag = "a" if s.pag is pag_a else "b"
+        return [(tag, i) for i in ids_of(s)]
+
+    ra, rb = pairs(A), pairs(B)
+    assert pairs(A.intersection(B)) == RefPAG.intersection(ra, rb) == []
+    assert pairs(A.difference(B)) == RefPAG.difference(ra, rb) == ra
+    assert (A == B) == (set(ra) == set(rb))
+    assert [v in A for v in B] == [p in ra for p in rb]
+    if ra and rb:
+        with pytest.raises(ValueError, match="'equiv' and 'equiv'"):
+            A.union(B)
+    else:
+        assert pairs(A.union(B)) == RefPAG.union(ra, rb)
+        assert pairs(VertexSet().union(A, B)) == RefPAG.union(ra, rb)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ fixture guarding the on-disk layout against accidental format drift.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.pag.formats import (
     detect_format,
     load_pag,
     pag_file_fingerprint,
+    pag_to_dict,
     read_header,
     save_pag,
     segment_sizes,
@@ -86,9 +88,11 @@ def test_detect_format(saved, tmp_path):
     p2 = tmp_path / "s.json"
     save_pag(_pag, p2, format=2)
     assert detect_format(p2) == 2
+    # nothing writes format-1 files any more; reading them stays supported
     p1 = tmp_path / "s1.json"
-    save_pag(_pag, p1, format=1)
+    p1.write_text(json.dumps(pag_to_dict(_pag, include_per_rank=True)))
     assert detect_format(p1) == 1
+    assert load_pag(p1).fingerprint() == _pag.fingerprint()
 
 
 def test_pag_file_fingerprint_matches_loaded_graph(saved):
@@ -288,10 +292,13 @@ def test_mmap_flag_ignored_for_json_formats(tmp_path):
 
 def test_unknown_format_rejected(tmp_path):
     pag = _sample_pag()
-    with pytest.raises(ValueError):
-        save_pag(pag, tmp_path / "x", format=7)
+    for fmt in (7, 1):  # 1 is a format this package reads but never writes
+        with pytest.raises(ValueError, match="writable: 2, 3"):
+            save_pag(pag, tmp_path / "x", format=fmt)
     with pytest.raises(ValueError):
         storage_size(pag, format=0)
+    with pytest.raises(ValueError):
+        storage_size(pag, format=1)
 
 
 def test_read_header_on_non_format3_file(tmp_path):

@@ -179,25 +179,3 @@ def test_golden_critical_path_microbench(micro_ctx):
         pflow, pags[4], max_ranks=4, expand_threads=True
     )
     _check_golden("critical_path_microbench.txt", _render_critical_path(res))
-
-
-# ----------------------------------------------------------------------
-# ROADMAP 3(a) evidence: the legacy handle-list set path is dead here
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def _no_legacy_sets():
-    """No golden paradigm run builds a legacy (handle-list) set.
-
-    Reads the counter object ``pag.sets`` increments rather than the
-    registry: conftest's per-test ``registry.reset()`` drops the name,
-    and a fresh lookup would read 0 whatever happened.
-    """
-    from repro.pag import sets as pag_sets
-
-    before = pag_sets._LEGACY_HITS.value
-    columnar_before = pag_sets._COLUMNAR_HITS.value
-    yield
-    assert pag_sets._COLUMNAR_HITS.value > columnar_before  # the probe is live
-    assert pag_sets._LEGACY_HITS.value == before

@@ -120,6 +120,27 @@ def test_repr(small_pag):
     assert "->" in repr(small_pag.edge(0))
 
 
+def test_detached_handles_equal_only_themselves(small_pag):
+    """Listing 4 builds many ``pflow.vertex()`` results, all with id -1:
+    they must stay distinct in a ``set``/``dict`` (at the parent every
+    detached handle compared equal to every other)."""
+    from repro.dataflow import lowlevel
+    from repro.pag.edge import Edge
+
+    a, b = lowlevel.vertex("a"), lowlevel.vertex("b")
+    assert a == a and a != b
+    assert len({a, b}) == 2 and len({a: 1, b: 2}) == 2
+    assert a != small_pag.vertex(0) and small_pag.vertex(0) != a
+    e1 = Edge(-1, 0, 1, EdgeLabel.INTRA_PROCEDURAL)
+    e2 = Edge(-1, 0, 1, EdgeLabel.INTRA_PROCEDURAL)
+    assert e1 == e1 and e1 != e2 and len({e1, e2}) == 2
+    # attached handles still compare by (graph, id), not by object
+    assert small_pag.vertex(1) == small_pag.vertex(1)
+    assert hash(small_pag.vertex(1)) == hash(small_pag.vertex(1))
+    assert small_pag.edge(0) == small_pag.edge(0)
+    assert small_pag.vertex(1) != small_pag.copy().vertex(1)
+
+
 # ----------------------------------------------------------------------
 # adjacency index contract (lazy CSR, rebuilt after structural growth)
 # ----------------------------------------------------------------------

@@ -129,3 +129,72 @@ def test_edgeset_sources_destinations(pag):
     comm = pag.es_all.select(type=EdgeLabel.INTER_PROCESS)
     assert [v.name for v in comm.sources()] == ["MPI_Send"]
     assert [v.name for v in comm.destinations()] == ["MPI_Recv"]
+
+
+# ----------------------------------------------------------------------
+# one PAG per set
+# ----------------------------------------------------------------------
+@pytest.fixture
+def other():
+    g = PAG("other")
+    g.add_vertex(VertexLabel.FUNCTION, "main", properties={"time": 2.0})
+    g.add_vertex(VertexLabel.LOOP, "loop_1", properties={"time": 1.0})
+    g.add_edge(0, 1, EdgeLabel.INTRA_PROCEDURAL)
+    return g
+
+
+def test_constructor_refuses_mixed_pags(pag, other):
+    with pytest.raises(ValueError, match="'sets' and 'other'"):
+        VertexSet([pag.vertex(0), other.vertex(0)])
+    with pytest.raises(ValueError, match="'other' and 'sets'"):
+        EdgeSet([other.edge(0), pag.edge(0)])
+
+
+def test_constructor_refuses_detached_elements(pag):
+    from repro.dataflow.api import PerFlow
+
+    pflow = PerFlow()
+    a, b = pflow.vertex("a"), pflow.vertex("b")
+    # the parent returned a 1-element set here: both handles carry id -1
+    with pytest.raises(ValueError, match="'a'.*detached"):
+        VertexSet([a, b])
+    with pytest.raises(ValueError, match="'b'.*detached"):
+        VertexSet([pag.vertex(0), b])
+
+
+def test_cross_pag_algebra(pag, other):
+    a, b = pag.vs, other.vs
+    with pytest.raises(ValueError, match="'sets' and 'other'"):
+        a | b
+    with pytest.raises(ValueError, match="'sets' and 'other'"):
+        a.union(a, b)
+    assert len(a & b) == 0
+    assert (a - b) == a
+    assert [v.id for v in a - b] == [v.id for v in a]
+    assert a != b
+    assert a[:2] != b  # same ids, same length, different graphs
+    assert other.vertex(0) not in a
+    assert pag.edge(0) not in other.es_all
+    assert len(pag.es_all & other.es_all) == 0
+
+
+def test_union_with_empty_keeps_the_nonempty_pag(pag, other):
+    empties = [VertexSet(), other.vs.select(name="no-such-vertex")]
+    for empty in empties:
+        assert len(empty) == 0
+        for u in (pag.vs | empty, empty | pag.vs, empty.union(empty, pag.vs)):
+            assert u == pag.vs
+            assert u.pag is pag
+        assert (empty | empty).pag is None
+    assert VertexSet() == other.vs.select(name="no-such-vertex")
+
+
+def test_from_ids_validates_range(pag):
+    n = pag.num_vertices
+    for bad in ([-1], [n], [1, 99, -1]):
+        with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+            VertexSet.from_ids(pag, bad)
+    with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+        EdgeSet.from_ids(pag, [pag.num_edges])
+    assert [v.id for v in VertexSet.from_ids(pag, [n - 1, 0, n - 1])] == [n - 1, 0]
+    assert len(VertexSet.from_ids(pag, [])) == 0

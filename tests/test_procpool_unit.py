@@ -73,11 +73,14 @@ def test_collect_pags_walks_containers():
     assert found[a.fingerprint()] is a
 
 
-def test_collect_pags_ignores_legacy_sets():
+def test_mixed_pag_set_is_refused_at_construction():
+    """Every set has one backing graph, so there is no set the publish
+    walk or the transfer encoder would have to skip or refuse."""
     a, b = make_pag("a"), make_pag("b", n=3)
-    legacy = VertexSet(list(a.vs) + list(b.vs))  # mixed graphs: legacy mode
-    assert legacy._els is not None
-    assert collect_pags(legacy) == {}
+    with pytest.raises(ValueError, match="'a' and 'b'"):
+        VertexSet(list(a.vs) + list(b.vs))
+    with pytest.raises(ValueError, match="'a' and 'b'"):
+        a.vs | b.vs
 
 
 # ------------------------------------------------------------------ attach
@@ -147,15 +150,6 @@ def test_transfer_refuses_unpublished_pag():
         encode_transfer(pag.vs, frozenset())
 
 
-def test_transfer_refuses_legacy_sets(published):
-    pag, fp, _ = published
-    other = make_pag("other", n=3)
-    legacy = VertexSet(list(pag.vs) + list(other.vs))
-    assert legacy._els is not None
-    with pytest.raises(NotTransferable):
-        encode_transfer(legacy, frozenset([fp, other.fingerprint()]))
-
-
 def test_decode_refuses_unknown_fingerprint(published):
     pag, fp, _ = published
     entry = encode_transfer(pag.vs, frozenset([fp]))
@@ -210,6 +204,21 @@ def test_worker_run_fixpoint_reports_convergence(worker_token):
     _result, meta = _worker_run(token, nid, entry, want_spans=False)
     assert meta["extra"]["converged"] is True
     assert meta["extra"]["iterations"] >= 1
+
+
+def test_worker_run_degrades_when_a_closure_graph_meets_its_twin(worker_token):
+    """The argument arrives bound to the attached twin while the pass
+    closed over the original graph: their union is a mixed-PAG error
+    only in the worker, so the node must rerun on the coordinator."""
+    token, g, pag, fp = worker_token
+    grow = g.add_pass(lambda s: s | pag.vs[:1], g.input("W", VertexSet), name="grow")
+    entry = encode_transfer((pag.vs[1:],), frozenset([fp]))
+    with pytest.raises(NotTransferable, match="'grow' mixed graph identities"):
+        _worker_run(token, grow.node_id, entry, want_spans=False)
+    # end to end the run still matches serial
+    want = [v.id for v in g.run(V=pag.vs, W=pag.vs[1:])["grow"]]
+    got = g.run(V=pag.vs, W=pag.vs[1:], jobs=2, backend="process")["grow"]
+    assert [v.id for v in got] == want == [1, 2, 3, 4, 5, 0]
 
 
 def test_worker_run_span_batch_merges_into_parent(worker_token):
