@@ -146,15 +146,14 @@ def test_disabled_cache_overhead():
 
 
 def test_mpi_profiler_paradigm_warm_skip_end_to_end():
-    pflow = PerFlow()
+    pflow = PerFlow(cache=PassCache())
     pag = _cg_pag()
-    cache = PassCache()
     # deltas, not absolutes: the metrics registry is process-global and
     # benchmarks (unlike the unit suite) do not reset it between tests
     hits0 = obs_metrics.counter("dataflow.cache.hits").value
     misses0 = obs_metrics.counter("dataflow.cache.misses").value
-    golden = mpi_profiler_paradigm(pflow, pag, top=TOP, cache=cache)
-    warm = mpi_profiler_paradigm(pflow, pag, top=TOP, cache=cache)
+    golden = mpi_profiler_paradigm(pflow, pag, top=TOP)
+    warm = mpi_profiler_paradigm(pflow, pag, top=TOP)
     assert obs_metrics.counter("dataflow.cache.hits").value - hits0 == 3
     assert obs_metrics.counter("dataflow.cache.misses").value - misses0 == 3
     assert warm == golden

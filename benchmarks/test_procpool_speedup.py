@@ -68,8 +68,8 @@ def _time_run(g: PerFlowGraph, jobs: int, backend: str) -> float:
 
 
 def test_process_backend_speedup_on_cpu_bound_pipeline():
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("process-pool speedup needs >= 2 cores")
+    if (os.cpu_count() or 1) < JOBS:
+        pytest.skip(f"a >= {MIN_SPEEDUP}x speedup from {JOBS} workers needs >= {JOBS} cores")
     g = _build_cpu_graph()
     serial = min(_time_run(g, 1, "thread") for _ in range(2))
     threads = min(_time_run(g, JOBS, "thread") for _ in range(2))

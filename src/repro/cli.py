@@ -111,9 +111,9 @@ def _pflow_for(args) -> PerFlow:
     return PerFlow(
         machine=_machine_for(args.program),
         jobs=args.jobs,
-        backend=getattr(args, "backend", None),
-        cache=getattr(args, "cache", None),
-        cache_dir=getattr(args, "cache_dir", None),
+        backend=args.backend,
+        cache=args.cache,
+        cache_dir=args.cache_dir,
     )
 
 
@@ -884,6 +884,32 @@ def make_parser() -> argparse.ArgumentParser:
         help="run-ledger directory (default: $PERFLOW_LEDGER_DIR or "
              ".perflow/ledger)",
     )
+    # Executor flags for every command that runs PerFlowGraphs
+    # (run/paradigm/pag stats/serve).
+    execpar = argparse.ArgumentParser(add_help=False)
+    execpar.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="workers per PerFlowGraph run (default: $PERFLOW_JOBS or 1 = serial)",
+    )
+    execpar.add_argument(
+        "--backend", default=None, metavar="NAME",
+        help="pool backend for --jobs: thread or process "
+        "(default: $PERFLOW_BACKEND or thread)",
+    )
+    onoff = execpar.add_mutually_exclusive_group()
+    onoff.add_argument(
+        "--cache", dest="cache", action="store_const", const=True, default=None,
+        help="enable the pass-result cache (default: $PERFLOW_CACHE or off)",
+    )
+    onoff.add_argument(
+        "--no-cache", dest="cache", action="store_const", const=False,
+        help="disable the pass-result cache",
+    )
+    execpar.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="persist cached pass results under DIR, shared across "
+             "processes (implies --cache)",
+    )
 
     sub.add_parser(
         "list", parents=[logpar], help="list modelled programs and paradigms"
@@ -900,32 +926,10 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1, help="threads per rank")
         p.add_argument("--class", dest="problem_class", default="W", help="NPB class (S/W/A/B/C)")
         p.add_argument("--top", type=int, default=10, help="hotspot count")
-        p.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
-            help="PerFlowGraph worker threads (default: $PERFLOW_JOBS or 1 = serial)",
-        )
-        p.add_argument(
-            "--backend", default=None, metavar="NAME",
-            help="pool backend for --jobs: thread or process "
-            "(default: $PERFLOW_BACKEND or thread)",
-        )
-        onoff = p.add_mutually_exclusive_group()
-        onoff.add_argument(
-            "--cache", dest="cache", action="store_const", const=True, default=None,
-            help="enable the pass-result cache (default: $PERFLOW_CACHE or off)",
-        )
-        onoff.add_argument(
-            "--no-cache", dest="cache", action="store_const", const=False,
-            help="disable the pass-result cache",
-        )
-        p.add_argument(
-            "--cache-dir", metavar="DIR", default=None,
-            help="persist cached pass results under DIR (implies --cache)",
-        )
 
     p_run = sub.add_parser(
         "run",
-        parents=[logpar, obspar, ledgerpar],
+        parents=[logpar, obspar, ledgerpar, execpar],
         help="run a program and summarize its PAG",
     )
     common(p_run)
@@ -1005,7 +1009,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_par = sub.add_parser(
         "paradigm",
-        parents=[logpar, obspar, ledgerpar],
+        parents=[logpar, obspar, ledgerpar, execpar],
         help="run a built-in analysis paradigm",
     )
     p_par.add_argument(
@@ -1035,7 +1039,7 @@ def make_parser() -> argparse.ArgumentParser:
     pag_sub = p_pag.add_subparsers(dest="action", required=True)
     p_stats = pag_sub.add_parser(
         "stats",
-        parents=[logpar, obspar],
+        parents=[logpar, obspar, execpar],
         help="report a PAG's per-column memory footprint",
     )
     common(p_stats)
@@ -1070,37 +1074,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        parents=[logpar, ledgerpar],
+        parents=[logpar, ledgerpar, execpar],
         help="run the concurrent analysis server (HTTP/JSON + NDJSON)",
     )
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
     p_serve.add_argument(
         "--port", type=int, default=8321,
         help="listen port (0 picks a free one; printed on startup)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker threads per pipeline run (default: $PERFLOW_JOBS or 1)",
-    )
-    p_serve.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="pool backend per pipeline run: thread or process "
-        "(default: $PERFLOW_BACKEND or thread)",
-    )
-    serveonoff = p_serve.add_mutually_exclusive_group()
-    serveonoff.add_argument(
-        "--cache", dest="cache", action="store_const", const=True, default=None,
-        help="enable the shared pass-result cache "
-             "(default: $PERFLOW_CACHE or off)",
-    )
-    serveonoff.add_argument(
-        "--no-cache", dest="cache", action="store_const", const=False,
-        help="disable the pass-result cache",
-    )
-    p_serve.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="persist cached results under DIR, shared across server "
-             "processes (implies --cache)",
     )
     p_serve.add_argument(
         "--max-concurrent", type=int, default=4, metavar="N",
@@ -1345,29 +1325,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs_log.configure_logging(
         verbosity=getattr(args, "verbose", 0), quiet=getattr(args, "quiet", False)
     )
-    if getattr(args, "jobs", None) is not None:
-        from repro.dataflow.scheduler import resolve_jobs
-
-        try:
-            resolve_jobs(args.jobs)
-        except ValueError as err:
-            raise _usage_error(str(err))
-    if getattr(args, "backend", None) is not None:
-        from repro.dataflow.scheduler import resolve_backend
-
-        try:
-            resolve_backend(args.backend)
-        except ValueError as err:
-            raise _usage_error(str(err))
-    if hasattr(args, "cache"):
-        # Validate the cache spec (including a malformed $PERFLOW_CACHE)
-        # up front, mirroring the --jobs check above.
+    if hasattr(args, "jobs"):
+        # Resolve the executor flags (and the PERFLOW_* defaults behind
+        # them) up front: a bad value is a usage error, not a mid-run
+        # traceback.
         from repro.cache import resolve_cache
+        from repro.dataflow.scheduler import resolve_backend, resolve_jobs
 
-        try:
-            resolve_cache(args.cache)
-        except ValueError as err:
-            raise _usage_error(str(err))
+        for resolve, value in (
+            (resolve_jobs, args.jobs),
+            (resolve_backend, args.backend),
+            (resolve_cache, args.cache),
+        ):
+            try:
+                resolve(value)
+            except ValueError as err:
+                raise _usage_error(str(err))
     if hasattr(args, "app"):
         if args.app and args.program and args.app != args.program:
             raise _usage_error(

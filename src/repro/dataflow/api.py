@@ -100,20 +100,19 @@ class PerFlow:
     ) -> None:
         self.sampling_hz = sampling_hz
         self.machine = machine or MachineModel()
-        #: default worker count for PerFlowGraphs built via
-        #: :meth:`perflowgraph` (None → ``PERFLOW_JOBS`` → serial).
+        #: defaults handed to PerFlowGraphs built via :meth:`perflowgraph`;
+        #: :meth:`PerFlowGraph.run` resolves them (None → ``PERFLOW_*``
+        #: → serial / ``"thread"`` / disabled).
         self.jobs = jobs
-        #: default worker-pool flavor for PerFlowGraphs built via
-        #: :meth:`perflowgraph` (None → ``PERFLOW_BACKEND`` →
-        #: ``"thread"``; ``"process"`` runs passes on forked workers
-        #: with shared-memory PAGs).
         self.backend = backend
-        #: default result-cache spec for PerFlowGraphs built via
-        #: :meth:`perflowgraph` (None → ``PERFLOW_CACHE`` → disabled).
-        #: ``cache_dir`` implies an enabled disk-backed cache rooted
-        #: there and overrides ``cache`` unless caching is explicitly
-        #: disabled with ``cache=False``.
-        self.cache = cache if (cache_dir is None or cache is False) else str(cache_dir)
+        if cache_dir is not None:
+            # A directory settles the cache here (nothing is left for
+            # PERFLOW_CACHE to say): one disk-backed cache shared by
+            # this facade's graphs, or False.
+            from repro.cache import resolve_cache
+
+            cache = resolve_cache(cache, cache_dir) or False
+        self.cache = cache
         self._contexts: Dict[int, RunContext] = {}
 
     # ------------------------------------------------------------------
@@ -269,35 +268,13 @@ class PerFlow:
     def subgraph_matching(self, pag, sub_pag, candidates=None, limit=None):
         return lowlevel.subgraph_matching(pag, sub_pag, candidates=candidates, limit=limit)
 
-    def perflowgraph(
-        self,
-        name: str = "perflowgraph",
-        jobs: Optional[int] = None,
-        cache: Any = None,
-        cost_model: Any = None,
-        backend: Optional[str] = None,
-    ) -> PerFlowGraph:
+    def perflowgraph(self, name: str = "perflowgraph") -> PerFlowGraph:
         """A fresh dataflow graph for declarative pass composition.
 
-        ``jobs`` sets the graph's default worker count for
-        :meth:`PerFlowGraph.run` (falling back to this facade's
-        ``jobs``, then ``PERFLOW_JOBS``, then serial); ``cache``
-        likewise sets the graph's default result-cache spec (falling
-        back to this facade's ``cache``, then ``PERFLOW_CACHE``, then
-        disabled).  ``backend`` sets the graph's default worker-pool
-        flavor (``"thread"`` / ``"process"``; falling back to this
-        facade's ``backend``, then ``PERFLOW_BACKEND``, then threads).
-        ``cost_model`` (e.g.
-        :meth:`repro.obs.ledger.Ledger.cost_model`) becomes the graph's
-        default wavefront cost ordering.
+        It takes this facade's ``jobs`` / ``cache`` / ``backend`` as its
+        defaults; :meth:`PerFlowGraph.run` resolves them.
         """
-        return PerFlowGraph(
-            name,
-            jobs=jobs if jobs is not None else self.jobs,
-            cache=cache if cache is not None else self.cache,
-            cost_model=cost_model,
-            backend=backend if backend is not None else self.backend,
-        )
+        return PerFlowGraph(name, jobs=self.jobs, cache=self.cache, backend=self.backend)
 
     # ------------------------------------------------------------------
     # reporting

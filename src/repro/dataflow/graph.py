@@ -160,25 +160,14 @@ class PerFlowGraph:
         name: str = "perflowgraph",
         jobs: Optional[int] = None,
         cache: Any = None,
-        cost_model: Any = None,
         backend: Optional[str] = None,
     ):
         self.name = name
-        #: default worker count for :meth:`run` (None → ``PERFLOW_JOBS`` → 1).
+        #: defaults for :meth:`run`, which resolves them (None → the
+        #: ``PERFLOW_*`` variable → the constant).
         self.default_jobs = jobs
-        #: default worker-pool flavor for :meth:`run`
-        #: (None → ``PERFLOW_BACKEND`` → ``"thread"``); see
-        #: :func:`repro.dataflow.scheduler.resolve_backend`.
         self.default_backend = backend
-        #: default cache spec for :meth:`run` (None → ``PERFLOW_CACHE`` →
-        #: disabled); see :func:`repro.cache.resolve_cache`.
         self.default_cache = cache
-        #: default cost model for :meth:`run`: anything with a
-        #: ``cost(name) -> seconds`` method (e.g.
-        #: :meth:`repro.obs.ledger.Ledger.cost_model`) or a plain
-        #: name→seconds mapping; orders the parallel wavefront by
-        #: measured cost.
-        self.default_cost_model = cost_model
         self._nodes: List[_Node] = []
         self._input_names: Dict[str, int] = {}
 
@@ -402,7 +391,6 @@ class PerFlowGraph:
         *,
         jobs: Optional[int] = None,
         cache: Any = None,
-        cost_model: Any = None,
         backend: Optional[str] = None,
         **inputs: Any,
     ) -> Dict[str, Any]:
@@ -428,10 +416,14 @@ class PerFlowGraph:
         coordinator).  Whatever the executor, the ``{name: output}``
         mapping, the fixpoints and the (deterministic) first error are
         those of the serial sweep.  Passes must be thread-safe under
-        ``jobs > 1`` (see ``docs/ARCHITECTURE.md``).  ``jobs=None``
-        falls back to the graph's ``default_jobs``, then
-        ``PERFLOW_JOBS``, then ``1``; ``backend=None`` to
-        ``default_backend``, then ``PERFLOW_BACKEND``, then ``"thread"``.
+        ``jobs > 1`` (see ``docs/ARCHITECTURE.md``).
+
+        This is the one place an execution option is resolved: each of
+        ``jobs`` / ``backend`` / ``cache`` is the call argument, else
+        the graph's default (``PerFlowGraph(...)``, which
+        ``PerFlow(...)`` hands its own to), else ``PERFLOW_JOBS`` /
+        ``PERFLOW_BACKEND`` / ``PERFLOW_CACHE``, else ``1`` /
+        ``"thread"`` / disabled.
 
         With tracing enabled (:mod:`repro.obs`), the run records one
         ``pipeline:<name>`` span containing a ``pipeline.check`` span
@@ -447,20 +439,10 @@ class PerFlowGraph:
         (:mod:`repro.cache`): ``True`` uses the process-wide default
         cache, a directory path a disk-backed one, a
         :class:`~repro.cache.store.PassCache` is used as-is, ``False``
-        disables.  ``cache=None`` falls back to the graph's
-        ``default_cache``, then the ``PERFLOW_CACHE`` environment
-        variable, then disabled.  Cached nodes are skipped entirely
-        (never handed to the executor); every node's span carries a
-        ``cache_hit`` tag, and hits/misses land on the
-        ``dataflow.cache.*`` counters.  Nodes added with
-        ``cacheable=False`` always execute.
-
-        ``cost_model`` (default: the graph's ``default_cost_model``)
-        orders a pool executor's ready heap by descending measured node
-        cost — see :mod:`repro.dataflow.scheduler`.  Build one from
-        accumulated run history with
-        :meth:`repro.obs.ledger.Ledger.cost_model`.  Serial runs ignore
-        it (node-id order is fixed).
+        disables.  Cached nodes are skipped entirely (never handed to
+        the executor); every node's span carries a ``cache_hit`` tag,
+        and hits/misses land on the ``dataflow.cache.*`` counters.
+        Nodes added with ``cacheable=False`` always execute.
         """
         from repro.cache import CacheSession, resolve_cache
         from repro.dataflow.procpool import ProcessExecutor
@@ -485,7 +467,6 @@ class PerFlowGraph:
         )
         cache_obj = resolve_cache(cache if cache is not None else self.default_cache)
         session = CacheSession(cache_obj) if cache_obj is not None else None
-        costs = cost_model if cost_model is not None else self.default_cost_model
         with _span(
             f"pipeline:{self.name}",
             category="dataflow",
@@ -502,12 +483,9 @@ class PerFlowGraph:
                 raise PipelineError(self.name, problems)
             # The one place the executor is chosen; everything after is
             # the same loop.  No pool for one worker or one node — that
-            # is the serial sweep, and it ignores the cost model.
-            inline = njobs == 1 or len(self._nodes) <= 1
-            state = WavefrontState(
-                self, inputs, session=session, cost_model=None if inline else costs
-            )
-            if inline:
+            # is the serial sweep.
+            state = WavefrontState(self, inputs, session=session)
+            if njobs == 1 or len(self._nodes) <= 1:
                 executor = InlineExecutor(state)
             elif backend_name == "process":
                 executor = ProcessExecutor(state, njobs)

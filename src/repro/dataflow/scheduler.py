@@ -33,22 +33,12 @@ Whatever the executor, a run is observably the serial sweep:
 * **Same observability.**  One ``node:<name>`` span per node under the
   ``pipeline:<name>`` span.  Pool executors tag it with the executing
   ``worker`` and publish the ``dataflow.scheduler.*`` metrics (``jobs``,
-  ``ready_max`` — the widest observed wavefront — ``cost_ordered``,
-  ``nodes_parallel``); the inline executor publishes none.
+  ``ready_max`` — the widest observed wavefront — ``nodes_parallel``);
+  the inline executor publishes none.
 
 Passes run concurrently only when they are dependency-independent, so
 a pass that touches shared mutable state must synchronize it; the
 built-in set passes are pure readers of the columnar PAG.
-
-**Cost-ordered scheduling**: with a ``cost_model`` — anything with a
-``cost(name) -> seconds`` method, e.g.
-:meth:`repro.obs.ledger.Ledger.cost_model`, or a plain name→seconds
-mapping — the ready heap orders by *descending measured cost* instead
-of node id, so the longest-running independent nodes start first
-(classic LPT list scheduling).  Ordering among ready nodes is not
-observable in outputs, and error selection still picks the smallest
-failing node id.  ``run(jobs=1)`` never passes the model on: the serial
-sweep's order is node id, and side-effecting passes may depend on it.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ import heapq
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -144,32 +134,15 @@ def resolve_backend(backend: Any = None) -> str:
     )
 
 
-def _lookup_cost(cost_model: Any, name: str) -> float:
-    """Measured cost (seconds) of a node name; 0.0 when unknown.
-
-    Accepts anything with a ``cost(name)`` method
-    (:class:`repro.obs.ledger.CostModel`) or a plain mapping.  Never
-    raises — a broken cost model degrades to arrival order, it must not
-    break a working pipeline.
-    """
-    try:
-        getter = getattr(cost_model, "cost", None)
-        if getter is not None:
-            return float(getter(name))
-        return float(cost_model.get(name, 0.0))
-    except Exception:
-        return 0.0
-
-
 class WavefrontState:
     """What may run next, and what has been computed so far.
 
     Owns everything that makes any executor serial-equivalent —
-    dependency counting, the (optionally cost-ordered) ready heap, the
-    deterministic first-error cut, the one cache probe, and the
-    per-node ``values`` slab.  Not thread-safe: :func:`drive` and the
-    executors call every method except :meth:`run_node` from the
-    coordinator thread only (workers hand results back through futures).
+    dependency counting, the id-ordered ready heap, the deterministic
+    first-error cut, the one cache probe, and the per-node ``values``
+    slab.  Not thread-safe: :func:`drive` and the executors call every
+    method except :meth:`run_node` from the coordinator thread only
+    (workers hand results back through futures).
     """
 
     def __init__(
@@ -177,12 +150,10 @@ class WavefrontState:
         graph: "PerFlowGraph",
         inputs: Dict[str, Any],
         session: Any = None,
-        cost_model: Any = None,
     ):
         self.graph = graph
         self.inputs = inputs
         self.session = session
-        self.cost_model = cost_model
         self.nodes = graph._nodes
         n = len(self.nodes)
         self.n = n
@@ -202,24 +173,9 @@ class WavefrontState:
         pipeline_span = _trace.current_span()
         self.parent = pipeline_span if pipeline_span else None
 
-        # Heap entries are uniform (priority, node_id) pairs.  Without a
-        # cost model the priority IS the node id.  With one, priority is
-        # negated measured cost (largest first), node id as the
-        # deterministic tie break.
-        if cost_model is not None:
-
-            def prio(nid: int) -> Any:
-                return -_lookup_cost(cost_model, self.nodes[nid].name)
-
-        else:
-
-            def prio(nid: int) -> Any:
-                return nid
-
-        self._prio: Callable[[int], Any] = prio
-        self.ready: List[Any] = [
-            (prio(nid), nid) for nid in range(n) if self.pending[nid] == 0
-        ]
+        # A heap of node ids: every executor pops in the order the
+        # first-error rule is defined by.
+        self.ready: List[int] = [nid for nid in range(n) if self.pending[nid] == 0]
         heapq.heapify(self.ready)
         self.errors: List[Tuple[int, BaseException]] = []
         self.best_error_id = n  # smallest failing node id seen so far
@@ -250,7 +206,7 @@ class WavefrontState:
         executor never sees it; a miss memoizes the key for the store.
         """
         while self.ready:
-            _, nid = heapq.heappop(self.ready)
+            nid = heapq.heappop(self.ready)
             if nid >= self.best_error_id:
                 continue
             node = self.nodes[nid]
@@ -270,7 +226,7 @@ class WavefrontState:
         for dep in self.dependents[nid]:
             self.pending[dep] -= 1
             if self.pending[dep] == 0:
-                heapq.heappush(self.ready, (self._prio(dep), dep))
+                heapq.heappush(self.ready, dep)
 
     def complete(self, nid: int, value: Any, extra: Dict[str, Any]) -> None:
         """Record a node's result and release its dependents.
@@ -344,9 +300,6 @@ class WavefrontState:
         """Publish the shared ``dataflow.scheduler.*`` metrics."""
         _metrics.gauge("dataflow.scheduler.jobs").set(jobs)
         _metrics.gauge("dataflow.scheduler.ready_max").set(self.ready_max)
-        _metrics.gauge("dataflow.scheduler.cost_ordered").set(
-            1 if self.cost_model is not None else 0
-        )
         _metrics.counter("dataflow.scheduler.nodes_parallel").inc(self.executed)
 
 

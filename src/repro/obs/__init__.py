@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from repro.obs import flight, ledger, log, metrics, trace
 from repro.obs.flight import FlightRecorder
-from repro.obs.ledger import CostModel, Ledger, build_run_record
+from repro.obs.ledger import Ledger, build_run_record
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.trace import (
@@ -65,7 +65,6 @@ __all__ = [
     "metrics",
     "trace",
     "FlightRecorder",
-    "CostModel",
     "Ledger",
     "build_run_record",
     "configure_logging",

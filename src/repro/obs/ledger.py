@@ -29,11 +29,7 @@ Analysis happens over accumulated records:
   PAG fingerprints, and a node regresses only when it exceeds *all* of
   a relative threshold over the median, a MAD band (median absolute
   deviation × 1.4826 ≈ one robust sigma), and an absolute floor —
-  three gates so jitter on sub-millisecond nodes never false-positives;
-* :meth:`Ledger.cost_model` — median measured cost per node name,
-  feedable straight into ``PerFlowGraph.run(cost_model=…)`` where the
-  wavefront scheduler orders the ready heap by it (the first concrete
-  step of the pipeline-optimizer roadmap item).
+  three gates so jitter on sub-millisecond nodes never false-positives.
 
 PAG fingerprints reach the record through a module-level collector:
 the CLI wraps dispatch in :func:`collect_fingerprints`, and
@@ -56,7 +52,6 @@ __all__ = [
     "ENV_LEDGER_DIR",
     "DEFAULT_DIR",
     "Ledger",
-    "CostModel",
     "resolve_ledger",
     "build_run_record",
     "rollup_spans",
@@ -283,53 +278,6 @@ def build_run_record(
 # ----------------------------------------------------------------------
 # the ledger store
 # ----------------------------------------------------------------------
-class CostModel:
-    """Measured per-node costs (seconds), built from ledger history.
-
-    Consumed by the wavefront scheduler's ready-heap ordering
-    (``PerFlowGraph.run(cost_model=…)``).  Lookup accepts both plain
-    node names and span-style ``node:<name>``.
-    """
-
-    def __init__(
-        self, costs: Dict[str, float], samples: Optional[Dict[str, int]] = None
-    ):
-        self._costs = dict(costs)
-        self._samples = dict(samples or {})
-
-    def cost(self, name: str) -> float:
-        """Median measured seconds for ``name`` (0.0 when unknown)."""
-        if name.startswith("node:"):
-            name = name[len("node:") :]
-        return self._costs.get(name, 0.0)
-
-    def samples(self, name: str) -> int:
-        return self._samples.get(name, 0)
-
-    def to_dict(self) -> Dict[str, float]:
-        return dict(self._costs)
-
-    def __len__(self) -> int:
-        return len(self._costs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._costs
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CostModel({len(self._costs)} nodes)"
-
-
-def _median(values: Sequence[float]) -> float:
-    xs = sorted(values)
-    n = len(xs)
-    if not n:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return xs[mid]
-    return (xs[mid - 1] + xs[mid]) / 2.0
-
-
 class Ledger:
     """Append/read run records under one directory (JSONL, size-capped)."""
 
@@ -453,35 +401,21 @@ class Ledger:
         ]
         return out[-last:] if last else out
 
-    # -- derived models ----------------------------------------------------
-    def cost_model(
-        self, identity: Optional[str] = None, last: int = 50
-    ) -> CostModel:
-        """Median measured seconds per node name across recent records.
-
-        ``identity`` restricts history to one pipeline identity;
-        ``last`` bounds how many records contribute (newest win).
-        """
-        recs = self.records()
-        if identity is not None:
-            recs = [r for r in recs if r.get("identity") == identity]
-        if last:
-            recs = recs[-last:]
-        per_node: Dict[str, List[float]] = {}
-        for rec in recs:
-            for node in rec.get("nodes") or []:
-                count = node.get("count") or 1
-                per_node.setdefault(node["name"], []).append(
-                    node.get("total_s", 0.0) / count
-                )
-        costs = {name: _median(vals) for name, vals in per_node.items()}
-        samples = {name: len(vals) for name, vals in per_node.items()}
-        return CostModel(costs, samples)
-
 
 # ----------------------------------------------------------------------
 # analysis over records
 # ----------------------------------------------------------------------
+def _median(values: Sequence[float]) -> float:
+    xs = sorted(values)
+    n = len(xs)
+    if not n:
+        return 0.0
+    mid = n // 2
+    if n % 2:
+        return xs[mid]
+    return (xs[mid - 1] + xs[mid]) / 2.0
+
+
 def _node_totals(record: Dict[str, Any]) -> Dict[str, float]:
     return {
         node["name"]: node.get("total_s", 0.0) for node in record.get("nodes") or []

@@ -10,7 +10,7 @@ fixpoint node, exactly the shape Fig. 11 draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.dataflow.api import PerFlow
 from repro.pag.graph import PAG
@@ -36,18 +36,12 @@ def loop_causal_paradigm(
     imbalance_threshold: float = 1.2,
     max_ranks: Optional[int] = None,
     max_iters: int = 5,
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    backend: Optional[str] = None,
 ) -> LoopCausalResult:
     """Fig. 11's PerFlowGraph, executed.
 
     The causal stage maps the current suspect set onto the parallel
     view, finds common ancestors, and feeds them back in; the fixpoint
-    is reached when an iteration adds no new cause vertices.  ``jobs``,
-    ``cache``, and ``backend`` are forwarded to :meth:`PerFlowGraph.run`; this graph
-    is one chain, so parallel execution changes scheduling overhead
-    only, never results.
+    is reached when an iteration adds no new cause vertices.
     """
     state = {"edges": EdgeSet([])}
 
@@ -84,7 +78,7 @@ def loop_causal_paradigm(
     n_fix = g.add_fixpoint(
         causal_step, n_imb, max_iters=max_iters, name="causal", cacheable=False
     )
-    outputs = g.run(jobs=jobs, cache=cache, backend=backend, V=pag.vs)
+    outputs = g.run(V=pag.vs)
 
     V_fix: VertexSet = outputs["causal"]
     # Root causes: vertices that entered via causal analysis (annotated

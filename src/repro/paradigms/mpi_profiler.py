@@ -8,7 +8,7 @@ call count, message bytes, and per-rank min/mean/max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -67,27 +67,17 @@ def build_mpi_profiler_graph(
     return g
 
 
-def mpi_profiler_paradigm(
-    pflow: PerFlow,
-    pag: PAG,
-    top: int = 20,
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    backend: Optional[str] = None,
-) -> List[MPIProfileRow]:
+def mpi_profiler_paradigm(pflow: PerFlow, pag: PAG, top: int = 20) -> List[MPIProfileRow]:
     """Statistical MPI profile of a run, hottest sites first.
 
     ``app_pct`` is the site's share of total aggregate time (the root
     vertex's inclusive time across ranks) — the quantity mpiP reports as
     "% of total time" and that case study A quotes for mpi_allreduce_
-    (0.06% at 16 ranks vs 7.93% at 2,048).  ``jobs``, ``cache``, and
-    ``backend`` are forwarded to :meth:`PerFlowGraph.run` (parallel
-    wavefront execution, the content-addressed result cache, and the
-    thread/process pool choice).
+    (0.06% at 16 ranks vs 7.93% at 2,048).
     """
     total = float(pag.vertex(0)["time"] or 0.0)
     g = build_mpi_profiler_graph(pflow, total, top=top)
-    return g.run(jobs=jobs, cache=cache, backend=backend, V=pag.vs)["profile_rows"]
+    return g.run(V=pag.vs)["profile_rows"]
 
 
 def _profile_rows(V_hot: VertexSet, total: float) -> List[MPIProfileRow]:

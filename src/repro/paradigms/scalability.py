@@ -18,7 +18,7 @@ paradigm's source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dataflow.api import PerFlow
 from repro.pag.graph import PAG
@@ -75,9 +75,6 @@ def build_scalability_graph(
     top: int = 10,
     imbalance_threshold: float = 1.2,
     max_ranks: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    backend: Optional[str] = None,
 ):
     """Fig. 8's pipeline as an explicit PerFlowGraph.
 
@@ -90,9 +87,7 @@ def build_scalability_graph(
     always executed in the coordinator process under the multiprocessing
     backend.
     """
-    g = pflow.perflowgraph(
-        "scalability", jobs=jobs, cache=cache, backend=backend
-    )
+    g = pflow.perflowgraph("scalability")
     V1 = g.input("V1", VertexSet)
     V2 = g.input("V2", VertexSet)
     n_diff = g.add_pass(
@@ -147,18 +142,13 @@ def scalability_analysis_paradigm(
     imbalance_threshold: float = 1.2,
     max_ranks: Optional[int] = None,
     attrs: Tuple[str, ...] = ("name", "time", "debug-info", "cycles"),
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    backend: Optional[str] = None,
 ) -> ScalabilityResult:
     """Listing 7's paradigm body (Part 2), parameterized.
 
     ``pag_small``/``pag_large`` are the two runs' PAGs (e.g. 4 vs 64
     ranks in Listing 7, 16 vs 2,048 in case study A).  ``max_ranks``
     caps the materialized parallel view for backtracking (the paper
-    plots partial views for the same reason).  ``jobs`` / ``cache`` /
-    ``backend`` configure the underlying
-    :meth:`~repro.dataflow.graph.PerFlowGraph.run`.
+    plots partial views for the same reason).
     """
     g = build_scalability_graph(
         pflow,
@@ -166,9 +156,6 @@ def scalability_analysis_paradigm(
         top=top,
         imbalance_threshold=imbalance_threshold,
         max_ranks=max_ranks,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
     )
     out = g.run(V1=pag_large.vs, V2=pag_small.vs)
     V_diff = out["differential"]

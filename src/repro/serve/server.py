@@ -127,13 +127,10 @@ class ReproServer:
 
         self.jobs = resolve_jobs(self.config.jobs)
         self.backend = resolve_backend(self.config.backend)
-        cache_spec: Any = self.config.cache
-        if self.config.cache_dir:
-            cache_spec = self.config.cache_dir
         # One shared PassCache for every request: this is the
         # multi-tenant tier (MemoryLRU is thread-safe; the disk tier is
         # multi-process safe).
-        self.cache = resolve_cache(cache_spec)
+        self.cache = resolve_cache(self.config.cache, self.config.cache_dir)
 
         from repro.obs import ledger as _ledger
 

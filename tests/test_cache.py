@@ -614,6 +614,29 @@ def test_perflow_facade_cache_dir(tmp_path):
     assert DiskStore(tmp_path / "pf").stats()["entries"] == 3
 
 
+@pytest.mark.parametrize("spec", [None, True, False])
+def test_cache_dir_rule_is_the_same_at_every_entry_point(tmp_path, spec):
+    """An explicit ``cache=False`` beats ``cache_dir``; otherwise the
+    directory implies a disk-backed cache — for ``resolve_cache``, the
+    ``PerFlow`` facade (``repro run``) and ``ServerConfig`` (``repro
+    serve``, which used to build the disk cache despite ``--no-cache``)."""
+    from repro.dataflow.api import PerFlow
+    from repro.serve.server import ReproServer, ServerConfig
+
+    root = tmp_path / "pf"
+    server = ReproServer(ServerConfig(cache=spec, cache_dir=str(root)))
+    server._pool.shutdown(wait=True)
+    resolved = [
+        resolve_cache(spec, cache_dir=root),
+        PerFlow(cache=spec, cache_dir=root).cache or None,
+        server.cache,
+    ]
+    if spec is False:
+        assert resolved == [None, None, None]
+    else:
+        assert [c.disk.root for c in resolved] == [root] * 3
+
+
 def test_mpi_profiler_warm_rerun_acceptance():
     """The issue's acceptance criterion: a warm-cache rerun of the
     mpi_profiler paradigm on cg skips every pass node, verified via the
@@ -622,12 +645,11 @@ def test_mpi_profiler_warm_rerun_acceptance():
     from repro.dataflow.api import PerFlow
     from repro.paradigms.mpi_profiler import mpi_profiler_paradigm
 
-    pflow = PerFlow()
+    pflow = PerFlow(cache=PassCache())
     pag = pflow.run(bin=npb.build_cg("S", iterations=3), nprocs=8)
-    cache = PassCache()
-    golden = mpi_profiler_paradigm(pflow, pag, top=10, cache=cache)
+    golden = mpi_profiler_paradigm(pflow, pag, top=10)
     assert _counter("dataflow.cache.hits") == 0
-    warm = mpi_profiler_paradigm(pflow, pag, top=10, cache=cache)
+    warm = mpi_profiler_paradigm(pflow, pag, top=10)
     assert _counter("dataflow.cache.hits") == 3  # every pass node skipped
     assert _counter("dataflow.cache.misses") == 3  # all from the cold run
     assert warm == golden

@@ -232,6 +232,31 @@ def test_bad_cache_env_is_usage_error(monkeypatch, capsys):
     assert "PERFLOW_CACHE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("var", ["PERFLOW_JOBS", "PERFLOW_BACKEND"])
+def test_bad_executor_env_is_usage_error(var, monkeypatch, capsys):
+    # every PERFLOW_* default behind an executor flag is resolved up front
+    monkeypatch.setenv(var, "banana")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "cg", "--np", "2", "--class", "S"])
+    assert exc.value.code == EXIT_USAGE
+    assert var in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "cg"], ["paradigm", "mpi-profiler", "cg"], ["pag", "stats", "cg"], ["serve"]],
+    ids=" ".join,
+)
+def test_executor_flags_are_shared_by_every_command_that_runs_graphs(command):
+    def flags(args):
+        return (args.jobs, args.backend, args.cache, args.cache_dir)
+
+    parser = make_parser()
+    assert flags(parser.parse_args(command)) == (None, None, None, None)
+    given = ["--jobs", "3", "--backend", "process", "--no-cache", "--cache-dir", "D"]
+    assert flags(parser.parse_args(command + given)) == (3, "process", False, "D")
+
+
 # ----------------------------------------------------------------------
 # pag stats --load and clean error mapping
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@
 hands it to the single loop in :mod:`repro.dataflow.scheduler`.  These
 tests pin the observable contract across that choice on the two golden
 paradigm graphs: same canonical output, same first error, same node
-spans — for every cache state — and that ``jobs=1`` really is the
-serial sweep (node-id order, no pool, no scheduler metrics).
+spans — for every cache state, whether the cell is selected per
+``run()`` or on the ``PerFlow`` facade — and that ``jobs=1`` really is
+the serial sweep (node-id order, no pool, no scheduler metrics).
 """
 
 from __future__ import annotations
@@ -19,15 +20,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import microbench
+from repro.apps import microbench, registry
 from repro.cache import PassCache
 from repro.dataflow.api import PerFlow
+from repro.dataflow.graph import PerFlowGraph
+from repro.dataflow.scheduler import ThreadExecutor, WavefrontState, drive
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.paradigms import (
+    loop_causal_paradigm,
+    mpi_profiler_paradigm,
+    scalability_analysis_paradigm,
+)
 from repro.paradigms.mpi_profiler import build_mpi_profiler_graph
 from repro.paradigms.scalability import build_scalability_graph
-from tests.test_goldens import GOLDEN_DIR, _render_mpi_rows, _render_vset
-from tests.test_obs_ledger import _drive_on_one_thread, _order_probe_graph
+from tests.test_goldens import (
+    GOLDEN_DIR,
+    _render_mpi_rows,
+    _render_scalability,
+    _render_vset,
+)
 
 EXECUTORS = {
     "inline": {"jobs": 1},
@@ -40,22 +52,40 @@ CACHE_STATES = ("off", "cold", "warm")
 # ----------------------------------------------------------------------
 # jobs=1 is the serial sweep
 # ----------------------------------------------------------------------
+def _order_probe_graph(order):
+    """Independent passes recording their execution order."""
+    g = PerFlowGraph("probe")
+    src = g.input("src")
+
+    def make(name):
+        def fn(_x):
+            order.append(name)
+            return name
+
+        fn.__name__ = name
+        return fn
+
+    for name in ("cheap", "medium", "pricey"):
+        g.add_pass(make(name), src, name=name, cacheable=False)
+    return g
+
+
 def test_jobs_1_runs_in_node_id_order_whatever_the_cost_model_says():
     order = []
     g = _order_probe_graph(order)
-    costs = {"cheap": 0.001, "medium": 0.01, "pricey": 0.5}
     threads_before = threading.active_count()
-    g.run(jobs=1, cost_model=costs, src=0)
+    g.run(jobs=1, src=0)
     assert order == ["cheap", "medium", "pricey"]
     assert threading.active_count() == threads_before
     assert "dataflow.scheduler.jobs" not in obs_metrics.registry
     assert "dataflow.procpool.jobs" not in obs_metrics.registry
-    # The same graph and model on a 1-worker pool is cost-ordered: the
-    # order above comes from the executor choice, not from the loop.
+    # A 1-worker ThreadExecutor pops in node-id order too: the ready
+    # heap has one order, whoever drains it.
     order.clear()
-    _drive_on_one_thread(g, {"src": 0}, cost_model=costs)
-    assert order == ["pricey", "medium", "cheap"]
-    assert obs_metrics.gauge("dataflow.scheduler.cost_ordered").value == 1
+    state = WavefrontState(g, {"src": 0})
+    drive(state, ThreadExecutor(state, 1))
+    assert order == ["cheap", "medium", "pricey"]
+    assert obs_metrics.gauge("dataflow.scheduler.jobs").value == 1
 
 
 def test_serial_node_spans_carry_no_worker_tag():
@@ -173,6 +203,59 @@ def test_executor_and_cache_state_are_unobservable(which, executor, cache_state,
     else:
         # scalability's passes close over the facade: never cached
         assert tags == {None, False}
+
+
+# ----------------------------------------------------------------------
+# the same cells selected at the facade: PerFlow(jobs=, backend=, cache=)
+# ----------------------------------------------------------------------
+def _facade_cell(executor, cache_state):
+    """Canonical output of the three graph-backed paradigms on CG, the
+    cell chosen by ``PerFlow(...)`` alone — the paradigms take no options."""
+    cache = PassCache() if cache_state != "off" else False
+    pflow = PerFlow(cache=cache, **EXECUTORS[executor])
+    prog = registry("W")["cg"]()
+    small, large = pflow.run(bin=prog, nprocs=4), pflow.run(bin=prog, nprocs=8)
+
+    def once():
+        loop = loop_causal_paradigm(pflow, large, max_ranks=8)
+        lines = []
+        for label in ("V_hot", "V_comm", "V_imb", "V_causes"):
+            lines += _render_vset(label, getattr(loop, label))
+        lines.append(f"E_paths {len(loop.E_paths)}")
+        return {
+            "mpi_profiler": _render_mpi_rows(mpi_profiler_paradigm(pflow, large, top=10)),
+            "loop_causal": "\n".join(lines) + "\n",
+            "scalability": _render_scalability(
+                scalability_analysis_paradigm(pflow, small, large, top=5, max_ranks=8)
+            ),
+        }
+
+    if cache_state == "warm":
+        once()
+        obs_metrics.registry.reset()
+    return once()
+
+
+@pytest.fixture(scope="module")
+def serial_cell():
+    return _facade_cell("inline", "off")
+
+
+@pytest.mark.parametrize("cache_state", CACHE_STATES)
+@pytest.mark.parametrize("executor", list(EXECUTORS))
+def test_facade_options_select_the_cell_and_change_no_output(executor, cache_state, serial_cell):
+    got = _facade_cell(executor, cache_state)
+    # The facade's options reached run(): the pool that ran, the cache that hit.
+    assert ("dataflow.scheduler.jobs" in obs_metrics.registry) == (executor != "inline")
+    assert ("dataflow.procpool.jobs" in obs_metrics.registry) == (executor == "process")
+    if cache_state == "warm":
+        assert obs_metrics.counter("dataflow.cache.hits").value >= 3
+    elif cache_state == "off":
+        assert "dataflow.cache.misses" not in obs_metrics.registry
+    assert got == serial_cell
+    golden = (GOLDEN_DIR / "mpi_profiler_cg.txt").read_text(encoding="utf-8")
+    assert got["mpi_profiler"] == golden
+    assert "V_causes 0" not in got["loop_causal"] and "V_bt 0" not in got["scalability"]
 
 
 # ----------------------------------------------------------------------

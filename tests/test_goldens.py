@@ -118,9 +118,9 @@ def micro_ctx():
 
 
 def test_golden_mpi_profiler_microbench(micro_ctx):
-    pflow, pags = micro_ctx
-    serial = mpi_profiler_paradigm(pflow, pags[4], top=10, jobs=1)
-    parallel = mpi_profiler_paradigm(pflow, pags[4], top=10, jobs=4)
+    _, pags = micro_ctx
+    serial = mpi_profiler_paradigm(PerFlow(jobs=1), pags[4], top=10)
+    parallel = mpi_profiler_paradigm(PerFlow(jobs=4), pags[4], top=10)
     assert _render_mpi_rows(parallel) == _render_mpi_rows(serial)
     _check_golden("mpi_profiler_microbench.txt", _render_mpi_rows(serial))
 
@@ -129,8 +129,8 @@ def test_golden_mpi_profiler_cg():
     """The microbench has no MPI calls; CG exercises non-trivial rows."""
     pflow = PerFlow()
     pag = pflow.run(bin=registry("W")["cg"](), nprocs=8)
-    serial = mpi_profiler_paradigm(pflow, pag, top=10, jobs=1)
-    parallel = mpi_profiler_paradigm(pflow, pag, top=10, jobs=4)
+    serial = mpi_profiler_paradigm(PerFlow(jobs=1), pag, top=10)
+    parallel = mpi_profiler_paradigm(PerFlow(jobs=4), pag, top=10)
     assert _render_mpi_rows(parallel) == _render_mpi_rows(serial)
     assert len(serial) > 0
     _check_golden("mpi_profiler_cg.txt", _render_mpi_rows(serial))
@@ -147,29 +147,30 @@ def test_golden_scalability_microbench(micro_ctx):
 def test_golden_mpi_profiler_microbench_process_backend(micro_ctx):
     """backend="process" must reproduce the committed golden byte-equal:
     the shared-memory transport cannot perturb analysis results."""
-    pflow, pags = micro_ctx
-    rows = mpi_profiler_paradigm(
-        pflow, pags[4], top=10, jobs=2, backend="process"
-    )
+    _, pags = micro_ctx
+    rows = mpi_profiler_paradigm(PerFlow(jobs=2, backend="process"), pags[4], top=10)
     _check_golden("mpi_profiler_microbench.txt", _render_mpi_rows(rows))
 
 
 def test_golden_mpi_profiler_cg_process_backend():
     pflow = PerFlow()
     pag = pflow.run(bin=registry("W")["cg"](), nprocs=8)
-    rows = mpi_profiler_paradigm(pflow, pag, top=10, jobs=2, backend="process")
+    rows = mpi_profiler_paradigm(PerFlow(jobs=2, backend="process"), pag, top=10)
     assert len(rows) > 0
     _check_golden("mpi_profiler_cg.txt", _render_mpi_rows(rows))
 
 
-def test_golden_scalability_microbench_process_backend(micro_ctx):
+def test_golden_scalability_microbench_process_backend():
     """The scalability graph's impure stages pin to the coordinator and
     its fresh difference PAG degrades downstream passes to inline runs —
     but results must stay byte-identical to the golden either way."""
-    pflow, pags = micro_ctx
-    res = scalability_analysis_paradigm(
-        pflow, pags[4], pags[16], top=5, max_ranks=8, jobs=2, backend="process"
-    )
+    # instances() needs the facade that ran the program, so this one
+    # gets its own runs rather than micro_ctx's.
+    pflow = PerFlow(jobs=2, backend="process")
+    prog = microbench.build()
+    small = pflow.run(bin=prog, nprocs=4, nthreads=4)
+    large = pflow.run(bin=prog, nprocs=16, nthreads=4)
+    res = scalability_analysis_paradigm(pflow, small, large, top=5, max_ranks=8)
     _check_golden("scalability_microbench.txt", _render_scalability(res))
 
 

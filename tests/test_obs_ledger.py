@@ -1,4 +1,4 @@
-"""Tests for repro.obs.ledger: run records, diff/regressions, cost model."""
+"""Tests for repro.obs.ledger: run records, diff/regressions."""
 
 import json
 import os
@@ -8,11 +8,9 @@ import pytest
 
 from repro.cli import EXIT_ISSUES, EXIT_OK, EXIT_USAGE, main
 from repro.dataflow.graph import PerFlowGraph
-from repro.dataflow.scheduler import ThreadExecutor, WavefrontState, drive
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs_trace
 from repro.obs.ledger import (
-    CostModel,
     Ledger,
     build_run_record,
     diff_records,
@@ -251,92 +249,6 @@ def test_find_regressions_five_clean_reruns_no_false_positive():
     for i in range(3, 8):  # 5 consecutive judgeable runs
         target, base = records[i], records[:i]
         assert find_regressions(target, base) == [], f"false positive at run {i}"
-
-
-# ----------------------------------------------------------------------
-# cost model + cost-ordered scheduling
-# ----------------------------------------------------------------------
-def test_cost_model_from_ledger_medians(tmp_path):
-    led = Ledger(str(tmp_path / "led"))
-    for s in (0.1, 0.3, 0.2):
-        led.append(_record(node_s=s))
-    cm = led.cost_model()
-    assert cm.cost("hot") == pytest.approx(0.2)  # median of 0.1/0.3/0.2
-    assert cm.cost("node:hot") == pytest.approx(0.2)  # span-style name
-    assert cm.cost("cold") == pytest.approx(0.01)  # total 0.02 over count 2
-    assert cm.cost("unknown") == 0.0
-    assert cm.samples("hot") == 3
-    assert "hot" in cm and len(cm) == 2
-    assert cm.to_dict()["hot"] == pytest.approx(0.2)
-
-
-def test_cost_model_identity_filter(tmp_path):
-    led = Ledger(str(tmp_path / "led"))
-    led.append(_record(identity="run|-|cg|np=4", node_s=0.1))
-    led.append(_record(identity="run|-|ep|np=4", node_s=9.9))
-    cm = led.cost_model(identity="run|-|cg|np=4")
-    assert cm.cost("hot") == pytest.approx(0.1)
-
-
-def _drive_on_one_thread(g, inputs, cost_model=None):
-    """The drive loop on a 1-worker thread pool (run(jobs=1) is inline)."""
-    state = WavefrontState(g, inputs, cost_model=cost_model)
-    return drive(state, ThreadExecutor(state, 1))
-
-
-def _order_probe_graph(order):
-    """Independent passes recording their execution order."""
-    g = PerFlowGraph("probe")
-    src = g.input("src")
-
-    def make(name):
-        def fn(_x):
-            order.append(name)
-            return name
-
-        fn.__name__ = name
-        return fn
-
-    for name in ("cheap", "medium", "pricey"):
-        g.add_pass(make(name), src, name=name, cacheable=False)
-    return g
-
-
-def test_wavefront_orders_ready_heap_by_measured_cost():
-    order = []
-    g = _order_probe_graph(order)
-    cm = CostModel({"cheap": 0.001, "medium": 0.01, "pricey": 0.5})
-    _drive_on_one_thread(g, {"src": 0}, cost_model=cm)
-    assert order == ["pricey", "medium", "cheap"]  # descending cost
-    order.clear()
-    _drive_on_one_thread(g, {"src": 0})  # no model: node-id order
-    assert order == ["cheap", "medium", "pricey"]
-
-
-def test_graph_run_accepts_cost_model():
-    order = []
-    g = _order_probe_graph(order)
-    cm = {"pricey": 0.5, "medium": 0.01}  # plain mapping also works
-    out = g.run(jobs=2, cost_model=cm, src=1)
-    assert set(order) == {"cheap", "medium", "pricey"}
-    assert out["pricey"] == "pricey"
-    # default_cost_model flows through run() too
-    order.clear()
-    g2 = _order_probe_graph(order)
-    g2.default_cost_model = CostModel({"pricey": 1.0})
-    g2.run(jobs=2, src=1)
-    assert set(order) == {"cheap", "medium", "pricey"}
-
-
-def test_broken_cost_model_degrades_gracefully():
-    class Evil:
-        def cost(self, name):
-            raise RuntimeError("no")
-
-    order = []
-    g = _order_probe_graph(order)
-    _drive_on_one_thread(g, {"src": 0}, cost_model=Evil())
-    assert sorted(order) == ["cheap", "medium", "pricey"]
 
 
 # ----------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_golden_paradigms_build_each_index_at_most_once(monkeypatch):
     prog = microbench.build()
     small = pflow.run(bin=prog, nprocs=4, nthreads=4)
     large = pflow.run(bin=prog, nprocs=16, nthreads=4)
-    mpi_profiler_paradigm(pflow, small, top=10, jobs=1)
+    mpi_profiler_paradigm(PerFlow(jobs=1), small, top=10)
     scalability_analysis_paradigm(pflow, small, large, top=5, max_ranks=8)
     critical_path_paradigm(pflow, small, max_ranks=4, expand_threads=True)
     assert builds, "the paradigms never read adjacency: the probe is not wired"

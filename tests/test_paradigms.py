@@ -83,6 +83,20 @@ def test_scalability_paradigm_loc_claim():
     assert len(code_lines) < 45
 
 
+def test_paradigms_take_no_execution_options():
+    """A paradigm takes a ``pflow`` and PAGs (Listing 7); how its graph
+    executes is set on the facade, never per paradigm."""
+    import inspect
+
+    import repro.paradigms as pkg
+
+    for name in pkg.__all__:
+        fn = getattr(pkg, name)
+        if inspect.isfunction(fn):
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"jobs", "cache", "backend", "cost_model"}, name
+
+
 # ------------------------------------------------------------- critical path
 def test_critical_path_through_heaviest_thread(pflow):
     """Appendix A.3.2: critical path on the pthreads micro-benchmark."""

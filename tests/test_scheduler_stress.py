@@ -95,8 +95,9 @@ def test_success_path_joins_workers_too():
     assert threading.active_count() <= baseline
 
 
-def test_resolve_jobs_validation():
-    assert resolve_jobs(None) in (1, resolve_jobs(None))  # env-dependent, >=1
+def test_resolve_jobs_validation(monkeypatch):
+    monkeypatch.delenv("PERFLOW_JOBS", raising=False)
+    assert resolve_jobs(None) == 1
     assert resolve_jobs(1) == 1
     assert resolve_jobs(8) == 8
     for bad in (0, -2, 2.5, "4", True):
