@@ -78,9 +78,7 @@ def _synthetic_pag(nv: int, ne: int, vcols: int = N_VCOLS, ecols: int = N_ECOLS)
     """A nv-vertex / ne-edge PAG with many dense float columns.
 
     Built by direct column assignment — the public ``add_vertex`` path
-    would dominate the benchmark's own runtime at this scale.  Values
-    are exact binary fractions (k/8) so the writer's 9-decimal rounding
-    is lossless and fingerprints are stable.
+    would dominate the benchmark's own runtime at this scale.
     """
     pag = PAG(f"synthetic-{nv}", {"nprocs": 64, "view": "top-down"})
     sids = np.array(

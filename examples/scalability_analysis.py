@@ -9,7 +9,9 @@ root-cause candidates.
     python examples/scalability_analysis.py [small_ranks] [large_ranks]
 """
 
+import os
 import sys
+import tempfile
 
 from repro import PerFlow
 from repro.apps import zeusmp
@@ -69,6 +71,7 @@ if len(res.V_bt):
         highlight=res.V_bt.to_list()[:8],
         name="fig10_partial",
     )
-    with open("fig10_partial.dot", "w", encoding="utf-8") as fh:
+    path = os.path.join(tempfile.mkdtemp(prefix="perflow-fig10-"), "fig10_partial.dot")
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dot)
-    print("\nwrote fig10_partial.dot (render with: dot -Tsvg fig10_partial.dot)")
+    print(f"\nwrote {path} (render with: dot -Tsvg {path})")

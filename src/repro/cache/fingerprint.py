@@ -3,7 +3,7 @@
 The fingerprint is the foundation of the pass-result cache: two PAGs
 with the same fingerprint are treated as interchangeable inputs, so the
 digest must be a pure function of graph *content* — independent of how
-that content is represented in memory.  Three representation artifacts
+that content is represented in memory.  Two representation artifacts
 are deliberately canonicalized away:
 
 * **String intern order.**  A PAG's :class:`~repro.pag.columns.StringTable`
@@ -12,24 +12,27 @@ are deliberately canonicalized away:
   reload that re-interns in row order.  The digest therefore hashes the
   *used* strings sorted by value and remaps every stored string id to
   its rank in that order.
-* **Float storage noise.**  Serialization rounds property floats to 9
-  decimals (see :mod:`repro.pag.formats`); the digest applies the
-  same ``np.round(x, 9)`` canonicalization so ``fingerprint(load(save(g)))
-  == fingerprint(g)``.
 * **Column physical layout.**  Columns are hashed as sparse
   ``(rows, values)`` pairs in sorted key order; trailing padding,
   column creation order, and fully-unset columns (which the serializer
   drops) do not contribute.
 
+Floats are *not* canonicalized: a float is its raw IEEE-754 float64 —
+in memory, in every format (:mod:`repro.pag.formats`) and here, where
+its 8 bytes are hashed as they are.  ``fingerprint(load(save(g))) ==
+fingerprint(g)`` holds because every format is exact.
+
 The streaming digest (BLAKE2b) walks the columnar arrays directly —
-structural code arrays are hashed as raw buffers, so the cost is
-O(bytes of the graph), not O(elements × Python objects).
+structural code arrays and typed columns are fed to the hash as raw
+buffers, so the cost is O(bytes of the graph), not O(elements × Python
+objects).
 
 Sensitivity: any change to vertex/edge structure, labels, kinds,
 names, property values, the graph name, or (scalar) metadata changes
-the fingerprint.  Two in-memory values that serialize identically
-(e.g. floats differing below 1e-9, or a tuple vs. the list it reloads
-as) share a fingerprint by design.
+the fingerprint — a float that differs in its last bit included.  Two
+in-memory values that serialize identically (a tuple vs. the list it
+reloads as, ``np.float64(x)`` vs. ``float(x)``) share a fingerprint by
+design.
 """
 
 from __future__ import annotations
@@ -74,9 +77,9 @@ def canonical_update(h, value: Any) -> None:
 
     Handles the value types that live in PAG properties and metadata:
     scalars, strings, ``None``, numpy arrays/scalars, and nested
-    dict/list/tuple containers.  Floats are rounded to 9 decimals
-    (matching serialization); tuples encode as lists (a tuple reloads
-    as a list); dicts encode in sorted-key order (insertion order is a
+    dict/list/tuple containers.  Floats encode as their 8 raw bytes
+    (arrays as float64); tuples encode as lists (a tuple reloads as a
+    list); dicts encode in sorted-key order (insertion order is a
     mutation-history artifact).  Anything else falls back to ``repr``,
     which is stable for well-behaved value types but is the caller's
     responsibility.
@@ -95,15 +98,15 @@ def canonical_update(h, value: Any) -> None:
             _update_str(h, str(v))
     elif isinstance(value, (float, np.floating)):
         h.update(b"f")
-        h.update(_PACK_D(float(np.round(float(value), 9))))
+        h.update(_PACK_D(float(value)))
     elif isinstance(value, str):
         h.update(b"s")
         _update_str(h, value)
     elif isinstance(value, np.ndarray):
         h.update(b"a")
-        arr = np.round(np.asarray(value, dtype=np.float64), 9)
+        arr = np.ascontiguousarray(value, dtype=np.float64)
         h.update(_PACK_Q(arr.size))
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(arr)
     elif isinstance(value, (list, tuple)):
         h.update(b"l")
         h.update(_PACK_Q(len(value)))
@@ -145,9 +148,7 @@ def _string_ranks(pag) -> Tuple[Dict[int, int], List[str]]:
 
 def _update_sid_array(h, sids, sid_rank: Dict[int, int]) -> None:
     h.update(
-        np.fromiter(
-            (sid_rank[s] for s in sids), dtype=np.int64, count=len(sids)
-        ).tobytes()
+        np.fromiter((sid_rank[s] for s in sids), dtype=np.int64, count=len(sids))
     )
 
 
@@ -160,15 +161,10 @@ def _update_store(h, store, sid_rank: Dict[int, int], tag: bytes, obj_canon=None
             # the serializer drops fully-unset columns; so do we
             continue
         _update_str(h, key)
-        h.update(np.asarray(rows, dtype=np.int64).tobytes())
-        if isinstance(col, FloatColumn):
-            data, _ = col.arrays(store.nrows)
-            h.update(b"f")
-            h.update(np.round(data[rows], 9).tobytes())
-        elif isinstance(col, IntColumn):
-            data, _ = col.arrays(store.nrows)
-            h.update(b"i")
-            h.update(data[rows].tobytes())
+        h.update(np.ascontiguousarray(rows, dtype=np.int64))
+        if isinstance(col, (FloatColumn, IntColumn)):
+            h.update(col.kind.encode("ascii"))  # b"f" / b"i"
+            h.update(col.arrays(store.nrows)[0][rows])
         elif isinstance(col, StrColumn):
             h.update(b"s")
             _update_sid_array(h, col.sid_array(store.nrows)[rows], sid_rank)
@@ -205,14 +201,14 @@ def content_digest(pag, obj_canon=None) -> str:
     for s in ranked:
         _update_str(h, s)
     h.update(b"V")
-    h.update(pag._v_label.tobytes())
-    h.update(pag._v_kind.tobytes())
+    h.update(pag._v_label)
+    h.update(pag._v_kind)
     _update_sid_array(h, pag._v_name, sid_rank)
     h.update(b"E")
-    h.update(pag._e_src.tobytes())
-    h.update(pag._e_dst.tobytes())
-    h.update(pag._e_label.tobytes())
-    h.update(pag._e_kind.tobytes())
+    h.update(pag._e_src)
+    h.update(pag._e_dst)
+    h.update(pag._e_label)
+    h.update(pag._e_kind)
     _update_store(h, pag._vprops, sid_rank, b"VP", obj_canon)
     _update_store(h, pag._eprops, sid_rank, b"EP", obj_canon)
     return h.hexdigest()

@@ -22,7 +22,7 @@ Pipelines are *type-checked before execution*: passes carry
 (via the ``@signature`` decorator or ``add_pass(signature=...)``), and
 :meth:`PerFlowGraph.check` validates arity and set kinds along every
 edge, reporting wiring errors as ``PF8##``
-:class:`~repro.lint.diagnostics.Diagnostic` objects.  :meth:`run`
+:class:`~repro.diagnostics.Diagnostic` objects.  :meth:`run`
 checks first and raises :class:`PipelineError` instead of letting a
 mis-wired pass die mid-run with a bare ``TypeError``.
 """
@@ -39,7 +39,7 @@ from repro.dataflow.signatures import (
     make_signature,
     signature_of,
 )
-from repro.lint.diagnostics import Diagnostic, Severity
+from repro.diagnostics import Diagnostic, Severity
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span

@@ -10,9 +10,11 @@ the process boundary.
    values, collects every distinct PAG, and serializes each
    once — the same format-3 byte layout files use — into a
    ``multiprocessing.shared_memory`` block.  A PAG is published only if
-   the stamped fingerprint equals the live graph's (the serialized twin
-   is provably content-identical); lossy graphs stay unpublished and
-   their nodes run on the coordinator.
+   the stamped fingerprint equals the live graph's — format 3 stores
+   every float as its raw float64, so the twin a worker computes on is
+   content-identical to the bit; graphs the format cannot hold exactly
+   (non-JSON metadata or object cells) stay unpublished and their nodes
+   run on the coordinator.
 2. **Fork.**  Workers are forked (``mp_context("fork")``), so the graph
    object — pass closures, lambdas, captured facades and all — is
    inherited through a per-run payload slot (:data:`_PAYLOADS`) and

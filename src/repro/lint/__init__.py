@@ -3,7 +3,7 @@
 PerFlow's static side (:mod:`repro.ir.static_analysis`) extracts PAG
 structure; this package *judges* it.  A rule-based analyzer walks the
 :class:`~repro.ir.model.Program` IR (plus the extracted top-down PAG)
-and emits structured :class:`~repro.lint.diagnostics.Diagnostic`\\ s —
+and emits structured :class:`~repro.diagnostics.Diagnostic`\\ s —
 rule code ``PF###``, severity, message, ``file:line`` — before any
 simulated run::
 
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from repro.diagnostics import Diagnostic, LintReport, Severity, worst_exceeds
 from repro.ir.model import Program
 from repro.lint.context import LintConfig, LintContext, Site
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity, worst_exceeds
 from repro.lint.registry import (
     Finding,
     Rule,

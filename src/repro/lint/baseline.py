@@ -34,7 +34,7 @@ try:  # Python >= 3.11
 except ModuleNotFoundError:  # pragma: no cover - exercised on 3.9/3.10
     _tomllib = None
 
-from repro.lint.diagnostics import Diagnostic
+from repro.diagnostics import Diagnostic
 
 __all__ = [
     "SuppressRule",

@@ -40,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.diagnostics import Severity
 from repro.ir.context import ExecContext
 from repro.ir.model import (
     Branch,
@@ -56,7 +57,6 @@ from repro.ir.model import (
     ThreadOp,
 )
 from repro.lint.context import LintContext, Site
-from repro.lint.diagnostics import Severity
 from repro.lint.registry import Finding, rule
 from repro.runtime.machine import MachineModel
 

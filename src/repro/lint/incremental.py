@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.cache.keys import Uncacheable, callable_identity
 from repro.cache.store import default_cache_dir
+from repro.diagnostics import Diagnostic, LintReport, Severity
 from repro.ir.model import (
     Branch,
     Call,
@@ -58,7 +59,6 @@ from repro.ir.model import (
     ThreadCall,
 )
 from repro.lint.context import LintConfig, LintContext, Site
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.registry import Rule, active_rules
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.lint.diagnostics import Diagnostic, Severity
+from repro.diagnostics import Diagnostic, Severity
 
 _CODE_RE = re.compile(r"^PF\d{3}$")
 

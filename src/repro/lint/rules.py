@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.diagnostics import Severity
 from repro.ir.model import (
     Branch,
     Call,
@@ -47,7 +48,6 @@ from repro.ir.model import (
     ThreadOp,
 )
 from repro.lint.context import LintContext, Site
-from repro.lint.diagnostics import Severity
 from repro.lint.registry import Finding, rule
 
 _BLOCKING_P2P = (CommOp.SEND, CommOp.RECV)

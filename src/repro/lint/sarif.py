@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.baseline import finding_fingerprint
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.registry import get_rule
 
 __all__ = ["SARIF_VERSION", "SARIF_SCHEMA", "to_sarif", "sarif_json"]

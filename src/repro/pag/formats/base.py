@@ -1,10 +1,12 @@
 """Shared pieces of the PAG on-disk codecs.
 
-Every format (JSON 1/2, binary 3) canonicalizes values the same way —
-floats round to 9 decimals, per-rank ``numpy`` vectors either summarize
-to scalar statistics or serialize in full, metadata keeps only JSON
-scalars — so that a PAG's content fingerprint survives any save/load
-round trip regardless of the format it travelled through.
+Every format (JSON 1/2, binary 3) is exact on floats: JSON text carries
+``repr(float)``, which round-trips bit-for-bit, and format 3 stores raw
+float64 — so a PAG's content fingerprint survives any save/load round
+trip by construction.  What the formats share here is the treatment of
+the values JSON cannot hold: per-rank ``numpy`` vectors either
+summarize to scalar statistics (lossy, ``include_per_rank=False``) or
+serialize in full, and metadata keeps only JSON scalars.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "PAGFormatError",
-    "round9",
     "json_safe",
     "decode_value",
     "meta_filter",
@@ -42,30 +43,21 @@ class PAGFormatError(ValueError):
         super().__init__(f"invalid {what}{where}: {detail}")
 
 
-def round9(x: Any) -> float:
-    # np.round, not the builtin: columns are written with np.round, and
-    # the two can disagree in the last ulp — the fingerprint
-    # (repro.cache) relies on one consistent canonicalization.
-    return float(np.round(float(x), 9))
-
-
 def json_safe(value: Any, include_per_rank: bool) -> Any:
     """JSON-encodable form of a property value (all formats' obj cells)."""
     if isinstance(value, np.ndarray):
         if include_per_rank:
-            return {"__ndarray__": [round9(x) for x in value.tolist()]}
+            return {"__ndarray__": value.tolist()}
         arr = value
         mean = float(arr.mean()) if arr.size else 0.0
         return {
-            "min": round9(arr.min()) if arr.size else 0.0,
-            "max": round9(arr.max()) if arr.size else 0.0,
-            "mean": round9(mean),
+            "min": float(arr.min()) if arr.size else 0.0,
+            "max": float(arr.max()) if arr.size else 0.0,
+            "mean": mean,
             "imbalance": round(float(arr.max()) / mean, 6) if mean > 0 else 0.0,
         }
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, float):
-        return round9(value)
     if isinstance(value, dict):
         return {k: json_safe(v, include_per_rank) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -11,7 +11,7 @@ File layout::
     offset 96   +--------------------------------------------------+
                 | directory: dir_len bytes of compact JSON         |
                 |   name, metadata, strings, column specs,         |
-                |   obj-column cells, and the segment table        |
+                |   obj-column scalar cells, and the segment table |
                 |   {seg name: [relative offset, nbytes]}          |
     data start  +--------------------------------------------------+
     = align64(  | data area: one extent per array segment,         |
@@ -21,11 +21,18 @@ File layout::
                 +--------------------------------------------------+
 
 Segments hold the structural arrays verbatim and each typed property
-column *dense* over all rows: float data is pre-rounded to 9 decimals
-(the canonical serialized form), invalid cells are zeroed, and the
-validity mask travels as a uint8 segment.  String columns store the
-interned-id array.  Spill (object) columns are tiny and cold, so their
-cells live inline in the directory as sparse ``rows``/``vals`` JSON.
+column *dense* over all rows: float data is raw float64 (no float in
+this file is rounded or printed as text), invalid cells are zeroed,
+and the validity mask travels as a uint8 segment.  String columns
+store the interned-id array.  Spill (object) columns are cold: their
+scalar/dict cells live inline in the directory as sparse
+``rows``/``vals`` JSON, and (version 2) their 1-D per-rank vectors in
+three segments per column — ``vec.data`` (every vector, concatenated,
+float64), ``vec.rows`` (int64 row of each vector) and ``vec.offs``
+(int64, ``len(rows) + 1`` offsets into ``vec.data``) — which load back
+as views of the data segment.  A version-1 file has no vector segments
+(its vectors are ``{"__ndarray__": [...]}`` cells in ``vals``) and goes
+through the same reader.
 
 Because the header carries the fingerprint, ``read_header`` (and cache
 probes on files) are O(96 bytes + directory); ``load_pag(path,
@@ -68,7 +75,8 @@ __all__ = [
 ]
 
 MAGIC = b"PAG3"
-VERSION = 1
+VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 ALIGN = 64
 _HEADER = struct.Struct("<4sHHQQQ")  # magic, version, flags, dir_len, nv, ne
 _DIGEST_LEN = 32  # blake2b(digest_size=16) hex
@@ -100,7 +108,8 @@ def _column_payloads(
 
     Typed columns are stored dense over ``store.nrows`` rows; columns
     with no valid cell are dropped (matching format 2 and the content
-    digest).  Spill columns serialize inline in the spec.
+    digest).  Spill columns serialize inline in the spec, except 1-D
+    vectors kept in full, which go to the column's ``vec.*`` segments.
     """
     spec: Dict[str, Any] = {}
     segs: List[Tuple[str, bytes]] = []
@@ -111,10 +120,7 @@ def _column_payloads(
             continue
         if isinstance(col, (FloatColumn, IntColumn)):
             data, valid = col.arrays(nrows)
-            if isinstance(col, FloatColumn):
-                dense = np.round(np.asarray(data, dtype=np.float64), 9)
-            else:
-                dense = np.asarray(data, dtype=np.int64).copy()
+            dense = np.array(data, dtype=col.dtype)
             dense[~np.asarray(valid)] = 0  # never leak stale cells
             dseg, vseg = f"{prefix}.{key}.data", f"{prefix}.{key}.valid"
             segs.append((dseg, dense.tobytes()))
@@ -124,12 +130,27 @@ def _column_payloads(
             sseg = f"{prefix}.{key}.sids"
             segs.append((sseg, col.sid_array(nrows).tobytes()))
             spec[key] = {"t": "s", "sids": sseg}
-        else:  # ObjColumn: sparse, cold — lives in the directory
-            spec[key] = {
-                "t": "o",
-                "rows": rows.tolist(),
-                "vals": [json_safe(col.cells[int(r)], include_per_rank) for r in rows],
-            }
+        else:  # ObjColumn: sparse, cold — inline, bar the vectors kept in full
+            inline: Dict[str, list] = {"rows": [], "vals": []}
+            vec_rows, vecs = [], []
+            for r in rows.tolist():
+                cell = col.cells[r]
+                if include_per_rank and isinstance(cell, np.ndarray) and cell.ndim == 1:
+                    vec_rows.append(r)
+                    vecs.append(cell)
+                else:
+                    inline["rows"].append(r)
+                    inline["vals"].append(json_safe(cell, include_per_rank))
+            spec[key] = {"t": "o", **inline}
+            if vecs:
+                arrays = {
+                    "data": np.concatenate(vecs).astype(np.float64),
+                    "rows": np.array(vec_rows, dtype=np.int64),
+                    "offs": np.cumsum([0] + [len(v) for v in vecs], dtype=np.int64),
+                }
+                names = {n: f"{prefix}.{key}.vec.{n}" for n in arrays}
+                segs += [(names[n], arr.tobytes()) for n, arr in arrays.items()]
+                spec[key]["vec"] = names
     return spec, segs
 
 
@@ -250,7 +271,7 @@ def _finish_header(
     magic, version, flags, dir_len, nv, ne = _HEADER.unpack(head[: _HEADER.size])
     if magic != MAGIC:
         raise PAGFormatError(f"bad magic {magic!r}", path=origin, fmt=3)
-    if version != VERSION:
+    if version not in _READABLE_VERSIONS:
         raise PAGFormatError(f"unsupported version {version}", path=origin, fmt=3)
     full = head[_HEADER.size : _HEADER.size + _DIGEST_LEN]
     content = head[_HEADER.size + _DIGEST_LEN :]
@@ -381,6 +402,22 @@ def _seg_view(buf, data_start: int, extent: List[int], dtype, path, name: str):
     )
 
 
+def _vector_cells(names: Dict[str, str], view, lazy: bool, key: str):
+    """``{row: vector}`` of a spill column's ``vec.*`` segments.
+
+    Each vector is a slice of the one data array: a view of the mapped
+    segment when ``lazy``, of a single heap copy otherwise.
+    """
+    data = view(names["data"], np.float64)
+    if not lazy:
+        data = data.copy()
+    rows = view(names["rows"], np.int64).tolist()
+    offs = view(names["offs"], np.int64).tolist()
+    if len(offs) != len(rows) + 1 or offs[0] != 0 or offs[-1] != len(data):
+        raise ValueError(f"column {key!r}: vector offsets disagree with rows/data")
+    return {r: data[a:b] for r, a, b in zip(rows, offs, offs[1:])}
+
+
 def _build_pag(
     hdr: Dict[str, Any],
     buf: Any,
@@ -453,6 +490,8 @@ def _build_pag(
                         int(r): decode_value(v)
                         for r, v in zip(spec["rows"], spec["vals"])
                     }
+                    if "vec" in spec:
+                        col.cells.update(_vector_cells(spec["vec"], view, lazy, key))
                 else:
                     raise PAGFormatError(
                         f"column {key!r}: unknown type tag {tag!r}",

@@ -32,8 +32,6 @@ from repro.pag.formats.base import (
 from repro.pag.graph import PAG
 from repro.pag.vertex import CallKind, VertexLabel
 
-import numpy as np
-
 __all__ = ["pag_to_dict", "pag_from_dict", "write_format2"]
 
 
@@ -135,31 +133,20 @@ def _write_columns(
     write("{")
     first = True
     for key, col in store.columns.items():
-        if isinstance(col, FloatColumn):
-            rows = col.rows()
-            data, _ = col.arrays(store.nrows)
-            vals = np.round(data[rows], 9).tolist()
-            tag = "f"
-        elif isinstance(col, IntColumn):
-            rows = col.rows()
-            data, _ = col.arrays(store.nrows)
-            vals = data[rows].tolist()
-            tag = "i"
-        elif isinstance(col, StrColumn):
-            rows = col.rows()
-            vals = col.sid_array(store.nrows)[rows].tolist()
-            tag = "s"
-        else:
-            rows = col.rows()
-            vals = [json_safe(col.cells[int(r)], include_per_rank) for r in rows]
-            tag = "o"
+        rows = col.rows()
         if not len(rows):
             continue
+        if isinstance(col, (FloatColumn, IntColumn)):
+            vals = col.arrays(store.nrows)[0][rows].tolist()
+        elif isinstance(col, StrColumn):
+            vals = col.sid_array(store.nrows)[rows].tolist()
+        else:
+            vals = [json_safe(col.cells[int(r)], include_per_rank) for r in rows]
         if not first:
             write(",")
         first = False
         write(json.dumps(key))
-        write(':{"t":"%s","rows":' % tag)
+        write(':{"t":"%s","rows":' % col.kind)
         _write_array(write, rows.tolist())
         write(',"vals":')
         _write_array(write, vals)

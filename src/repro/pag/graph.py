@@ -412,7 +412,7 @@ class PAG:
         Equal fingerprints mean equal content: structure, labels/kinds,
         names, property columns, graph name, and metadata — independent
         of string intern order, column layout, or identity ``token``.
-        Floats are canonicalized to 9 decimals, matching serialization,
+        Floats count bit for bit, and every format stores them exactly,
         so the fingerprint survives a ``save_pag``/``load_pag``
         round-trip (with ``include_per_rank=True`` for per-rank
         vectors).  It is the input key of the pass-result cache

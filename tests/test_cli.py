@@ -390,3 +390,27 @@ def test_run_save_pag_writes_format3(tmp_path, capsys):
     ) == EXIT_OK
     assert out.exists() and detect_format(out) == 3
     assert load_pag(out, mmap=True).num_vertices == 321
+
+
+def test_importing_dataflow_does_not_import_lint():
+    """Every CLI and serve start imports ``repro.dataflow``; the static
+    analyzer (rule sets, concurrency checker) loads only for ``lint``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, repro.dataflow; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

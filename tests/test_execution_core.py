@@ -11,6 +11,8 @@ the serial sweep (node-id order, no pool, no scheduler metrics).
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -18,22 +20,38 @@ import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.apps import microbench, registry
+from repro.apps import microbench, registry, vite
 from repro.cache import PassCache
-from repro.dataflow.api import PerFlow
+from repro.dataflow.api import PerFlow, RunContext
 from repro.dataflow.graph import PerFlowGraph
 from repro.dataflow.scheduler import ThreadExecutor, WavefrontState, drive
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+import repro.paradigms
+from repro.pag import Edge, EdgeSet, Vertex, VertexSet
+from repro.pag.formats import load_pag, save_pag
+from repro.pag.formats.format3 import load_format3_buffer, write_format3
 from repro.paradigms import (
+    branching_diagnosis_paradigm,
+    communication_analysis_paradigm,
+    critical_path_paradigm,
+    differential_paradigm,
     loop_causal_paradigm,
     mpi_profiler_paradigm,
     scalability_analysis_paradigm,
 )
 from repro.paradigms.mpi_profiler import build_mpi_profiler_graph
 from repro.paradigms.scalability import build_scalability_graph
+from repro.passes import (
+    critical_path_analysis,
+    differential_analysis,
+    hotspot_detection,
+    imbalance_analysis,
+)
+from repro.passes.report import Report
 from tests.test_goldens import (
     GOLDEN_DIR,
     _render_mpi_rows,
@@ -256,6 +274,273 @@ def test_facade_options_select_the_cell_and_change_no_output(executor, cache_sta
     golden = (GOLDEN_DIR / "mpi_profiler_cg.txt").read_text(encoding="utf-8")
     assert got["mpi_profiler"] == golden
     assert "V_causes 0" not in got["loop_causal"] and "V_bt 0" not in got["scalability"]
+
+
+# ----------------------------------------------------------------------
+# float bits: executor × cache × storage cells compute on the same numbers
+# ----------------------------------------------------------------------
+def _bits(value):
+    """``value`` with every float spelled as its bits (``float.hex``), so
+    ``==`` on the result is bit equality — not the 6-digit printed text
+    the goldens compare, which hides anything below the 7th digit."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.ndarray):
+        return ["ndarray"] + [_bits(x) for x in value.tolist()]
+    if isinstance(value, Vertex):
+        return (value.id, value.name, _bits(dict(value.properties)))
+    if isinstance(value, Edge):
+        return (value.src_id, value.dst_id, value.label.value, _bits(dict(value.properties)))
+    if isinstance(value, (VertexSet, EdgeSet)):
+        return [_bits(el) for el in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, Report):
+        return value.to_text()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+@pytest.fixture(scope="module")
+def cg_w4():
+    return PerFlow().run(bin=registry("W")["cg"](), nprocs=4)
+
+
+def _cg_rows(pag, executor, cache_state):
+    cache = PassCache() if cache_state != "off" else False
+    pflow = PerFlow(cache=cache, **EXECUTORS[executor])
+    if cache_state == "warm":
+        mpi_profiler_paradigm(pflow, pag, top=10)
+    return mpi_profiler_paradigm(pflow, pag, top=10)
+
+
+@pytest.mark.parametrize("cache_state", CACHE_STATES)
+@pytest.mark.parametrize("executor", list(EXECUTORS))
+def test_cg_class_w_rows_are_bit_identical_in_every_cell(executor, cache_state, cg_w4):
+    """The case PR 16 found: process workers read the format-3 twin, and
+    while formats rounded floats to 9 decimals every row of this profile
+    differed from the inline one (``time=3.2013e-05`` for
+    ``3.2012799999980857e-05``, ``app_pct`` in the 6th digit)."""
+    want = _cg_rows(cg_w4, "inline", "off")
+    got = _cg_rows(cg_w4, executor, cache_state)
+    assert len(got) == 10 and got == want
+    assert _bits(got) == _bits(want)
+
+
+_S = registry("S")
+
+#: paradigm -> (program builder, one ``PerFlow.run`` kwargs per input PAG,
+#: call).  Class S, at most 8 ranks: the point is the path the floats take.
+PARADIGM_CASES = {
+    "mpi_profiler_paradigm": (
+        _S["cg"], [dict(nprocs=4)], lambda pf, a: mpi_profiler_paradigm(pf, a, top=10)
+    ),
+    "communication_analysis_paradigm": (
+        _S["zeusmp"], [dict(nprocs=8)], lambda pf, a: communication_analysis_paradigm(pf, a)
+    ),
+    "scalability_analysis_paradigm": (
+        _S["zeusmp"],
+        [dict(nprocs=4), dict(nprocs=8)],
+        lambda pf, a, b: scalability_analysis_paradigm(pf, a, b, top=5, max_ranks=8),
+    ),
+    "critical_path_paradigm": (
+        _S["cg"], [dict(nprocs=4)], lambda pf, a: critical_path_paradigm(pf, a)
+    ),
+    "loop_causal_paradigm": (
+        _S["cg"], [dict(nprocs=8)], lambda pf, a: loop_causal_paradigm(pf, a, max_ranks=8)
+    ),
+    "branching_diagnosis_paradigm": (
+        lambda: vite.build(phases=1),
+        [dict(nprocs=2, nthreads=2), dict(nprocs=2, nthreads=4)],
+        lambda pf, a, b: branching_diagnosis_paradigm(pf, a, b, max_ranks=2),
+    ),
+    "differential_paradigm": (
+        _S["cg"],
+        [dict(nprocs=8), dict(nprocs=4)],
+        lambda pf, new, old: differential_paradigm(pf, new, old),
+    ),
+}
+
+
+def test_storage_matrix_covers_every_paradigm():
+    exported = {n for n in repro.paradigms.__all__ if n.endswith("_paradigm")}
+    assert set(PARADIGM_CASES) == exported
+
+
+def _through_format(fmt, mmap):
+    def load(pag, tmp_path):
+        path = tmp_path / f"{pag.fingerprint()}.{fmt}"
+        save_pag(pag, path, include_per_rank=True, format=fmt)
+        return load_pag(path, mmap=mmap)
+
+    return load
+
+
+def _buffer_twin(pag, _tmp_path):
+    """What a process worker attaches: a read-only zero-copy twin over
+    the format-3 image (here in a bytes object instead of /dev/shm)."""
+    sink = io.BytesIO()
+    write_format3(pag, sink.write, True)
+    return load_format3_buffer(sink.getvalue())
+
+
+#: storage cell -> (how the paradigm's input PAGs are obtained, executor)
+STORAGE = {
+    "heap": (lambda pag, _tmp_path: pag, "inline"),
+    "format2": (_through_format(2, False), "inline"),
+    "format3-heap": (_through_format(3, False), "inline"),
+    "format3-mmap": (_through_format(3, True), "inline"),
+    "twin": (_buffer_twin, "inline"),
+    "shm-process": (lambda pag, _tmp_path: pag, "process"),
+}
+
+
+def _storage_cell(paradigm, storage, tmp_path):
+    """Simulate afresh (paradigms annotate their input), move every
+    input PAG through the storage cell, run, and spell the result in bits."""
+    build, runs, call = PARADIGM_CASES[paradigm]
+    through, executor = STORAGE[storage]
+    pflow = PerFlow(cache=False, **EXECUTORS[executor])
+    prog = build()
+    pags = []
+    for kwargs in runs:
+        live = pflow.run(bin=prog, **kwargs)
+        pag = through(live, tmp_path)
+        if pag is not live:
+            assert pag.fingerprint() == live.fingerprint()
+            ctx = pflow.context(live)
+            # the loaded graph stands in for the run's PAG (parallel views)
+            pflow._contexts[id(pag)] = RunContext(ctx.program, ctx.run, ctx.static_result, pag)
+        pags.append(pag)
+    return _bits(call(pflow, *pags))
+
+
+@pytest.fixture(scope="module")
+def heap_cells(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("heap")
+    return {p: _storage_cell(p, "heap", tmp) for p in PARADIGM_CASES}
+
+
+@pytest.mark.parametrize("storage", [s for s in STORAGE if s != "heap"])
+@pytest.mark.parametrize("paradigm", list(PARADIGM_CASES))
+def test_storage_is_unobservable(paradigm, storage, heap_cells, tmp_path):
+    want = heap_cells[paradigm]
+    assert "0x" in repr(want), "the case produced no float to compare"
+    assert _storage_cell(paradigm, storage, tmp_path) == want
+
+
+# ----------------------------------------------------------------------
+# metamorphic checks the paper's semantics imply
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def zeus8():
+    pflow = PerFlow()
+    return pflow, pflow.run(bin=registry("S")["zeusmp"](), nprocs=8)
+
+
+def test_rank_permutation_invariance_of_hotspot_and_imbalance(zeus8):
+    """Renumbering the ranks renames the imbalanced ones and nothing else."""
+    _, pag = zeus8
+    perm = np.roll(np.arange(8), 3)  # new rank i holds old rank perm[i]
+    renumbered = pag.copy()
+    for v in renumbered.vertices():
+        vec = v["time_per_rank"]
+        if isinstance(vec, np.ndarray):
+            v["time_per_rank"] = vec[perm]
+    assert renumbered.fingerprint() != pag.fingerprint()
+    hot, hot_r = hotspot_detection(pag.vs, n=20), hotspot_detection(renumbered.vs, n=20)
+    assert _bits(hot) == _bits(
+        VertexSet.from_ids(pag, hot_r.ids())
+    )  # same vertices, same order; the vectors are the only difference
+    imb, imb_r = imbalance_analysis(pag.vs), imbalance_analysis(renumbered.vs)
+    assert len(imb) > 0 and set(imb.ids().tolist()) == set(imb_r.ids().tolist())
+    for v in imb:
+        w = renumbered.vertex(v.id)
+        assert sorted(int(perm[r]) for r in w["imbalanced_ranks"]) == v["imbalanced_ranks"]
+        assert w["imbalance"] == pytest.approx(v["imbalance"], rel=1e-12)
+
+
+def test_differential_of_a_run_with_itself_is_empty(zeus8, tmp_path):
+    """``differential(a, a) = ∅`` — also when one side went through a file,
+    which needs the file to hold the same bits."""
+    pflow, pag = zeus8
+    assert len(differential_analysis(pag.vs, pag.vs, min_delta=1e-300)) == 0
+    for fmt in (2, 3):
+        path = tmp_path / f"a.{fmt}"
+        save_pag(pag, path, include_per_rank=True, format=fmt)
+        back = load_pag(path, mmap=True)
+        diff = differential_analysis(pag.vs, back.vs)
+        assert {t for t in diff.values("time") if t is not None} == {0.0}
+        assert len(differential_analysis(back.vs, pag.vs, min_delta=1e-300)) == 0
+        rep = differential_paradigm(pflow, back, pag)
+        assert rep.total_delta == 0.0
+        assert len(rep.regressions) == len(rep.improvements) == 0
+
+
+@pytest.mark.parametrize("k", [4.0, 0.5])
+def test_uniform_slowdown_keeps_the_critical_path(k):
+    """Every activity k× slower: same path, k× the weight (k a power of
+    two, so the scaling itself is exact)."""
+    pflow = PerFlow()
+    pag = pflow.run(bin=registry("S")["cg"](), nprocs=4)
+    pv = pflow.parallel_view(pag)
+    slow = pv.copy()
+    for v in slow.vertices():
+        for key in ("time", "wait"):
+            if v[key] is not None:
+                v[key] = k * v[key]
+    vs, es, weight = critical_path_analysis(pv.vs)
+    vs_k, es_k, weight_k = critical_path_analysis(slow.vs)
+    assert len(vs) > 1 and weight > 0
+    assert vs_k.ids().tolist() == vs.ids().tolist()
+    assert es_k.ids().tolist() == es.ids().tolist()
+    assert weight_k == k * weight
+
+
+# ----------------------------------------------------------------------
+# cache soundness: inputs that differ in any bit do not share an entry
+# ----------------------------------------------------------------------
+def _hottest_graph(threshold):
+    g = PerFlowGraph("hottest")
+    V = g.input("V", VertexSet)
+    g.add_pass(
+        lambda s: (threshold, max(t for t in s.values("time") if t is not None)),
+        V,
+        name="hottest",
+        signature=((VertexSet,), ("any",)),
+    )
+    return g
+
+
+def test_pags_differing_below_1e9_do_not_share_a_cache_entry():
+    a = PerFlow().run(bin=microbench.build(), nprocs=4, nthreads=4)
+    b = a.copy()
+    hottest = max(a.vs, key=lambda v: v["time"] or 0.0)
+    b.vertex(hottest.id)["time"] = hottest["time"] + 1e-12
+    assert b.vertex(hottest.id)["time"] != hottest["time"]
+    assert a.fingerprint() != b.fingerprint()
+    cache = PassCache()
+    out_a = _hottest_graph(1.0).run(cache=cache, V=a.vs)["hottest"]
+    out_b = _hottest_graph(1.0).run(cache=cache, V=b.vs)["hottest"]
+    assert obs_metrics.counter("dataflow.cache.misses").value == 2
+    assert "dataflow.cache.hits" not in obs_metrics.registry
+    assert out_a[1] == hottest["time"] and out_b[1] == hottest["time"] + 1e-12
+
+
+def test_float_parameters_differing_below_1e9_do_not_share_a_cache_entry(micro):
+    _, pag4, _ = micro
+    cache = PassCache()
+    lo = _hottest_graph(1.2000000001).run(cache=cache, V=pag4.vs)["hottest"]
+    hi = _hottest_graph(1.2000000002).run(cache=cache, V=pag4.vs)["hottest"]
+    assert obs_metrics.counter("dataflow.cache.misses").value == 2
+    assert "dataflow.cache.hits" not in obs_metrics.registry
+    assert (lo[0], hi[0]) == (1.2000000001, 1.2000000002)
+    # and the same parameter does hit
+    again = _hottest_graph(1.2000000002).run(cache=cache, V=pag4.vs)["hottest"]
+    assert obs_metrics.counter("dataflow.cache.hits").value == 1 and again == hi
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ def saved(tmp_path):
 def test_header_fields(saved):
     pag, path = saved
     hdr = read_header(path)
-    assert hdr["version"] == 1
+    assert hdr["version"] == 2
     assert hdr["num_vertices"] == 3
     assert hdr["num_edges"] == 3
     assert hdr["fingerprint"] == pag.fingerprint()
@@ -281,6 +281,22 @@ def test_per_rank_convert_roundtrip(tmp_path):
     assert fingerprint_pag(loaded) == pag.fingerprint()
 
 
+@pytest.mark.parametrize("mmap", [False, True])
+def test_corrupt_vector_offsets_raise_pag_format_error(saved, tmp_path, mmap):
+    """The vector segments are sliced by offsets read from the file: a
+    table that disagrees with its rows/data is refused, not sliced."""
+    _pag, path = saved
+    hdr = read_header(path)
+    rel, nbytes = hdr["directory"]["segments"]["v.time_per_rank.vec.offs"]
+    raw = bytearray(path.read_bytes())
+    last = hdr["data_start"] + rel + nbytes - 8
+    raw[last : last + 8] = (10**6).to_bytes(8, "little")
+    bad = tmp_path / "bad-offs.pag3"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(PAGFormatError, match="vector offsets"):
+        load_pag(bad, mmap=mmap)
+
+
 def test_mmap_flag_ignored_for_json_formats(tmp_path):
     pag = _sample_pag()
     path = tmp_path / "s.json"
@@ -309,9 +325,10 @@ def test_read_header_on_non_format3_file(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# golden fixture: the committed binary must keep loading bit-identically
+# golden fixtures: committed binaries must keep loading bit-identically
 # ----------------------------------------------------------------------
-GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "format3_sample.pag3")
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+GOLDEN = os.path.join(GOLDENS, "format3_sample.pag3")
 
 
 def _golden_pag() -> PAG:
@@ -321,7 +338,14 @@ def _golden_pag() -> PAG:
     b = pag.add_vertex(
         VertexLabel.CALL, "MPI_Send", CallKind.COMM, {"time": 1.25, "debug-info": "m.c:7"}
     )
-    c = pag.add_vertex(VertexLabel.LOOP, "iter", None, {"time": 0.5})
+    c = pag.add_vertex(
+        VertexLabel.LOOP,
+        "iter",
+        None,
+        # 0.1 + 0.2 is not a 9-decimal number: a writer that rounds again
+        # cannot reproduce this file
+        {"time": 0.5, "time_per_rank": np.array([0.1 + 0.2, 0.2])},
+    )
     pag.add_edge(a, b, EdgeLabel.INTER_PROCEDURAL, None, {"count": 4})
     pag.add_edge(a, c, EdgeLabel.INTRA_PROCEDURAL)
     pag.add_edge(b, c, EdgeLabel.INTER_PROCESS, CommKind.P2P_SYNC, {"bytes": 64})
@@ -332,12 +356,16 @@ def test_golden_format3_fixture():
     """Set GOLDEN_REGEN=1 to regenerate after an intentional format bump."""
     pag = _golden_pag()
     if os.environ.get("GOLDEN_REGEN") == "1":
-        save_pag(pag, GOLDEN, format=3)
+        save_pag(pag, GOLDEN, include_per_rank=True, format=3)
     assert os.path.exists(GOLDEN), "golden missing; rerun with GOLDEN_REGEN=1"
+    hdr = read_header(GOLDEN)
+    assert hdr["version"] == 2
+    assert "v.time_per_rank.vec.data" in hdr["directory"]["segments"]
     for mmap in (False, True):
         loaded = load_pag(GOLDEN, mmap=mmap)
         assert fingerprint_pag(loaded) == pag.fingerprint()
         assert loaded.fingerprint() == pag.fingerprint()
+        assert loaded.vertex(2)["time_per_rank"].tolist() == [0.1 + 0.2, 0.2]
     assert pag_file_fingerprint(GOLDEN) == pag.fingerprint()
     # byte-identical re-encode: the writer is deterministic
     import io
@@ -345,6 +373,29 @@ def test_golden_format3_fixture():
     sink = io.BytesIO()
     from repro.pag.formats.format3 import write_format3
 
-    write_format3(pag, sink.write, False)
+    write_format3(pag, sink.write, True)
     with open(GOLDEN, "rb") as fh:
         assert fh.read() == sink.getvalue()
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize(
+    "fixture", ["format3_sample_v1.pag3", "format3_vectors_v1.pag3"]
+)
+def test_version1_files_keep_loading_and_keep_their_stamp(fixture, mmap):
+    """Load-only fixtures written before the version bump: the golden as
+    it was at version 1, and a file whose per-rank vector is decimal text
+    in the directory (the ``__ndarray__`` decode path).  The fingerprint
+    stamped by the old writer is the one recomputed from the loaded
+    columns today — old files and the cache entries keyed on them stay
+    valid."""
+    path = os.path.join(GOLDENS, fixture)
+    hdr = read_header(path)
+    assert hdr["version"] == 1
+    assert not any(".vec." in name for name in hdr["directory"]["segments"])
+    loaded = load_pag(path, mmap=mmap)
+    assert pag_file_fingerprint(path) == loaded.fingerprint() == fingerprint_pag(loaded)
+    if fixture == "format3_vectors_v1.pag3":
+        vec = loaded.vertex(2)["time_per_rank"]
+        assert isinstance(vec, np.ndarray) and vec.tolist() == [0.3, 0.5, 0.4, 0.3]
+        assert loaded.fingerprint() == _sample_pag().fingerprint()

@@ -1,7 +1,8 @@
 """Property-based serialize round-trip suite (hypothesis).
 
 Random PAGs — unicode names, spilled object columns, per-rank vectors,
-empty graphs — must survive both on-disk formats losslessly, and
+empty graphs, arbitrary finite float64 values — must survive every
+on-disk format losslessly, float bits included, and
 ``PAG.fingerprint()`` (the identity the result cache is addressed by)
 must be exactly preserved by save/load: a cached result keyed against a
 graph must still be addressable after that graph takes a trip through
@@ -27,16 +28,22 @@ from repro.pag.formats import (
     pag_to_dict,
     save_pag,
 )
+from repro.pag.formats.format3 import load_format3_buffer
 from repro.pag.vertex import CallKind, VertexLabel
 
 # Names mix ASCII, unicode (CJK, accents, symbols), and awkward JSON
-# characters; floats stay in a range where the 9-decimal rounding of
-# both writers is exact enough to compare by fingerprint.
+# characters; floats are any finite float64 — subnormals, signed zeros,
+# 17-significant-digit values and the ends of the exponent range — since
+# no format rounds and the fingerprint hashes the raw 8 bytes.
 names = st.text(
     alphabet=st.sampled_from("abcXYZ_0189 éüΩ中文🌍\"\\\n"), min_size=1, max_size=12
 )
-floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1e300,
+         1.7976931348623157e308, 0.1 + 0.2, 3.2012799999980857e-05]
+    ),
 )
 
 
@@ -119,7 +126,7 @@ def test_format1_dict_roundtrip_preserves_fingerprint(pag):
 @given(pags())
 def test_formats_agree_on_fingerprint(tmp_path, pag):
     """Format 1 and format 2 reload to the same fingerprint — both
-    writers canonicalize floats identically (np.round to 9 places)."""
+    writers print ``repr(float)``, which reads back exactly."""
     path = tmp_path / "pag2.json"
     save_pag(pag, path, include_per_rank=True)
     via2 = load_pag(path)
@@ -147,6 +154,45 @@ def test_properties_survive_roundtrip(tmp_path, pag):
             np.testing.assert_allclose(pr_b, pr_a, atol=1e-8)
         else:
             assert pr_b is None or pr_b == pr_a
+
+
+def _float_bits(value):
+    """``value`` with each float64 spelled as its int64 bit pattern."""
+    if isinstance(value, float):
+        return int(np.float64(value).view(np.int64))
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.float64
+        return value.view(np.int64).tolist()
+    if isinstance(value, dict):
+        return {k: _float_bits(v) for k, v in value.items()}
+    return value
+
+
+def _all_float_bits(pag: PAG):
+    return [_float_bits(dict(el.properties)) for el in (*pag.vertices(), *pag.edges())]
+
+
+@_settings
+@given(pags())
+def test_every_float_survives_every_format_bit_for_bit(tmp_path, pag):
+    """``load(save(g))`` holds the floats of ``g`` — scalar columns,
+    per-rank vectors, floats nested in dict cells — bit for bit
+    (``-0.0`` stays ``-0.0``, a subnormal stays that subnormal), so its
+    fingerprint is ``g``'s because the content is, not because a
+    canonicalisation made two different contents hash alike."""
+    want = _all_float_bits(pag)
+    p2, p3 = tmp_path / "bits.json", tmp_path / "bits.pag3"
+    save_pag(pag, p2, include_per_rank=True, format=2)
+    save_pag(pag, p3, include_per_rank=True, format=3)
+    loaded = {
+        "format 2": load_pag(p2),
+        "format 3 heap": load_pag(p3),
+        "format 3 mmap": load_pag(p3, mmap=True),
+        "format 3 buffer": load_format3_buffer(p3.read_bytes()),
+    }
+    for how, back in loaded.items():
+        assert _all_float_bits(back) == want, how
+        assert fingerprint_pag(back) == back.fingerprint() == pag.fingerprint(), how
 
 
 @_settings
