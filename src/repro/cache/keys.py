@@ -11,8 +11,8 @@ change its output changes:
 * the **node shape** — kind (pass vs. fixpoint) and the fixpoint
   iteration cap;
 * the **input values** — sets digest as (owning-PAG fingerprint, id
-  array); scalars, strings, containers, and numpy arrays digest by
-  canonical content.
+  array, result columns); scalars, strings, containers, and numpy
+  arrays digest by canonical content.
 
 Anything that cannot be keyed soundly raises :class:`Uncacheable` and
 the node simply executes: bound methods and callable objects (receiver
@@ -77,7 +77,11 @@ def _update_set(h, value, registry: Optional[Dict[str, Any]]) -> None:
         if registry is not None:
             registry.setdefault(fp, value._pag)
         _update_str(h, fp)
+    h.update(_PACK_Q(len(value._ids)))
     h.update(value._ids.tobytes())
+    for name in sorted(value._cols or ()):
+        _update_str(h, name)
+        _value_update(h, value._cols[name], None)
 
 
 def _value_update(h, value: Any, registry: Optional[Dict[str, Any]]) -> None:

@@ -5,7 +5,8 @@ plain-data part of a result plus *rebindable references* for every
 ``VertexSet``/``EdgeSet`` it contains.  Sets are never pickled — a set
 is ``(kind, owning-PAG fingerprint, id array)``, and on a hit it is
 re-bound to the current run's live PAG with that fingerprint
-(:func:`decode_value`).  A cached entry therefore cannot resurrect a
+(:func:`decode_value`); its result columns, plain values aligned with
+the ids, ride in the payload next to the placeholder.  A cached entry therefore cannot resurrect a
 dead graph, leak a stale identity ``token``, or be confused with a
 different graph's elements: an unknown fingerprint is a
 :class:`CacheMiss` and the node simply recomputes.
@@ -86,6 +87,8 @@ class _SetMarker:
     """Placeholder left in the payload where a set was stripped out."""
 
     index: int
+    #: the set's result columns (name -> values in id order), if any
+    columns: Optional[Dict[str, List[Any]]] = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def _set_ref(s: Union[VertexSet, EdgeSet]) -> Tuple[str, Optional[str], bytes]:
 def _strip(value: Any, refs: List[Tuple[str, Optional[str], bytes]]) -> Any:
     if isinstance(value, (VertexSet, EdgeSet)):
         refs.append(_set_ref(value))
-        return _SetMarker(len(refs) - 1)
+        return _SetMarker(len(refs) - 1, value._cols)
     if isinstance(value, tuple):
         return tuple(_strip(v, refs) for v in value)
     if isinstance(value, list):
@@ -171,7 +174,9 @@ def _resolve_ref(
 
 def _restore(value: Any, sets: List[Any]) -> Any:
     if isinstance(value, _SetMarker):
-        return sets[value.index]
+        bound = sets[value.index]  # rebound for this decode alone
+        bound._cols = value.columns or None
+        return bound
     if isinstance(value, tuple):
         return tuple(_restore(v, sets) for v in value)
     if isinstance(value, list):

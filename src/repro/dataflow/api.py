@@ -180,9 +180,9 @@ class PerFlow:
     ) -> VertexSet:
         """Map top-down vertices to their parallel-view instances.
 
-        For vertices annotated with ``imbalanced_ranks`` (the imbalance
-        pass output) only those ranks' instances are returned unless
-        ``all_ranks`` is set.  Vertices are matched to ``pag`` by id, so
+        Where ``V`` answers ``imbalanced_ranks`` (a column of the
+        imbalance pass's output, or a user's own PAG property) only those
+        ranks' instances are returned unless ``all_ranks`` is set.  Vertices are matched to ``pag`` by id, so
         sets from a difference PAG (identical structure) work too.
         """
         pv = self.parallel_view(pag, max_ranks=max_ranks, expand_threads=expand_threads)

@@ -12,8 +12,8 @@ report) to propose the next pass:
 
 * lock/allocator symbols among the hotspots → contention detection
   (the Vite flow);
-* imbalance-annotated vertices → backtracking on the parallel view
-  (the ZeusMP flow);
+* vertices the newest output reports as imbalanced → backtracking on
+  the parallel view (the ZeusMP flow);
 * communication calls among the hotspots → comm filter + imbalance
   analysis;
 * wait-dominated vertices → breakdown analysis;
@@ -99,7 +99,7 @@ class InteractiveSession:
 
         comm = [v for v in out if v.call_kind is CallKind.COMM]
         locky = [v for v in out if any(tag in v.name.lower() for tag in _LOCKY)]
-        imbalanced = [v for v in out if v["imbalance"]]
+        imbalanced = out.filter(lambda v: v["imbalance"])
         waity = [
             v
             for v in out
@@ -124,7 +124,7 @@ class InteractiveSession:
             )
         if imbalanced:
             def run_backtrack():
-                inst = self.pflow.instances(VertexSet(imbalanced), self.pag, max_ranks=32)
+                inst = self.pflow.instances(imbalanced, self.pag, max_ranks=32)
                 return self.record(
                     "backtracking_analysis",
                     self.pflow.backtracking_analysis(inst),

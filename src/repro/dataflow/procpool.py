@@ -19,7 +19,8 @@ the process boundary.
    object — pass closures, lambdas, captured facades and all — is
    inherited through a per-run payload slot (:data:`_PAYLOADS`) and
    never pickled.  A task on the wire is just ``(token, node_id,
-   encoded args, want_spans)``.
+   encoded args, want_spans)``.  Each worker moves itself to its own
+   allowed CPU once at start (see :func:`_worker_init`).
 3. **Attach.**  The first time a worker needs a PAG it attaches the
    block and reconstructs a read-only zero-copy twin with
    :func:`~repro.pag.formats.format3.load_format3_buffer` (lazy numpy
@@ -29,11 +30,11 @@ the process boundary.
    as the cache's wire form (:class:`~repro.cache.store.CachedValue`):
    ``VertexSet``/``EdgeSet`` values travel as ``(kind, fingerprint,
    id-array)`` references and rebind to the receiver's live graph, raw
-   PAG values as fingerprint markers.  Anything that cannot cross — an
-   unpicklable value, a set over a PAG mutated since publication (its
-   fingerprint no longer matches the published image), a pass that
-   unions its argument (bound to the twin) with elements of a graph it
-   closed over (still the original object) — degrades that node to
+   PAG values as fingerprint markers; a set's result columns ride in the
+   payload.  Anything that cannot cross — an unpicklable value, a set
+   over a PAG that was never published (one the pass created), a pass
+   that unions its argument (bound to the twin) with elements of a graph
+   it closed over (still the original object) — degrades that node to
    coordinator execution instead of failing the run, so *every*
    pipeline keeps serial-equivalent semantics under this backend.
 5. **Merge.**  With tracing enabled, each worker records its node span
@@ -44,8 +45,8 @@ the process boundary.
 
 Pinned to the coordinator by construction: input nodes (trivial) and
 ``cacheable=False`` nodes — the flag marks side effects / hidden state
-(closure accumulators, in-place vertex annotation), which must happen
-in the parent process to be visible to the rest of the run.
+(closure accumulators, a facade's view cache), which must happen in the
+parent process to be visible to the rest of the run.
 
 Failure taxonomy (all :class:`ProcPoolError`, a ``RuntimeError``):
 
@@ -300,9 +301,8 @@ def encode_transfer(value: Any, fps: Any) -> CachedValue:
 
     ``fps`` is the set of published fingerprints: every set reference
     and every raw PAG must resolve against it on the other side, so
-    anything bound to an unpublished (or since-mutated — its current
-    fingerprint no longer matches the published image) graph refuses to
-    travel here rather than mis-rebinding there.
+    anything bound to an unpublished graph refuses to travel here rather
+    than mis-rebinding there.
     """
     try:
         entry = encode_value(_swap_pags_out(value, fps))
@@ -418,6 +418,19 @@ def _worker_init(token: int) -> None:
             "worker has no fork-inherited run payload; the process "
             "backend requires the fork start method"
         )
+    # A forked child starts on its parent's CPU and an idle kernel can
+    # leave every worker stacked there, serialising the run — or not, from
+    # one run to the next.  Move each worker to its own allowed CPU once
+    # (consecutive pids: pid modulo spreads them), then hand placement
+    # back to the scheduler.  Best effort: a sandbox may forbid the call.
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            allowed = os.sched_getaffinity(0)
+            cpus = sorted(allowed)
+            os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
+            os.sched_setaffinity(0, allowed)
+        except OSError:
+            pass
 
 
 def _flatten_spans(rec: Any) -> List[Dict[str, Any]]:

@@ -9,7 +9,8 @@ time, message bytes, wait time.
 
 Like vertices, attached edges are flyweight handles over the owning
 PAG's columnar store; directly constructed edges are detached and carry
-their own storage.
+their own storage.  A handle drawn from a set with result columns holds
+that set's row and reads it first (see :mod:`repro.pag.vertex`).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Edge:
     properties below.
     """
 
-    __slots__ = ("id", "_pag", "_data")
+    __slots__ = ("id", "_pag", "_data", "_row")
 
     def __init__(
         self,
@@ -90,6 +91,7 @@ class Edge:
         if label is not EdgeLabel.INTER_PROCESS and comm_kind is not None:
             raise ValueError("comm_kind is only meaningful for INTER_PROCESS edges")
         self.id = eid
+        self._row = None
         if pag is None:
             self._pag = None
             self._data = _DetachedData(
@@ -100,12 +102,13 @@ class Edge:
             self._data = None
 
     @classmethod
-    def _attached(cls, pag, eid: int) -> "Edge":
+    def _attached(cls, pag, eid: int, row: Optional[Dict[str, Any]] = None) -> "Edge":
         """Fast handle constructor — skips validation entirely."""
         e = object.__new__(cls)
         e.id = eid
         e._pag = pag
         e._data = None
+        e._row = row
         return e
 
     # -- structural fields -------------------------------------------------
@@ -142,6 +145,8 @@ class Edge:
 
     # -- property access ----------------------------------------------------
     def __getitem__(self, key: str) -> Any:
+        if self._row is not None and key in self._row:
+            return self._row[key]
         if self._pag is None:
             return self._data.properties.get(key)
         return self._pag._eprops.get(self.id, key)
@@ -153,6 +158,8 @@ class Edge:
             self._pag._eprops.set(self.id, key, value)
 
     def __contains__(self, key: str) -> bool:
+        if self._row is not None and key in self._row:
+            return True
         if self._pag is None:
             return key in self._data.properties
         return self._pag._eprops.has(self.id, key)

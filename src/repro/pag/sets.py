@@ -19,6 +19,18 @@ from a detached element, is a ``ValueError``, and so is a ``union`` of
 non-empty sets over different graphs.  The other operators treat a set
 as a set of ``(pag, id)`` pairs, so across graphs ``a & b`` is empty,
 ``a - b`` is ``a``, ``a == b`` is false and ``x in s`` is false.
+
+Result columns: a set may also carry named columns — plain lists aligned
+1:1 with its id-array — which is how a pass returns what it found out
+about its output (``imbalance``, ``backtrack_root``, …) without writing
+to the PAG.  :meth:`~_ElementSet.with_columns` attaches them to a new
+set; :meth:`~_ElementSet.values` and a handle drawn from the set
+(``for v in V``, ``V[i]``) read a carried column first and the PAG's
+column otherwise.  Operations that choose rows (``select``, ``sort_by``,
+``top``, ``filter``, ``classify``, slicing, ``&``, ``-``) carry the
+chosen rows; ``|`` keeps, per id and column, the value of the first
+operand that holds one (``None`` = holds nothing), else the PAG's.
+Equality compares ids only.
 """
 
 from __future__ import annotations
@@ -96,7 +108,7 @@ def _cross_pag(cls: type, a, b) -> CrossPAGError:
 class _ElementSet(Generic[T]):
     """Ordered, deduplicated collection of PAG elements."""
 
-    __slots__ = ("_pag", "_ids", "_members")
+    __slots__ = ("_pag", "_ids", "_members", "_cols")
 
     #: Element class of this set family (Vertex or Edge); set in subclasses.
     _ELEMENT: type = object
@@ -123,14 +135,17 @@ class _ElementSet(Generic[T]):
         self._pag = pag
         self._ids = np.array(ids, dtype=np.int64) if ids else _EMPTY_IDS
         self._members = None
+        self._cols = None
 
     @classmethod
-    def _from_ids(cls, pag, ids: np.ndarray) -> "_ElementSet[T]":
-        """Internal constructor; ``ids`` must be deduped rows of ``pag``."""
+    def _from_ids(cls, pag, ids: np.ndarray, cols=None) -> "_ElementSet[T]":
+        """Internal constructor; ``ids`` must be deduped rows of ``pag``
+        and ``cols`` (if any) lists aligned with them."""
         s = object.__new__(cls)
         s._pag = pag
         s._ids = ids
         s._members = None
+        s._cols = cols or None
         return s
 
     @classmethod
@@ -164,19 +179,63 @@ class _ElementSet(Generic[T]):
         """Universe size (row count of this element family in ``pag``)."""
         raise NotImplementedError
 
+    def _take(self, rows) -> "_ElementSet[T]":
+        """The rows picked by a slice, boolean mask or index array."""
+        cols = self._cols
+        if cols is not None:
+            if isinstance(rows, slice):
+                cols = {k: c[rows] for k, c in cols.items()}
+            else:
+                picked = (np.flatnonzero(rows) if rows.dtype == bool else rows).tolist()
+                cols = {k: [c[i] for i in picked] for k, c in cols.items()}
+        return type(self)._from_ids(self._pag, self._ids[rows], cols)
+
+    # -- result columns ------------------------------------------------------
+    @property
+    def columns(self) -> tuple:
+        """Names of the result columns this set carries."""
+        return tuple(self._cols or ())
+
+    def with_columns(self, **columns: Iterable[Any]) -> "_ElementSet[T]":
+        """A set of the same elements that also carries ``columns``.
+
+        Each column is one value per element, in set order; a name the
+        set already carries is replaced.  Neither this set nor the PAG
+        is touched.
+        """
+        cols = dict(self._cols or ())
+        for key, col in columns.items():
+            col = col.tolist() if isinstance(col, np.ndarray) else list(col)
+            if len(col) != len(self._ids):
+                raise ValueError(
+                    f"column {key!r} has {len(col)} values for {len(self._ids)} elements"
+                )
+            cols[key] = col
+        return type(self)._from_ids(self._pag, self._ids, cols)
+
     # -- container protocol ------------------------------------------------
     def __iter__(self) -> Iterator[T]:
         pag = self._pag
         att = self._ELEMENT._attached
-        return (att(pag, int(i)) for i in self._ids)
+        cols = self._cols
+        if cols is None:
+            return (att(pag, int(i)) for i in self._ids)
+        keys = tuple(cols)
+        return (
+            att(pag, i, dict(zip(keys, row)))
+            for i, row in zip(self._ids.tolist(), zip(*cols.values()))
+        )
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return type(self)._from_ids(self._pag, self._ids[idx])
-        return self._ELEMENT._attached(self._pag, int(self._ids[idx]))
+            return self._take(idx)
+        row = None
+        if self._cols is not None:
+            row = {k: c[idx] for k, c in self._cols.items()}
+        return self._ELEMENT._attached(self._pag, int(self._ids[idx]), row)
 
     def __contains__(self, el: object) -> bool:
         if not isinstance(el, self._ELEMENT) or el._pag is not self._pag:
@@ -203,21 +262,34 @@ class _ElementSet(Generic[T]):
             if s._pag is not pag:
                 raise _cross_pag(type(self), pag, s._pag)
         if len(parts) == 1:
-            return type(self)._from_ids(pag, parts[0]._ids)
+            return type(self)._from_ids(pag, parts[0]._ids, parts[0]._cols)
         cat = np.concatenate([s._ids for s in parts])
-        return type(self)._from_ids(pag, _stable_unique(cat))
+        out = type(self)._from_ids(pag, _stable_unique(cat))
+        carrying = [s for s in parts if s._cols is not None]
+        if carrying:
+            # per id and column: the first operand holding a value wins,
+            # ids no operand speaks for read the PAG as they always did
+            names = dict.fromkeys(k for s in carrying for k in s._cols)
+            out._cols = {k: out._bulk_values(k) for k in names}
+            pos = {i: n for n, i in enumerate(out._ids.tolist())}
+            for s in reversed(carrying):
+                at = [pos[i] for i in s._ids.tolist()]
+                for key, col in s._cols.items():
+                    merged = out._cols[key]
+                    for n, value in zip(at, col):
+                        if value is not None:
+                            merged[n] = value
+        return out
 
     def intersection(self, other: "_ElementSet[T]") -> "_ElementSet[T]":
         if other._pag is not self._pag:
             return type(self)._from_ids(self._pag, _EMPTY_IDS)
-        mask = _membership(self._ids, other._ids, self._nrows(self._pag))
-        return type(self)._from_ids(self._pag, self._ids[mask])
+        return self._take(_membership(self._ids, other._ids, self._nrows(self._pag)))
 
     def difference(self, other: "_ElementSet[T]") -> "_ElementSet[T]":
         if other._pag is not self._pag:
-            return type(self)._from_ids(self._pag, self._ids)
-        mask = _membership(self._ids, other._ids, self._nrows(self._pag))
-        return type(self)._from_ids(self._pag, self._ids[~mask])
+            return self._take(slice(None))
+        return self._take(~_membership(self._ids, other._ids, self._nrows(self._pag)))
 
     def complement(self, universe: "_ElementSet[T]") -> "_ElementSet[T]":
         """Elements of ``universe`` not in this set."""
@@ -251,43 +323,37 @@ class _ElementSet(Generic[T]):
         if len(self._ids) == 0:
             return type(self)._from_ids(self._pag, self._ids)
         vals = self._numeric_column(metric)
-        order = np.argsort(-vals if reverse else vals, kind="stable")
-        return type(self)._from_ids(self._pag, self._ids[order])
+        return self._take(np.argsort(-vals if reverse else vals, kind="stable"))
 
     def top(self, n: int) -> "_ElementSet[T]":
         """First ``n`` elements (combine with :meth:`sort_by`, Listing 3)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        return type(self)._from_ids(self._pag, self._ids[:n])
+        return self._take(slice(n))
 
     def filter(self, predicate: Callable[[T], bool]) -> "_ElementSet[T]":
-        pag = self._pag
-        att = self._ELEMENT._attached
-        kept = [int(i) for i in self._ids if predicate(att(pag, int(i)))]
-        return type(self)._from_ids(pag, np.array(kept, dtype=np.int64))
+        kept = [n for n, el in enumerate(self) if predicate(el)]
+        return self._take(np.array(kept, dtype=np.int64))
 
     def classify(self, key: Callable[[T], Any]) -> Dict[Any, "_ElementSet[T]"]:
         """Partition the set by a key function (the classification op of §4.3.1)."""
-        pag = self._pag
-        att = self._ELEMENT._attached
-        id_groups: Dict[Any, List[int]] = {}
-        for i in self._ids:
-            i = int(i)
-            id_groups.setdefault(key(att(pag, i)), []).append(i)
-        return {
-            k: type(self)._from_ids(pag, np.array(v, dtype=np.int64))
-            for k, v in id_groups.items()
-        }
+        groups: Dict[Any, List[int]] = {}
+        for n, el in enumerate(self):
+            groups.setdefault(key(el), []).append(n)
+        return {k: self._take(np.array(v, dtype=np.int64)) for k, v in groups.items()}
 
     # -- bulk property access -------------------------------------------------
     def values(self, key: str) -> List[Any]:
         """Property values in set order (bulk API; ``None`` where absent).
 
-        Equivalent to ``[el[key] for el in self]`` but reads the owning
-        PAG's columns directly.
+        Equivalent to ``[el[key] for el in self]``: the result column if
+        the set carries ``key``, else a direct read of the owning PAG's
+        column.
         """
         if len(self._ids) == 0:
             return []
+        if self._cols is not None and key in self._cols:
+            return list(self._cols[key])
         return self._bulk_values(key)
 
     def map_property(self, metric: str) -> List[Any]:
@@ -295,19 +361,32 @@ class _ElementSet(Generic[T]):
         return self.values(metric)
 
     def _bulk_values(self, key: str) -> List[Any]:
+        """The PAG's values of ``key`` in set order."""
+        return self._store().values(key, self._ids)
+
+    def _store(self):
+        """The PAG's property store of this element family."""
         raise NotImplementedError
 
     def _numeric_column(self, metric: str) -> np.ndarray:
         """Float values aligned with ``self._ids``; non-numeric reads as 0."""
-        raise NotImplementedError
+        if self._cols is not None and metric in self._cols:
+            return np.array(
+                [float(v) if isinstance(v, (int, float)) else 0.0 for v in self._cols[metric]]
+            )
+        return self._store().numeric(metric, self._ids, 0.0)
 
     def sum(self, metric: str) -> float:
         if len(self._ids) == 0:
             return 0.0
         return float(self._numeric_column(metric).sum())
 
-    def _prop_mask(self, store, ids: np.ndarray, key: str, want: Any) -> np.ndarray:
+    def _prop_mask(self, key: str, want: Any) -> np.ndarray:
         """Vectorized ``el[key] == want`` over typed columns where possible."""
+        ids = self._ids
+        if self._cols is not None and key in self._cols:
+            return np.fromiter((v == want for v in self._cols[key]), dtype=bool, count=len(ids))
+        store = self._store()
         col = store.column(key)
         if isinstance(col, (FloatColumn, IntColumn)) and isinstance(
             want, (int, float)
@@ -352,12 +431,15 @@ class VertexSet(_ElementSet[Vertex]):
                 "mpi" if m else label_values[c]
                 for m, c in zip(is_mpi.tolist(), labels.tolist())
             ]
-        return pag._vprops.values(key, ids)
+        return super()._bulk_values(key)
+
+    def _store(self):
+        return self._pag._vprops
 
     def _numeric_column(self, metric: str) -> np.ndarray:
         if metric in ("name", "type"):
             return np.zeros(len(self._ids))
-        return self._pag._vprops.numeric(metric, self._ids, 0.0)
+        return super()._numeric_column(metric)
 
     def select(
         self,
@@ -402,8 +484,8 @@ class VertexSet(_ElementSet[Vertex]):
                     (v == want for v in vals), dtype=bool, count=len(ids)
                 )
             else:
-                mask &= self._prop_mask(pag._vprops, ids, key, want)
-        return VertexSet._from_ids(pag, ids[mask])
+                mask &= self._prop_mask(key, want)
+        return self._take(mask)
 
     @property
     def pag(self):
@@ -424,11 +506,8 @@ class EdgeSet(_ElementSet[Edge]):
     def _nrows(pag) -> int:
         return pag.num_edges if pag is not None else 0
 
-    def _bulk_values(self, key: str) -> List[Any]:
-        return self._pag._eprops.values(key, self._ids)
-
-    def _numeric_column(self, metric: str) -> np.ndarray:
-        return self._pag._eprops.numeric(metric, self._ids, 0.0)
+    def _store(self):
+        return self._pag._eprops
 
     def select(
         self,
@@ -460,8 +539,8 @@ class EdgeSet(_ElementSet[Edge]):
         for key, want in props.items():
             if not mask.any():
                 break
-            mask &= self._prop_mask(pag._eprops, ids, key, want)
-        return EdgeSet._from_ids(pag, ids[mask])
+            mask &= self._prop_mask(key, want)
+        return self._take(mask)
 
     def sources(self) -> VertexSet:
         if len(self._ids) == 0:

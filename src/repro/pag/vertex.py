@@ -15,6 +15,11 @@ constructed directly (``Vertex(0, label, name, ...)``), as the dataflow
 pattern helpers do, is *detached*: it carries its own label/name/props
 until (never) adopted by a graph.  Handles are cheap to mint and
 compare equal by (graph, id), so passes can freely re-create them.
+
+A handle drawn from a set that carries result columns (``for v in V``,
+``V[i]``; see :mod:`repro.pag.sets`) also holds that set's row for its
+element, and ``v[key]`` answers from the row before the PAG's columns —
+a pass's annotations live on the set it returned, never on the graph.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class Vertex:
     builds a *detached* vertex with its own storage.
     """
 
-    __slots__ = ("id", "_pag", "_data")
+    __slots__ = ("id", "_pag", "_data", "_row")
 
     def __init__(
         self,
@@ -160,6 +165,7 @@ class Vertex:
         if label is not VertexLabel.CALL and call_kind is not None:
             raise ValueError("call_kind is only meaningful for CALL vertices")
         self.id = vid
+        self._row = None
         if pag is None:
             self._pag = None
             self._data = _DetachedData(label, name, call_kind, dict(properties or {}))
@@ -170,12 +176,17 @@ class Vertex:
             self._data = None
 
     @classmethod
-    def _attached(cls, pag, vid: int) -> "Vertex":
-        """Fast handle constructor — skips validation entirely."""
+    def _attached(cls, pag, vid: int, row: Optional[Dict[str, Any]] = None) -> "Vertex":
+        """Fast handle constructor — skips validation entirely.
+
+        ``row`` is the element's row of the result columns of the set the
+        handle is drawn from (``None`` for a handle minted by the graph).
+        """
         v = object.__new__(cls)
         v.id = vid
         v._pag = pag
         v._data = None
+        v._row = row
         return v
 
     # -- structural fields -------------------------------------------------
@@ -223,6 +234,8 @@ class Vertex:
             # pflow.BRANCH; communication calls report "mpi", every other
             # vertex its structural label.
             return "mpi" if self.is_comm() else self.label.value
+        if self._row is not None and key in self._row:
+            return self._row[key]
         if self._pag is None:
             return self._data.properties.get(key)
         return self._pag._vprops.get(self.id, key)
@@ -237,6 +250,8 @@ class Vertex:
 
     def __contains__(self, key: str) -> bool:
         if key == NAME:
+            return True
+        if self._row is not None and key in self._row:
             return True
         if self._pag is None:
             return key in self._data.properties

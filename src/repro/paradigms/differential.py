@@ -7,14 +7,13 @@ run (MPI_Reduce there), so regressions hide from plain profiles; graph
 difference surfaces them directly.
 
 The paradigm reports regressions (got slower) and improvements (got
-faster) separately, each with its share of the total delta, plus the
-imbalance annotation when the regression concentrates on few ranks.
+faster) separately, each with its share of the total delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.dataflow.api import PerFlow
 from repro.pag.graph import PAG
@@ -27,7 +26,7 @@ class RegressionReport:
     """Ranked performance changes between two runs."""
 
     total_delta: float
-    #: vertices that got slower, worst first (annotated: `delta_share`)
+    #: vertices that got slower, worst first (column: `delta_share`)
     regressions: VertexSet = field(default_factory=lambda: VertexSet([]))
     #: vertices that got faster, best first
     improvements: VertexSet = field(default_factory=lambda: VertexSet([]))
@@ -50,24 +49,17 @@ def differential_paradigm(
     total absolute delta.
     """
     V_diff = pflow.differential_analysis(pag_new.vs, pag_old.vs)
-    deltas: List = []
-    for v in V_diff:
-        d = v["excl_time"]
-        if d is None:
-            continue
-        deltas.append((float(d), v))
-    total_abs = sum(abs(d) for d, _v in deltas) or 1.0
-    reg, imp = [], []
-    for d, v in deltas:
-        share = abs(d) / total_abs
-        if share < min_share:
-            continue
-        v["delta_share"] = share
-        (reg if d > 0 else imp).append((d, v))
-    reg.sort(key=lambda item: -item[0])
-    imp.sort(key=lambda item: item[0])
-    regressions = VertexSet([v for _d, v in reg[:top]])
-    improvements = VertexSet([v for _d, v in imp[:top]])
+    excl = V_diff.values("excl_time")
+    deltas = [float(d) for d in excl if d is not None]
+    total_abs = sum(abs(d) for d in deltas) or 1.0
+    shares = [None if d is None else abs(float(d)) / total_abs for d in excl]
+    changed = V_diff.with_columns(delta_share=shares).filter(
+        lambda v: v["delta_share"] is not None and v["delta_share"] >= min_share
+    )
+    regressions = changed.filter(lambda v: v["excl_time"] > 0).sort_by("excl_time").top(top)
+    improvements = (
+        changed.filter(lambda v: v["excl_time"] <= 0).sort_by("excl_time", reverse=False).top(top)
+    )
     report = pflow.report(
         regressions,
         improvements,
@@ -75,7 +67,7 @@ def differential_paradigm(
         title="performance differential",
     )
     return RegressionReport(
-        total_delta=sum(d for d, _v in deltas),
+        total_delta=sum(deltas),
         regressions=regressions,
         improvements=improvements,
         report=report,

@@ -43,7 +43,7 @@ def loop_causal_paradigm(
     view, finds common ancestors, and feeds them back in; the fixpoint
     is reached when an iteration adds no new cause vertices.
     """
-    state = {"edges": EdgeSet([])}
+    state = {"edges": EdgeSet([]), "causes": {}}
 
     def hotspots(V: VertexSet) -> VertexSet:
         return pflow.hotspot_detection(V, n=top)
@@ -64,26 +64,28 @@ def loop_causal_paradigm(
             inst = V
         causes, paths = pflow.causal_analysis(inst)
         state["edges"] = state["edges"].union(paths)
-        merged = inst.union(causes)
-        return merged
+        # a later round re-derives an earlier round's chains and extends them
+        state["causes"].update(zip(causes.ids().tolist(), causes.values("causes")))
+        return inst.union(causes)
 
     g = pflow.perflowgraph("lammps-loop")
     V_in = g.input("V")
     n_hot = g.add_pass(hotspots, V_in, name="hotspot")
     n_comm = g.add_pass(comm, n_hot, name="comm_filter")
     n_imb = g.add_pass(imbalance, n_comm, name="imbalance")
-    # causal_step accumulates propagation paths into ``state["edges"]``
-    # — hidden output the result cache cannot see — so it must execute
-    # on every run, never be satisfied from cache.
+    # causal_step accumulates propagation paths and cause lists into
+    # ``state`` — hidden output the result cache cannot see — so it must
+    # execute on every run, never be satisfied from cache.
     n_fix = g.add_fixpoint(
         causal_step, n_imb, max_iters=max_iters, name="causal", cacheable=False
     )
     outputs = g.run(V=pag.vs)
 
     V_fix: VertexSet = outputs["causal"]
-    # Root causes: vertices that entered via causal analysis (annotated
-    # with `causes`) or that every propagation path converges on.
-    V_causes = VertexSet([v for v in V_fix if v["causes"]]) or V_fix
+    # Root causes: vertices that entered via causal analysis (they carry
+    # `causes`) or that every propagation path converges on.
+    found = [state["causes"].get(i) for i in V_fix.ids().tolist()]
+    V_causes = V_fix.with_columns(causes=found).filter(lambda v: v["causes"]) or V_fix
     report = pflow.report(
         V_causes,
         attrs=["name", "time", "debug-info", "process", "causes"],

@@ -44,7 +44,7 @@ class ScalabilityResult:
 
 def _user_backtracking(pflow: PerFlow, V: VertexSet) -> Tuple[VertexSet, EdgeSet]:
     """Listing 7's user-defined backtracking pass, transcribed."""
-    V_bt, E_bt, S = [], [], set()  # S for scanned vertices
+    V_bt, E_bt, S, roots = [], [], set(), set()  # S for scanned vertices
     for v in V:
         if v.id not in S:
             S.add(v.id)
@@ -65,8 +65,9 @@ def _user_backtracking(pflow: PerFlow, V: VertexSet) -> Tuple[VertexSet, EdgeSet
                 in_es = v.es.select(IN_EDGE, of=v)
             else:
                 V_bt.append(v)
-                v["backtrack_root"] = True
-    return VertexSet(V_bt), EdgeSet(E_bt)
+                roots.add(v.id)
+    is_root = [v.id in roots for v in V_bt]
+    return VertexSet(V_bt).with_columns(backtrack_root=is_root), EdgeSet(E_bt)
 
 
 def build_scalability_graph(
@@ -79,13 +80,11 @@ def build_scalability_graph(
     """Fig. 8's pipeline as an explicit PerFlowGraph.
 
     Node names are the result keys (``differential`` … ``backtracking``).
-    ``differential`` creates the difference PAG, ``instances``
-    materializes the parallel view, and ``backtracking`` annotates
-    ``backtrack_root`` on its vertices — all three carry hidden state
-    (fresh graphs, the facade's view cache, in-place annotation), so
-    they are ``cacheable=False``: never skipped by the result cache and
-    always executed in the coordinator process under the multiprocessing
-    backend.
+    ``differential`` creates the difference PAG and ``instances``
+    materializes the parallel view — both carry hidden state (a fresh
+    graph, the facade's view cache), so they are ``cacheable=False``:
+    never skipped by the result cache and always executed in the
+    coordinator process under the multiprocessing backend.
     """
     g = pflow.perflowgraph("scalability")
     V1 = g.input("V1", VertexSet)
@@ -129,7 +128,6 @@ def build_scalability_graph(
         n_inst,
         name="backtracking",
         signature=((VertexSet,), (VertexSet, EdgeSet)),
-        cacheable=False,
     )
     return g
 

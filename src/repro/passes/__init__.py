@@ -20,6 +20,10 @@ filters / set ops         the set-operation API surface of §4.3.1
 
 Passes are plain functions over sets so they compose both eagerly
 (Listing 1 style) and inside a :class:`~repro.dataflow.graph.PerFlowGraph`.
+They are pure: what a pass finds out about its output (``imbalance``,
+``breakdown``, ``causes``, ``backtrack_root``, …) is a result column on
+the set it returns (:meth:`VertexSet.with_columns`), never a write to
+the input PAG.
 """
 
 from repro.passes.filters import comm_filter, filter_set, io_filter

@@ -10,7 +10,8 @@ cannot be traced *through* it by local edges alone), at flow roots, or
 on revisits.
 
 The union of walked vertices/edges is the propagation forest: Fig. 10's
-red bold arrows, whose sources are the root causes.
+red bold arrows, whose sources are the root causes — marked in the
+returned vertex set's ``backtrack_root`` column.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def backtracking_analysis(
 
     Returns ``(V_bt, E_bt)``: the vertices and edges on all backtracking
     paths, in walk order, deduplicated.  Walk sources (the deepest
-    vertices reached) are the root-cause candidates and are annotated
-    with ``backtrack_root = True``.
+    vertices reached) are the root-cause candidates: ``V_bt`` carries
+    the column ``backtrack_root``, true for exactly those.
     """
     pag = V.pag
     if pag is None:
@@ -74,6 +75,7 @@ def backtracking_analysis(
     V_bt: List[Vertex] = []
     E_bt: List[Edge] = []
     scanned: Set[int] = set()
+    roots: Set[int] = set()
     for start in V:
         if start.id in scanned:
             continue
@@ -96,12 +98,14 @@ def backtracking_analysis(
                 break
             e = _pick_in_edge(pag, v)
             if e is None:
-                v["backtrack_root"] = True
+                roots.add(v.id)
                 break
             E_bt.append(e)
             arrived_via_comm = e.label is EdgeLabel.INTER_PROCESS
             v = e.src
         else:
             # Step budget exhausted: mark where we stopped.
-            v["backtrack_root"] = True
-    return VertexSet(V_bt), EdgeSet(E_bt)
+            roots.add(v.id)
+    walked = VertexSet(V_bt)
+    is_root = [i in roots for i in walked.ids().tolist()]
+    return walked.with_columns(backtrack_root=is_root), EdgeSet(E_bt)

@@ -3,8 +3,8 @@
 Once a communication call is known to be imbalanced, breakdown analysis
 decides *why*: different message sizes across ranks, load imbalance in
 the computation preceding the communication, or time genuinely spent
-moving bytes.  Each input vertex is annotated with a ``breakdown``
-dictionary:
+moving bytes.  The returned set is the input set carrying a
+``breakdown`` column, one dictionary per vertex:
 
 * ``compute`` / ``wait`` / ``transfer`` — the time split,
 * ``cause`` — ``"message-size imbalance"`` when per-rank byte counts
@@ -16,13 +16,10 @@ dictionary:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.dataflow.signatures import signature
 from repro.pag.sets import VertexSet
-from repro.pag.vertex import Vertex
 
 
 def _cv(arr: np.ndarray) -> float:
@@ -36,19 +33,18 @@ def breakdown_analysis(
     size_cv_threshold: float = 0.25,
     wait_fraction_threshold: float = 0.3,
 ) -> VertexSet:
-    """Annotate each vertex with its time breakdown and likely cause.
+    """Each vertex's time breakdown and likely cause.
 
-    Output equals the input set (annotated) — a pure set operation plus
-    attribute computation, so downstream passes and the report module
+    Output is the input set (its columns included) plus the
+    ``breakdown`` column, so downstream passes and the report module
     see the same vertices.
     """
-    out: List[Vertex] = []
-    elements = V.to_list()
+    out = []
     times = V.values("time")
     waits = V.values("wait")
     bytes_prs = V.values("bytes_per_rank")
     wait_prs = V.values("wait_per_rank")
-    for v, t, w, bytes_pr, wait_pr in zip(elements, times, waits, bytes_prs, wait_prs):
+    for t, w, bytes_pr, wait_pr in zip(times, waits, bytes_prs, wait_prs):
         time = float(t or 0.0)
         wait = float(w or 0.0)
         transfer = max(0.0, time - wait)
@@ -68,6 +64,5 @@ def breakdown_analysis(
         elif time > 0 and transfer / time > (1.0 - wait_fraction_threshold):
             cause = "transfer-bound"
         breakdown["cause"] = cause
-        v["breakdown"] = breakdown
-        out.append(v)
-    return VertexSet(out)
+        out.append(breakdown)
+    return V.with_columns(breakdown=out)

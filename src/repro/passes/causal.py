@@ -5,12 +5,13 @@ inter-thread locks, producing *secondary* bugs; the vertices where
 propagation chains meet — lowest common ancestors on the parallel
 view — are the causes.  For each unscanned pair of input vertices the
 pass runs LCA and collects the detected ancestors plus the edge paths
-(the propagation chains).
+(the propagation chains); the returned vertex set's ``causes`` column
+names, per ancestor, the descendants it explains.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.signatures import signature
 from repro.algorithms.lca import lowest_common_ancestor
@@ -83,15 +84,15 @@ def causal_analysis(
         scanned-set ``S``), so the cost is linear in practice.
 
     Returns ``(V_res, path_edges)``: cause vertices (deduplicated,
-    annotated with ``causes`` — the names of the affected descendants)
-    and the union of propagation-path edges.
+    carrying the column ``causes`` — the names of the affected
+    descendants) and the union of propagation-path edges.
     """
     pag = V.pag
     if pag is None:
         return VertexSet([]), EdgeSet([])
     items: List[Vertex] = V.to_list()
     scanned = set()
-    causes: List[Vertex] = []
+    causes: Dict[int, List[str]] = {}  # ancestor id -> affected descendants
     path_edges = []
     pairs = 0
     input_ids = {v.id for v in items}
@@ -110,16 +111,12 @@ def causal_analysis(
             if restrict_to_input and anc.id not in input_ids:
                 continue
             if localize:
-                gen = _localize(pag, anc)
-                if gen.id != anc.id:
-                    gen["localized_from"] = f"{anc.name}@{anc['debug-info']}"
-                    anc = gen
-            affected = anc["causes"] or []
+                anc = _localize(pag, anc)
+            affected = causes.setdefault(anc.id, [])
             for desc in (v1, v2):
                 tag = f"{desc.name}@{desc['debug-info']}"
                 if tag not in affected:
                     affected.append(tag)
-            anc["causes"] = affected
-            causes.append(anc)
             path_edges.extend(path)
-    return VertexSet(causes), EdgeSet(path_edges)
+    V_res = VertexSet.from_ids(pag, list(causes))
+    return V_res.with_columns(causes=list(causes.values())), EdgeSet(path_edges)

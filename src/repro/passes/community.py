@@ -15,7 +15,7 @@ input set partitioned by community, most-afflicted community first.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,9 +38,8 @@ def community_scope(
     Only cross edges (inter-process/inter-thread) define the communities
     — flow edges would glue every flow into one blob.  Vertices whose
     flows never interact form singleton communities and are dropped when
-    below ``min_size``.  Each returned vertex is annotated with its
-    ``community`` id; sets are ordered by total wait inside the
-    community, descending (most afflicted first).
+    below ``min_size``.  One set per community, ordered by total wait
+    inside the community, descending (most afflicted first).
     """
     pag: Optional[PAG] = V.pag
     if pag is None or len(V) == 0:
@@ -77,20 +76,14 @@ def community_scope(
     )
     labels = label_propagation(proj, weight="w")
 
-    groups: Dict[int, List] = {}
-    for v in V:
-        community = labels.get(v.id)
-        if community is None:
-            continue
-        v["community"] = community
-        groups.setdefault(community, []).append(v)
+    groups = V.classify(lambda v: labels.get(v.id))
+    groups.pop(None, None)
 
-    def group_wait(members) -> float:
-        return sum(float(m["wait"] or 0.0) for m in members)
+    def group_wait(members: VertexSet) -> float:
+        return sum(float(w or 0.0) for w in members.values("wait"))
 
-    ordered = sorted(
+    return sorted(
         (members for members in groups.values() if len(members) >= min_size),
         key=group_wait,
         reverse=True,
     )
-    return [VertexSet(members) for members in ordered]

@@ -45,9 +45,9 @@ def contention_detection(
     The input vertices anchor the pattern's hub: embeddings are searched
     with the hub restricted to the neighborhood (the vertex itself and
     its inter-thread neighbors) of each input vertex.  Returns the union
-    of embedded vertices and edges (Listing 6's ``V_ebd, E_ebd``), each
-    embedding's vertices annotated with ``contention_hub`` naming the
-    hub vertex.
+    of embedded vertices and edges (Listing 6's ``V_ebd, E_ebd``); the
+    vertex set's ``contention_hub`` column names the hub of the (last)
+    embedding each vertex belongs to.
     """
     pag: Optional[PAG] = V.pag
     if pag is None:
@@ -64,14 +64,15 @@ def contention_detection(
     anchors = [pag.vertex(vid) for vid in sorted(anchor_ids)]
 
     embeddings: List[Embedding] = subgraph_matching(pag, pat, candidates=anchors, limit=limit)
-    out_vs, out_es = [], []
+    hub_of, out_es = {}, []  # vertex id -> hub tag, in first-embedded order
     for emb in embeddings:
         hub = max(
             emb.vertices.values(),
             key=lambda v: sum(1 for e in emb.edges if v.id in (e.src_id, e.dst_id)),
         )
+        tag = f"{hub.name}@{hub['debug-info']}"
         for v in emb.vertices.values():
-            v["contention_hub"] = f"{hub.name}@{hub['debug-info']}"
-            out_vs.append(v)
+            hub_of[v.id] = tag
         out_es.extend(emb.edges)
-    return VertexSet(out_vs), EdgeSet(out_es)
+    embedded = VertexSet.from_ids(pag, list(hub_of))
+    return embedded.with_columns(contention_hub=list(hub_of.values())), EdgeSet(out_es)

@@ -2,8 +2,7 @@
 
 Wraps :func:`repro.algorithms.critical_path.critical_path` as a pass:
 input is any vertex set of a parallel view (only its PAG matters),
-output is the path's vertices/edges plus the path weight, with each
-path vertex annotated ``on_critical_path = True``.
+output is the path's vertices/edges plus the path weight.
 """
 
 from __future__ import annotations
@@ -43,6 +42,4 @@ def critical_path_analysis(
             vertex_weight=vertex_weight,
             edge_ok=lambda e: e.src_id < e.dst_id,
         )
-    for v in vertices:
-        v["on_critical_path"] = True
     return VertexSet(vertices), EdgeSet(edges), weight

@@ -5,12 +5,13 @@ processes (or threads).  Two input shapes are handled:
 
 * **Top-down view** vertices carrying ``time_per_rank`` vectors: a
   vertex is imbalanced when ``max/mean`` of its per-rank time exceeds
-  the threshold and the vertex carries non-negligible time.  The pass
-  annotates ``imbalance`` (the ratio) and ``imbalanced_ranks`` (ranks
-  above ``outlier_factor × mean``).
+  the threshold and the vertex carries non-negligible time.  The
+  returned set carries the columns ``imbalance`` (the ratio) and
+  ``imbalanced_ranks`` (ranks above ``outlier_factor × mean``).
 * **Parallel view** instance vertices (no per-rank vector): instances
   are grouped by (name, debug-info) — the same code snippet across
-  flows — and outlier instances are returned directly, which is what
+  flows — and outlier instances are returned directly (column
+  ``imbalance``: instance time over group mean), which is what
   Fig. 10/12 draw boxes around.
 """
 
@@ -22,7 +23,14 @@ import numpy as np
 
 from repro.dataflow.signatures import signature
 from repro.pag.sets import VertexSet
-from repro.pag.vertex import Vertex
+
+
+def _most_severe_first(V: VertexSet, flagged: List[tuple]) -> VertexSet:
+    """Sort ``flagged`` — ``(ratio, row of V, …)`` — by descending ratio and
+    return those rows carrying the ratio as ``imbalance``."""
+    flagged.sort(key=lambda f: -f[0])
+    ids = V.ids()[[f[1] for f in flagged]]
+    return VertexSet.from_ids(V.pag, ids).with_columns(imbalance=[f[0] for f in flagged])
 
 
 def _per_rank_mode(
@@ -30,13 +38,12 @@ def _per_rank_mode(
 ) -> VertexSet:
     # bulk column reads: one pass over the time column and the per-rank
     # spill column instead of per-vertex dict lookups
-    elements = V.to_list()
     times = [float(t or 0.0) for t in V.values("time")]
     vectors = V.values("time_per_rank")
     total = max(times, default=0.0)
     floor = total * min_time_fraction
-    flagged: List[Tuple[float, Vertex]] = []
-    for v, t, arr in zip(elements, times, vectors):
+    flagged: List[tuple] = []
+    for row, (t, arr) in enumerate(zip(times, vectors)):
         if not isinstance(arr, np.ndarray) or arr.size == 0:
             continue
         mean = float(arr.mean())
@@ -44,24 +51,20 @@ def _per_rank_mode(
             continue
         ratio = float(arr.max()) / mean
         if ratio >= threshold:
-            v["imbalance"] = ratio
-            v["imbalanced_ranks"] = [
-                int(r) for r in np.nonzero(arr > outlier_factor * mean)[0]
-            ]
-            flagged.append((ratio, v))
-    flagged.sort(key=lambda pair: -pair[0])
-    return VertexSet(v for _r, v in flagged)
+            ranks = [int(r) for r in np.nonzero(arr > outlier_factor * mean)[0]]
+            flagged.append((ratio, row, ranks))
+    out = _most_severe_first(V, flagged)
+    return out.with_columns(imbalanced_ranks=[ranks for _ratio, _row, ranks in flagged])
 
 
 def _instance_mode(V: VertexSet, threshold: float, outlier_factor: float) -> VertexSet:
-    elements = V.to_list()
     names = V.values("name")
     dbg = V.values("debug-info")
     times_all = [float(t or 0.0) for t in V.values("time")]
     groups: Dict[Tuple[str, str], List[int]] = {}
     for idx, (nm, d) in enumerate(zip(names, dbg)):
         groups.setdefault((nm, str(d)), []).append(idx)
-    out: List[Tuple[float, Vertex]] = []
+    out: List[tuple] = []
     for _key, idxs in groups.items():
         times = np.asarray([times_all[i] for i in idxs])
         mean = float(times.mean())
@@ -71,11 +74,8 @@ def _instance_mode(V: VertexSet, threshold: float, outlier_factor: float) -> Ver
         if ratio >= threshold:
             for i, t in zip(idxs, times):
                 if t > outlier_factor * mean:
-                    v = elements[i]
-                    v["imbalance"] = t / mean
-                    out.append((t / mean, v))
-    out.sort(key=lambda pair: -pair[0])
-    return VertexSet(v for _r, v in out)
+                    out.append((float(t) / mean, i))
+    return _most_severe_first(V, out)
 
 
 @signature(inputs=(VertexSet,), outputs=(VertexSet,))

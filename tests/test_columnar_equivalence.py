@@ -248,6 +248,99 @@ def test_traversal_and_edge_sets_match(spec):
     assert ids_of(E.destinations()) == dst_ref
 
 
+column_value = st.one_of(
+    st.none(), st.integers(min_value=-3, max_value=3), st.sampled_from([0.5, 2.5, "x"])
+)
+
+
+def _numeric(value):
+    return float(value) if isinstance(value, (int, float)) else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_spec, subset, subset, st.data())
+def test_result_columns_follow_the_rows(spec, raw_a, raw_b, data):
+    """The carry rule against a dict-of-rows reference: a set with result
+    columns is ``{id: {column: value}}`` in order; row-choosing operations
+    keep the chosen rows, ``&``/``-`` keep the left's, ``|`` takes per id
+    and column the first operand holding a value, else the PAG's."""
+    pag, ref = build(spec)
+    nv = pag.num_vertices
+
+    def carrying(raw, keys):
+        ids = RefPAG.union([i % nv for i in raw], [])
+        cols = {
+            k: data.draw(st.lists(column_value, min_size=len(ids), max_size=len(ids)))
+            for k in keys
+        }
+        rows = {i: {k: cols[k][n] for k in keys} for n, i in enumerate(ids)}
+        return VertexSet.from_ids(pag, ids).with_columns(**cols), rows
+
+    def rows_of(S):
+        return {i: {k: S.values(k)[n] for k in S.columns} for n, i in enumerate(ids_of(S))}
+
+    def picked(rows, ids):
+        return {i: rows[i] for i in ids}
+
+    # "time" shadows a PAG column; "score"/"mark" exist only on the sets
+    A, rows_a = carrying(raw_a, ("score", "time"))
+    B, rows_b = carrying(raw_b, ("score", "mark"))
+    ids_a, ids_b = list(rows_a), list(rows_b)
+    assert A.columns == ("score", "time") and pag.vs.columns == ()
+    assert rows_of(A) == rows_a
+
+    # one read path: values(), iteration and indexing answer from the row
+    # first, from the PAG for a column the set does not carry
+    for key in ("score", "time"):
+        assert [v[key] for v in A] == A.values(key) == [rows_a[i][key] for i in ids_a]
+        assert [A[n][key] for n in range(len(A))] == A.values(key)
+    assert A.values("count") == ref.vertex_values(ids_a, "count")
+    assert [v["count"] for v in A] == ref.vertex_values(ids_a, "count")
+    assert [v["time"] for v in pag.vs] == ref.vertex_values(list(range(nv)), "time")
+
+    # row-choosing derivations carry the chosen rows
+    for reverse, sign in ((True, -1.0), (False, 1.0)):
+        # stable either way: ties keep set order
+        order = sorted(ids_a, key=lambda i: sign * _numeric(rows_a[i]["score"]))
+        got = A.sort_by("score", reverse=reverse)
+        assert ids_of(got) == order and rows_of(got) == picked(rows_a, order)
+    assert rows_of(A.sort_by("score").top(2)) == picked(
+        rows_a, sorted(ids_a, key=lambda i: -_numeric(rows_a[i]["score"]))[:2]
+    )
+    assert rows_of(A[1:]) == picked(rows_a, ids_a[1:])
+    assert A.sum("score") == sum(_numeric(rows_a[i]["score"]) for i in ids_a)
+    want = [i for i in ids_a if rows_a[i]["score"] == 2.5]
+    assert rows_of(A.select(score=2.5)) == picked(rows_a, want)
+    assert rows_of(A.filter(lambda v: v["score"] == 2.5)) == picked(rows_a, want)
+    want = [i for i in ids_a if ref.vertices[i].name.startswith("MPI_")]
+    assert rows_of(A.select(name="MPI_*")) == picked(rows_a, want)
+    classes = A.classify(lambda v: v["time"])
+    assert {k: rows_of(s) for k, s in classes.items()} == {
+        k: picked(rows_a, [i for i in ids_a if rows_a[i]["time"] == k])
+        for k in {rows_a[i]["time"] for i in ids_a}
+    }
+
+    # algebra
+    assert rows_of(A & B) == picked(rows_a, RefPAG.intersection(ids_a, ids_b))
+    assert rows_of(A - B) == picked(rows_a, RefPAG.difference(ids_a, ids_b))
+    if ids_a and ids_b:
+        plain = VertexSet.from_ids(pag, ids_b)
+        for left, right, rows_r in ((A, B, rows_b), (A, plain, {})):
+            union = left | right
+            assert ids_of(union) == RefPAG.union(ids_a, ids_b)
+            want = {}
+            for i in ids_of(union):
+                want[i] = {}
+                for key in union.columns:
+                    held = [r[i][key] for r in (rows_a, rows_r) if i in r and key in r[i]]
+                    held = [value for value in held if value is not None]
+                    want[i][key] = held[0] if held else ref.vertices[i].get(key)
+            assert rows_of(union) == want
+        assert (plain | A).columns == A.columns
+    # equality is about membership, not about what a pass said of the members
+    assert A == VertexSet.from_ids(pag, ids_a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph_spec, subset)
 def test_legacy_handle_sets_agree_with_columnar(spec, raw_ids):

@@ -1,7 +1,7 @@
 """Tests for the interactive analysis mode (§4.5).
 
-Each test builds a fresh PAG: pass annotations (``imbalance`` etc.) are
-persistent vertex properties, so sessions must not share graphs.
+Each test builds its own session; passes write nothing to the PAG, so
+what ``suggest`` sees is the newest output and only that.
 """
 
 import pytest
@@ -79,13 +79,23 @@ def test_widen_when_no_signal():
     sess = fresh_zmp_session()
     # a synthetic quiet output: nothing comm/locky/imbalanced/waity
     quiet = VertexSet([sess.pag.vertex(0)])
-    sess.pag.vertex(0).properties.pop("imbalance", None)
     sess.record("custom", quiet)
     # root vertex has wait < 50% of time on this app -> widen
     s = sess.suggest()
     assert s.pass_name in ("hotspot_detection", "breakdown_analysis")
     s.run()
     assert len(sess.steps) == 2
+
+
+def test_suggest_judges_the_newest_output_only():
+    sess = fresh_zmp_session()
+    sess.start(n=30)
+    imb = sess.suggest().run()  # imbalance_analysis
+    assert sess.suggest().pass_name == "backtracking_analysis"
+    # the same vertices handed on without that pass's columns: what an
+    # earlier step found is not on the graph for a later one to trip over
+    sess.record("custom", VertexSet.from_ids(sess.pag, imb.ids()))
+    assert sess.suggest().pass_name != "backtracking_analysis"
 
 
 def test_non_set_output_suggests_report():

@@ -107,8 +107,11 @@ def test_community_scope_groups_interacting_ranks():
     for group in groups:
         procs = {v["process"] for v in group}
         assert procs <= {0, 1} or procs <= {2, 3}
-    # annotations present
-    assert all(v["community"] is not None for g in groups for v in g)
+    # the list position is the community: the groups are disjoint and
+    # nothing is written onto the graph
+    members = [v.id for g in groups for v in g]
+    assert len(members) == len(set(members))
+    assert not any("community" in v for v in pv.vertices())
 
 
 def test_community_scope_orders_by_wait(built_views):
