@@ -1,25 +1,44 @@
 """Labeled subgraph matching — the contention-detection kernel.
 
 Paper §4.3.2-D: resource-contention misbehaviours have characteristic
-shapes on the parallel view; contention detection searches all
-embeddings of small candidate pattern graphs.  We implement a VF2-style
-backtracking matcher with label/degree pruning — patterns have a
-handful of vertices, so the search is dominated by candidate filtering.
+shapes on the parallel view; contention detection searches the
+embeddings of small candidate pattern graphs.  The matcher backtracks
+over the pattern vertices in a fixed, connected-first order, on integer
+ids over the PAG's CSR adjacency index and label columns.  A data vertex
+is considered for a pattern vertex only if it meets its label / call
+kind / name constraints and has, per incident pattern edge, a data edge
+of that label in that direction (label/degree pruning, one array pass
+each); candidates are the neighbours of already-matched vertices over
+fitting data edges; a partial match is dropped as soon as the pattern
+vertices joined to it cannot each get a distinct unused candidate.
+Handles exist only while a ``predicate`` looks at one, and in the result.
 
 Pattern vertices may constrain the data-graph vertex by ``label``
 (VertexLabel), ``call_kind``, ``name`` glob, or an arbitrary predicate;
 pattern edges may constrain by ``label`` (EdgeLabel) or predicate.
 Unconstrained pattern elements match anything, so Listing 6's abstract
-A..E pattern is expressible directly.
+A..E pattern is expressible directly.  A pattern edge from a vertex to
+itself constrains nothing.
+
+Returned is one embedding per *walk* of the search, not per distinct
+embedding: a pattern vertex is tried once per data edge reaching it from
+the vertices matched before it, so parallel data edges repeat an
+embedding (two parallel ``a -> b`` edges give the pattern ``x -> y``
+twice), each time with the same matched edge — the lowest-id data edge
+fitting the pattern edge.  Repeats count against ``limit``.
 """
 
 from __future__ import annotations
 
-import fnmatch
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.pag.edge import Edge, EdgeLabel
+import numpy as np
+
+from repro.algorithms.traversal import _passing
+from repro.pag.columns import _np_view
+from repro.pag.edge import ELABEL_CODE, Edge, EdgeLabel
 from repro.pag.graph import PAG
 from repro.pag.vertex import CallKind, Vertex, VertexLabel
 
@@ -32,17 +51,6 @@ class _PatternVertex:
     name: Optional[str] = None
     predicate: Optional[Callable[[Vertex], bool]] = None
 
-    def matches(self, v: Vertex) -> bool:
-        if self.label is not None and v.label is not self.label:
-            return False
-        if self.call_kind is not None and v.call_kind is not self.call_kind:
-            return False
-        if self.name is not None and not fnmatch.fnmatchcase(v.name, self.name):
-            return False
-        if self.predicate is not None and not self.predicate(v):
-            return False
-        return True
-
 
 @dataclass
 class _PatternEdge:
@@ -50,13 +58,6 @@ class _PatternEdge:
     dst: Any
     label: Optional[EdgeLabel] = None
     predicate: Optional[Callable[[Edge], bool]] = None
-
-    def matches(self, e: Edge) -> bool:
-        if self.label is not None and e.label is not self.label:
-            return False
-        if self.predicate is not None and not self.predicate(e):
-            return False
-        return True
 
 
 class PatternGraph:
@@ -111,38 +112,23 @@ class PatternGraph:
     def num_vertices(self) -> int:
         return len(self._vertices)
 
-    # -- matcher internals ---------------------------------------------------
-    def _adjacency(self):
-        out_adj: Dict[Any, List[_PatternEdge]] = {k: [] for k in self._vertices}
-        in_adj: Dict[Any, List[_PatternEdge]] = {k: [] for k in self._vertices}
-        for pe in self._edges:
-            out_adj[pe.src].append(pe)
-            in_adj[pe.dst].append(pe)
-        return out_adj, in_adj
-
     def _search_order(self) -> List[Any]:
         """Connected-first ordering: each vertex after the first shares an
         edge with an earlier one when possible (cuts the search space)."""
-        out_adj, in_adj = self._adjacency()
-        degree = {
-            k: len(out_adj[k]) + len(in_adj[k]) for k in self._vertices
-        }
+        ends = [(pe.src, pe.dst) for pe in self._edges]
+        degree = {k: sum((k == a) + (k == b) for a, b in ends) for k in self._vertices}
         order: List[Any] = []
-        placed = set()
         remaining = set(self._vertices)
         while remaining:
             connected = [
                 k
                 for k in remaining
-                if any(pe.dst in placed for pe in out_adj[k])
-                or any(pe.src in placed for pe in in_adj[k])
+                if any((k == a and b in order) or (k == b and a in order) for a, b in ends)
             ]
-            pool = connected or list(remaining)
             # highest degree first (the anchor of the search is the most
             # constrained vertex); ties resolved by key string ascending
-            nxt = sorted(pool, key=lambda k: (-degree[k], str(k)))[0]
+            nxt = min(connected or remaining, key=lambda k: (-degree[k], str(k)))
             order.append(nxt)
-            placed.add(nxt)
             remaining.remove(nxt)
         return order
 
@@ -155,105 +141,185 @@ class Embedding:
     edges: List[Edge] = field(default_factory=list)
 
 
+#: data vertex ids of consecutive search positions, matched data edge ids
+_Walk = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _assignable(pools: Sequence[Set[int]]) -> bool:
+    """Whether each pool can be given a member of its own (augmenting
+    paths; the pools are a pattern's handful of vertices)."""
+    owner: Dict[int, int] = {}
+
+    def place(i: int, seen: Set[int]) -> bool:
+        for v in pools[i]:
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or place(owner[v], seen):
+                    owner[v] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(pools)))
+
+
+class _Search:
+    """One ``subgraph_matching`` call: the pattern laid out in search
+    order against one PAG's index and label columns."""
+
+    def __init__(
+        self,
+        pag: PAG,
+        pattern: PatternGraph,
+        order: List[Any],
+        candidates: Optional[Iterable[Vertex]],
+    ) -> None:
+        self.pag = pag
+        self.pvs = [pattern._vertices[key] for key in order]
+        self.pes = pes = pattern._edges
+        at = {key: i for i, key in enumerate(order)}
+        # links[i]: the pattern edges joining position i to an earlier one,
+        # as (edge index, earlier position, the data edge's far end is its
+        # source); i's out-edges first — the order matched edges are listed in
+        self.links = [
+            [(j, at[pe.dst], True) for j, pe in enumerate(pes) if pe.src == key and at[pe.dst] < i]
+            + [(j, at[pe.src], False) for j, pe in enumerate(pes) if pe.dst == key and at[pe.src] < i]
+            for i, key in enumerate(order)
+        ]
+        nv = pag.num_vertices
+        self.src = src = _np_view(pag._e_src, np.int64)
+        self.dst = dst = _np_view(pag._e_dst, np.int64)
+        elabel = _np_view(pag._e_label, np.int8)
+        by_label = {pe.label: elabel == ELABEL_CODE[pe.label] for pe in pes if pe.label}
+        self.emask = [by_label.get(pe.label) for pe in pes]  # None: any edge fits
+        # allowed[i]: the data vertices meeting position i's label / kind /
+        # name constraints (None: it has none; predicates wait until a
+        # vertex is a candidate).  A position joined to no earlier one
+        # draws from the whole graph, so there also: having an edge of the
+        # right label for each of its pattern edges.
+        self.allowed: List[Optional[np.ndarray]] = []
+        for i, pv in enumerate(self.pvs):
+            ok = None
+            if (pv.name, pv.label, pv.call_kind) != (None, None, None):
+                meets = pag.vs.select(name=pv.name, label=pv.label, call_kind=pv.call_kind)
+                ok = np.zeros(nv, dtype=bool)
+                ok[meets._ids] = True
+            if not self.links[i]:
+                ok = np.ones(nv, dtype=bool) if ok is None else ok
+                for pe, mask in zip(pes, self.emask):
+                    for end, ends in ((pe.src, src), (pe.dst, dst)):
+                        if end == pv.key and pe.src != pe.dst:
+                            has = np.zeros(nv, dtype=bool)
+                            has[ends if mask is None else ends[mask]] = True
+                            ok &= has
+            self.allowed.append(ok)
+        # the first position draws from ``candidates`` when given (their
+        # handles are kept: one drawn from a set carries that set's row)
+        self.free = {
+            i: np.flatnonzero(ok).tolist()
+            for i, ok in enumerate(self.allowed)
+            if not self.links[i]
+        }
+        self.given: Dict[int, Vertex] = {}
+        if candidates is not None:
+            given = list(candidates)
+            self.free[0] = [v.id for v in given if self.allowed[0][v.id]]
+            self.given = {v.id: v for v in reversed(given)}
+        self.pools: Dict[Tuple[int, int, bool], Tuple[List[int], Dict[int, int]]] = {}
+
+    def handle(self, i: int, vid: int) -> Vertex:
+        return (self.given.get(vid) if i == 0 else None) or Vertex._attached(self.pag, vid)
+
+    def pool(self, j: int, w: int, toward_src: bool) -> Tuple[List[int], Dict[int, int]]:
+        """The data edges fitting pattern edge ``j`` that enter
+        (``toward_src``) or leave ``w``: their far ends in edge-id order,
+        one per edge, and per far end the first such edge."""
+        hit = self.pools.get((j, w, toward_src))
+        if hit is None:
+            eids = self.pag._in_eids(w) if toward_src else self.pag._out_eids(w)
+            if self.emask[j] is not None:
+                eids = eids[self.emask[j][eids]]
+            fit = _passing(self.pag, eids, self.pes[j].predicate)
+            ends = (self.src if toward_src else self.dst)[fit].tolist()
+            hit = self.pools[j, w, toward_src] = (ends, dict(zip(reversed(ends), reversed(fit))))
+        return hit
+
+    def candidates(self, i: int, vids: Tuple[int, ...]) -> Tuple[List[int], List[Dict[int, int]]]:
+        """Position ``i``'s candidates under the partial match ``vids``
+        (it must be joined to it): the shortest pool's far ends that lie
+        in every other pool, are allowed and unused, repeats kept — and
+        the first-edge table of each pool."""
+        pools = [
+            self.pool(j, vids[p], toward_src)
+            for j, p, toward_src in self.links[i]
+            if p < len(vids)
+        ]
+        ends = min(pools, key=lambda pool: len(pool[0]))[0]
+        firsts = [first for _, first in pools]
+        ok = self.allowed[i]
+        return [
+            v
+            for v in ends
+            if (ok is None or ok[v]) and v not in vids and all(v in first for first in firsts)
+        ], firsts
+
+    def extend(self, vids: Tuple[int, ...], budget: int) -> List[_Walk]:
+        """The completions of the partial match ``vids``, in search order,
+        cut off after ``budget``."""
+        i = len(vids)
+        if i == len(self.pvs):
+            return [((), ())]
+        joined = {
+            p: self.candidates(p, vids)
+            for p in range(i, len(self.pvs))
+            if any(q < i for _, q, _ in self.links[p])
+        }
+        if not _assignable([set(seq) for seq, _ in joined.values()]):
+            return []
+        seq, firsts = joined.get(i) or (self.free[i], [])
+        predicate = self.pvs[i].predicate
+        out: List[_Walk] = []
+        # a vertex met again (a parallel edge) replays what it led to
+        found: Dict[int, List[_Walk]] = {}
+        for v in seq:
+            if v not in found:
+                found[v] = []
+                if v not in vids and (predicate is None or predicate(self.handle(i, v))):
+                    matched = tuple(first[v] for first in firsts)
+                    found[v] = [
+                        ((v,) + more_vids, matched + more_eids)
+                        for more_vids, more_eids in self.extend(vids + (v,), budget - len(out))
+                    ]
+            out += found[v][: budget - len(out)]
+            if len(out) >= budget:
+                break
+        return out
+
+
 def subgraph_matching(
     pag: PAG,
     pattern: PatternGraph,
     candidates: Optional[Iterable[Vertex]] = None,
     limit: Optional[int] = None,
 ) -> List[Embedding]:
-    """All embeddings of ``pattern`` in ``pag`` (injective on vertices).
+    """The embeddings of ``pattern`` in ``pag`` (injective on vertices),
+    one per walk of the search (module docstring: when one repeats).
 
     ``candidates`` restricts the anchor (first pattern vertex in search
     order) to the given vertices — the contention pass searches "around"
     its input set this way instead of over the whole graph.  ``limit``
-    caps the number of embeddings returned.
+    caps the number of embeddings returned, repeats included; ``0``
+    returns none.
     """
     order = pattern._search_order()
-    if not order:
+    budget = sys.maxsize if limit is None else limit
+    if not order or budget <= 0:
         return []
-    out_adj, in_adj = pattern._adjacency()
-    results: List[Embedding] = []
-
-    anchor_pool: Iterable[Vertex]
-    pv0 = pattern._vertices[order[0]]
-    if candidates is not None:
-        anchor_pool = [v for v in candidates if pv0.matches(v)]
-    else:
-        anchor_pool = (v for v in pag.vertices() if pv0.matches(v))
-
-    def candidates_for(key: Any, mapping: Dict[Any, Vertex]) -> Iterator[Vertex]:
-        """Data vertices adjacent to already-mapped pattern neighbors."""
-        pv = pattern._vertices[key]
-        pools: List[List[Vertex]] = []
-        for pe in out_adj[key]:
-            if pe.dst in mapping:
-                pool = [
-                    e.src
-                    for e in pag.in_edges(mapping[pe.dst].id)
-                    if pe.matches(e)
-                ]
-                pools.append(pool)
-        for pe in in_adj[key]:
-            if pe.src in mapping:
-                pool = [
-                    e.dst
-                    for e in pag.out_edges(mapping[pe.src].id)
-                    if pe.matches(e)
-                ]
-                pools.append(pool)
-        if not pools:
-            yield from (v for v in pag.vertices() if pv.matches(v))
-            return
-        base = min(pools, key=len)
-        other_ids = [{v.id for v in p} for p in pools if p is not base]
-        for v in base:
-            if pv.matches(v) and all(v.id in ids for ids in other_ids):
-                yield v
-
-    def check_edges(key: Any, v: Vertex, mapping: Dict[Any, Vertex]) -> Optional[List[Edge]]:
-        """Verify every pattern edge between ``key`` and mapped keys."""
-        matched: List[Edge] = []
-        for pe in out_adj[key]:
-            if pe.dst in mapping:
-                hits = [
-                    e
-                    for e in pag.out_edges(v.id)
-                    if e.dst_id == mapping[pe.dst].id and pe.matches(e)
-                ]
-                if not hits:
-                    return None
-                matched.append(hits[0])
-        for pe in in_adj[key]:
-            if pe.src in mapping:
-                hits = [
-                    e
-                    for e in pag.in_edges(v.id)
-                    if e.src_id == mapping[pe.src].id and pe.matches(e)
-                ]
-                if not hits:
-                    return None
-                matched.append(hits[0])
-        return matched
-
-    def backtrack(idx: int, mapping: Dict[Any, Vertex], edges: List[Edge]) -> bool:
-        """Returns True when the embedding limit is reached."""
-        if idx == len(order):
-            results.append(Embedding(dict(mapping), list(edges)))
-            return limit is not None and len(results) >= limit
-        key = order[idx]
-        used = {v.id for v in mapping.values()}
-        pool = anchor_pool if idx == 0 else candidates_for(key, mapping)
-        for v in pool:
-            if v.id in used:
-                continue
-            matched = check_edges(key, v, mapping)
-            if matched is None:
-                continue
-            mapping[key] = v
-            if backtrack(idx + 1, mapping, edges + matched):
-                return True
-            del mapping[key]
-        return False
-
-    backtrack(0, {}, [])
-    return results
+    search = _Search(pag, pattern, order, candidates)
+    edge = Edge._attached
+    return [
+        Embedding(
+            {key: search.handle(i, v) for i, (key, v) in enumerate(zip(order, vids))},
+            [edge(pag, e) for e in eids],
+        )
+        for vids, eids in search.extend((), budget)
+    ]

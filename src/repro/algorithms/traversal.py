@@ -21,12 +21,19 @@ EdgePredicate = Callable[[Edge], bool]
 _DIRECTIONS = ("out", "in", "both")
 
 
+def _passing(pag: PAG, eids: np.ndarray, edge_ok: Optional[EdgePredicate]) -> List[int]:
+    """``eids`` as a list, less the edges ``edge_ok`` rejects."""
+    # an Edge handle exists only while ``edge_ok`` looks at it
+    if edge_ok is None:
+        return eids.tolist()
+    return [e for e in eids.tolist() if edge_ok(Edge._attached(pag, e))]
+
+
 def _far_ends(
     pag: PAG, eids: np.ndarray, far, edge_ok: Optional[EdgePredicate]
 ) -> List[int]:
-    # an Edge handle exists only while ``edge_ok`` looks at it
     if edge_ok is not None:
-        eids = [e for e in eids.tolist() if edge_ok(Edge._attached(pag, e))]
+        eids = _passing(pag, eids, edge_ok)
     return _np_view(far, np.int64)[eids].tolist()
 
 

@@ -61,78 +61,93 @@ def embed_samples(
     pag = static_result.pag
     nprocs = run.nprocs
     nv = pag.num_vertices
-    excl = np.zeros(nv)
-    wait = np.zeros(nv)
-    counts = np.zeros(nv, dtype=np.int64)
-    nbytes = np.zeros(nv)
-    excl_per_rank = np.zeros((nv, nprocs))
-    wait_per_rank = np.zeros((nv, nprocs))
-    bytes_per_rank = np.zeros((nv, nprocs))
 
-    unresolved = 0
-    for path, per_unit in run.vertex_stats.items():
-        v = static_result.vertex_for_path(path)
-        if v is None:
-            unresolved += 1
-            continue
-        vid = v.id
+    contexts = [
+        (static_result.vertex_for_path(path), per_unit)
+        for path, per_unit in run.vertex_stats.items()
+    ]
+    resolved = [(v.id, per_unit) for v, per_unit in contexts if v is not None]
+
+    # Rows exist only for vertices that hold data or have a descendant
+    # that does (a few dozen of ~10^4-10^5): the resolved ids closed
+    # under ``parent``.  Each tree vertex has exactly one parent.
+    parent = np.full(nv, -1, dtype=np.int64)
+    if pag.num_edges:
+        parent[_np_view(pag._e_dst, np.int64)] = _np_view(pag._e_src, np.int64)
+    held = {vid for vid, _ in resolved}
+    for vid in list(held):
+        p = parent.item(vid)
+        while p >= 0 and p not in held:
+            held.add(p)
+            p = parent.item(p)
+    vids = np.array(sorted(held), dtype=np.int64)
+    row_of = {vid: r for r, vid in enumerate(vids.tolist())}
+    k = len(vids)
+    excl = np.zeros(k)
+    wait = np.zeros(k)
+    counts = np.zeros(k, dtype=np.int64)
+    nbytes = np.zeros(k)
+    excl_per_rank = np.zeros((k, nprocs))
+    wait_per_rank = np.zeros((k, nprocs))
+    bytes_per_rank = np.zeros((k, nprocs))
+    for vid, per_unit in resolved:
+        r = row_of[vid]
         for (rank, _thread), stat in per_unit.items():
-            excl[vid] += stat.time
-            wait[vid] += stat.wait
-            counts[vid] += stat.count
-            nbytes[vid] += stat.nbytes
-            excl_per_rank[vid, rank] += stat.time
-            wait_per_rank[vid, rank] += stat.wait
-            bytes_per_rank[vid, rank] += stat.nbytes
+            excl[r] += stat.time
+            wait[r] += stat.wait
+            counts[r] += stat.count
+            nbytes[r] += stat.nbytes
+            excl_per_rank[r, rank] += stat.time
+            wait_per_rank[r, rank] += stat.wait
+            bytes_per_rank[r, rank] += stat.nbytes
 
     # Bottom-up inclusive aggregation.  Vertex ids are assigned in
     # pre-order by the static expander, so iterating ids in reverse visits
-    # children before parents; each tree vertex has exactly one parent.
+    # children before parents.
     incl = excl.copy()
     incl_per_rank = excl_per_rank.copy()
     wait_incl = wait.copy()
     wait_incl_per_rank = wait_per_rank.copy()
-    parent = np.full(nv, -1, dtype=np.int64)
-    if pag.num_edges:
-        parent[_np_view(pag._e_dst, np.int64)] = _np_view(pag._e_src, np.int64)
-    for vid in range(nv - 1, 0, -1):
-        p = parent[vid]
-        if p >= 0:
-            incl[p] += incl[vid]
-            incl_per_rank[p] += incl_per_rank[vid]
-            wait_incl[p] += wait_incl[vid]
-            wait_incl_per_rank[p] += wait_incl_per_rank[vid]
+    for r in range(k - 1, -1, -1):
+        vid = vids.item(r)
+        if vid > 0 and parent.item(vid) >= 0:
+            p = row_of[parent.item(vid)]
+            incl[p] += incl[r]
+            incl_per_rank[p] += incl_per_rank[r]
+            wait_incl[p] += wait_incl[r]
+            wait_incl_per_rank[p] += wait_incl_per_rank[r]
 
     # Bulk write-out: scalar metrics land in typed columns in one pass,
     # per-rank vectors and comm-info stay per-row in the spill column.
-    rows = np.nonzero((incl != 0.0) | (counts != 0))[0]
+    local = np.nonzero((incl != 0.0) | (counts != 0))[0]
+    rows = vids[local]
     vp = pag._vprops
-    vp.set_numeric_bulk("time", rows, incl[rows])
-    vp.set_numeric_bulk("excl_time", rows, excl[rows])
-    vp.set_numeric_bulk("wait", rows, wait_incl[rows])
-    vp.set_numeric_bulk("count", rows, counts[rows], integer=True)
-    vp.set_obj_bulk("time_per_rank", rows, (incl_per_rank[r].copy() for r in rows))
+    vp.set_numeric_bulk("time", rows, incl[local])
+    vp.set_numeric_bulk("excl_time", rows, excl[local])
+    vp.set_numeric_bulk("wait", rows, wait_incl[local])
+    vp.set_numeric_bulk("count", rows, counts[local], integer=True)
+    vp.set_obj_bulk("time_per_rank", rows, (incl_per_rank[r].copy() for r in local))
     vp.set_obj_bulk(
-        "wait_per_rank", rows, (wait_incl_per_rank[r].copy() for r in rows)
+        "wait_per_rank", rows, (wait_incl_per_rank[r].copy() for r in local)
     )
     if len(rows):
         is_comm = (
-            _np_view(pag._v_label, np.int8) == VLABEL_CODE[VertexLabel.CALL]
-        ) & (_np_view(pag._v_kind, np.int8) == CALLKIND_CODE[CallKind.COMM])
-        comm_rows = rows[is_comm[rows]]
+            _np_view(pag._v_label, np.int8)[rows] == VLABEL_CODE[VertexLabel.CALL]
+        ) & (_np_view(pag._v_kind, np.int8)[rows] == CALLKIND_CODE[CallKind.COMM])
+        comm = local[is_comm]
         vp.set_obj_bulk(
-            "comm-info", comm_rows, ({"bytes": float(nbytes[r])} for r in comm_rows)
+            "comm-info", rows[is_comm], ({"bytes": float(nbytes[r])} for r in comm)
         )
         vp.set_obj_bulk(
-            "bytes_per_rank", comm_rows, (bytes_per_rank[r].copy() for r in comm_rows)
+            "bytes_per_rank", rows[is_comm], (bytes_per_rank[r].copy() for r in comm)
         )
         compute_time = excl - wait
-        pmu_rows = rows[compute_time[rows] > 0]
+        pmu = local[compute_time[local] > 0]
         for name, rate in rates.items():
-            vp.set_numeric_bulk(name, pmu_rows, compute_time[pmu_rows] * rate)
+            vp.set_numeric_bulk(name, vids[pmu], compute_time[pmu] * rate)
 
     pag.metadata["nprocs"] = nprocs
     pag.metadata["nthreads"] = run.nthreads
     pag.metadata["elapsed"] = run.elapsed
-    pag.metadata["unresolved_contexts"] = unresolved
+    pag.metadata["unresolved_contexts"] = len(contexts) - len(resolved)
     return pag

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.signatures import signature
-from repro.algorithms.lca import lowest_common_ancestor
+from repro.algorithms.lca import _Ancestry, _ancestry, _lca_ids
 from repro.algorithms.traversal import EdgePredicate
-from repro.pag.edge import EdgeLabel
+from repro.pag.edge import Edge, EdgeLabel
 from repro.pag.sets import EdgeSet, VertexSet
 from repro.pag.vertex import Vertex
 
@@ -93,9 +93,10 @@ def causal_analysis(
     items: List[Vertex] = V.to_list()
     scanned = set()
     causes: Dict[int, List[str]] = {}  # ancestor id -> affected descendants
-    path_edges = []
+    path_edges: List[int] = []
     pairs = 0
     input_ids = {v.id for v in items}
+    searched: Dict[int, _Ancestry] = {}  # one upward search per input, on demand
     for i, v1 in enumerate(items):
         for v2 in items[i + 1 :]:
             if v1.id == v2.id or v1.id in scanned or v2.id in scanned:
@@ -103,13 +104,18 @@ def causal_analysis(
             if pairs >= max_pairs:
                 break
             pairs += 1
-            anc, path = lowest_common_ancestor(pag, v1, v2, edge_ok)
-            if anc is None:
+            for v in (v1, v2):
+                if v.id not in searched:
+                    searched[v.id] = _ancestry(pag, v.id, edge_ok)
+            anc_id, path = _lca_ids(searched[v1.id], searched[v2.id], v1.id, v2.id)
+            if anc_id is None:
                 continue
             scanned.add(v1.id)
             scanned.add(v2.id)
-            if restrict_to_input and anc.id not in input_ids:
+            del searched[v1.id], searched[v2.id]  # a scanned vertex pairs with nothing again
+            if restrict_to_input and anc_id not in input_ids:
                 continue
+            anc = pag.vertex(anc_id)
             if localize:
                 anc = _localize(pag, anc)
             affected = causes.setdefault(anc.id, [])
@@ -119,4 +125,7 @@ def causal_analysis(
                     affected.append(tag)
             path_edges.extend(path)
     V_res = VertexSet.from_ids(pag, list(causes))
-    return V_res.with_columns(causes=list(causes.values())), EdgeSet(path_edges)
+    return (
+        V_res.with_columns(causes=list(causes.values())),
+        EdgeSet(Edge._attached(pag, e) for e in path_edges),
+    )

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.dataflow.signatures import signature
 from repro.algorithms.subgraph import Embedding, PatternGraph, subgraph_matching
-from repro.pag.edge import EdgeLabel
+from repro.pag.columns import _np_view
+from repro.pag.edge import ELABEL_CODE, EdgeLabel
 from repro.pag.graph import PAG
 from repro.pag.sets import EdgeSet, VertexSet
 
@@ -54,14 +57,17 @@ def contention_detection(
         return VertexSet([]), EdgeSet([])
     pat = pattern or default_contention_pattern()
 
-    # Anchor candidates: the inputs plus their inter-thread neighborhood.
-    anchor_ids = set()
-    for v in V:
-        anchor_ids.add(v.id)
-        for e in pag.incident(v.id):
-            if e.label is EdgeLabel.INTER_THREAD:
-                anchor_ids.add(e.other(v.id))
-    anchors = [pag.vertex(vid) for vid in sorted(anchor_ids)]
+    # Anchor candidates: the inputs plus their inter-thread neighborhood,
+    # in id order.
+    wait = np.flatnonzero(
+        _np_view(pag._e_label, np.int8) == ELABEL_CODE[EdgeLabel.INTER_THREAD]
+    )
+    src, dst = _np_view(pag._e_src, np.int64)[wait], _np_view(pag._e_dst, np.int64)[wait]
+    is_input = np.zeros(pag.num_vertices, dtype=bool)
+    is_input[V._ids] = True
+    anchors = VertexSet._from_ids(
+        pag, np.unique(np.concatenate((V._ids, src[is_input[dst]], dst[is_input[src]])))
+    )
 
     embeddings: List[Embedding] = subgraph_matching(pag, pat, candidates=anchors, limit=limit)
     hub_of, out_es = {}, []  # vertex id -> hub tag, in first-embedded order

@@ -19,6 +19,12 @@ real PAG only through its public element API (``pag.edges()``,
 ``pag.out_edges(v)``, ``e.dst_id``, ``v["time"]``), one flyweight
 handle at a time.  ``test_traversal_kernels.py`` holds the array-native
 kernels to them result-for-result.
+
+The third part does the same for the matching and LCA kernels
+(``repro.algorithms.subgraph`` / ``.lca`` and the ``causal_analysis``
+pair loop around the latter) — ``test_matching_kernels.py`` — and the
+last keeps the dense ``embed_samples`` that allocated one row per
+top-down vertex, for ``test_embedding_views.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from __future__ import annotations
 import fnmatch
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.pag.edge import CommKind, EdgeLabel
 from repro.pag.vertex import CallKind, VertexLabel
@@ -392,3 +400,376 @@ def critical_path(
     vertices.reverse()
     edges.reverse()
     return vertices, edges, best[end]
+
+
+# ----------------------------------------------------------------------
+# per-handle subgraph matcher reference (repro.algorithms.subgraph)
+# ----------------------------------------------------------------------
+# Reads a real ``PatternGraph`` through ``_vertices`` (key -> object with
+# ``label``/``call_kind``/``name``/``predicate``) and ``_edges`` (objects
+# with ``src``/``dst``/``label``/``predicate``) only; the search order is
+# part of the result contract, so it is copied here too.
+def _pv_matches(pv: Any, v: Vertex) -> bool:
+    if pv.label is not None and v.label is not pv.label:
+        return False
+    if pv.call_kind is not None and v.call_kind is not pv.call_kind:
+        return False
+    if pv.name is not None and not fnmatch.fnmatchcase(v.name, pv.name):
+        return False
+    if pv.predicate is not None and not pv.predicate(v):
+        return False
+    return True
+
+
+def _pe_matches(pe: Any, e: Edge) -> bool:
+    if pe.label is not None and e.label is not pe.label:
+        return False
+    if pe.predicate is not None and not pe.predicate(e):
+        return False
+    return True
+
+
+def _pattern_adjacency(pattern: Any):
+    out_adj: Dict[Any, List[Any]] = {k: [] for k in pattern._vertices}
+    in_adj: Dict[Any, List[Any]] = {k: [] for k in pattern._vertices}
+    for pe in pattern._edges:
+        out_adj[pe.src].append(pe)
+        in_adj[pe.dst].append(pe)
+    return out_adj, in_adj
+
+
+def _pattern_search_order(pattern: Any) -> List[Any]:
+    """Connected-first ordering: each vertex after the first shares an
+    edge with an earlier one when possible (cuts the search space)."""
+    out_adj, in_adj = _pattern_adjacency(pattern)
+    degree = {k: len(out_adj[k]) + len(in_adj[k]) for k in pattern._vertices}
+    order: List[Any] = []
+    placed = set()
+    remaining = set(pattern._vertices)
+    while remaining:
+        connected = [
+            k
+            for k in remaining
+            if any(pe.dst in placed for pe in out_adj[k])
+            or any(pe.src in placed for pe in in_adj[k])
+        ]
+        pool = connected or list(remaining)
+        # highest degree first (the anchor of the search is the most
+        # constrained vertex); ties resolved by key string ascending
+        nxt = sorted(pool, key=lambda k: (-degree[k], str(k)))[0]
+        order.append(nxt)
+        placed.add(nxt)
+        remaining.remove(nxt)
+    return order
+
+
+def subgraph_matching(
+    pag: PAG,
+    pattern: Any,
+    candidates: Optional[Iterable[Vertex]] = None,
+    limit: Optional[int] = None,
+) -> List[Tuple[Dict[Any, Vertex], List[Edge]]]:
+    """All embeddings of ``pattern`` in ``pag`` as ``(vertices, edges)``
+    pairs (the fields of the kernel's ``Embedding``).
+
+    One deliberate difference from the code as it shipped: ``limit=0``
+    returns ``[]`` (the shipped loop tested the cap only after the first
+    append and returned one embedding).
+    """
+    order = _pattern_search_order(pattern)
+    if not order or (limit is not None and limit <= 0):
+        return []
+    out_adj, in_adj = _pattern_adjacency(pattern)
+    results: List[Tuple[Dict[Any, Vertex], List[Edge]]] = []
+
+    anchor_pool: Iterable[Vertex]
+    pv0 = pattern._vertices[order[0]]
+    if candidates is not None:
+        anchor_pool = [v for v in candidates if _pv_matches(pv0, v)]
+    else:
+        anchor_pool = (v for v in pag.vertices() if _pv_matches(pv0, v))
+
+    def candidates_for(key: Any, mapping: Dict[Any, Vertex]) -> Iterator[Vertex]:
+        """Data vertices adjacent to already-mapped pattern neighbors."""
+        pv = pattern._vertices[key]
+        pools: List[List[Vertex]] = []
+        for pe in out_adj[key]:
+            if pe.dst in mapping:
+                pool = [
+                    e.src
+                    for e in pag.in_edges(mapping[pe.dst].id)
+                    if _pe_matches(pe, e)
+                ]
+                pools.append(pool)
+        for pe in in_adj[key]:
+            if pe.src in mapping:
+                pool = [
+                    e.dst
+                    for e in pag.out_edges(mapping[pe.src].id)
+                    if _pe_matches(pe, e)
+                ]
+                pools.append(pool)
+        if not pools:
+            yield from (v for v in pag.vertices() if _pv_matches(pv, v))
+            return
+        base = min(pools, key=len)
+        other_ids = [{v.id for v in p} for p in pools if p is not base]
+        for v in base:
+            if _pv_matches(pv, v) and all(v.id in ids for ids in other_ids):
+                yield v
+
+    def check_edges(key: Any, v: Vertex, mapping: Dict[Any, Vertex]) -> Optional[List[Edge]]:
+        """Verify every pattern edge between ``key`` and mapped keys."""
+        matched: List[Edge] = []
+        for pe in out_adj[key]:
+            if pe.dst in mapping:
+                hits = [
+                    e
+                    for e in pag.out_edges(v.id)
+                    if e.dst_id == mapping[pe.dst].id and _pe_matches(pe, e)
+                ]
+                if not hits:
+                    return None
+                matched.append(hits[0])
+        for pe in in_adj[key]:
+            if pe.src in mapping:
+                hits = [
+                    e
+                    for e in pag.in_edges(v.id)
+                    if e.src_id == mapping[pe.src].id and _pe_matches(pe, e)
+                ]
+                if not hits:
+                    return None
+                matched.append(hits[0])
+        return matched
+
+    def backtrack(idx: int, mapping: Dict[Any, Vertex], edges: List[Edge]) -> bool:
+        """Returns True when the embedding limit is reached."""
+        if idx == len(order):
+            results.append((dict(mapping), list(edges)))
+            return limit is not None and len(results) >= limit
+        key = order[idx]
+        used = {v.id for v in mapping.values()}
+        pool = anchor_pool if idx == 0 else candidates_for(key, mapping)
+        for v in pool:
+            if v.id in used:
+                continue
+            matched = check_edges(key, v, mapping)
+            if matched is None:
+                continue
+            mapping[key] = v
+            if backtrack(idx + 1, mapping, edges + matched):
+                return True
+            del mapping[key]
+        return False
+
+    backtrack(0, {}, [])
+    return results
+
+
+# ----------------------------------------------------------------------
+# per-handle LCA reference (repro.algorithms.lca) and the causal pair loop
+# ----------------------------------------------------------------------
+def _ancestor_depths(
+    pag: PAG, v: Vertex, edge_ok: Optional[EdgePredicate]
+) -> Dict[int, Tuple[int, Optional[Edge]]]:
+    """BFS upward from ``v``: ancestor id -> (hop distance, edge taken).
+
+    The recorded edge is the one leading from the ancestor toward ``v``
+    on a shortest hop path, enough to reconstruct a propagation path.
+    """
+    out: Dict[int, Tuple[int, Optional[Edge]]] = {v.id: (0, None)}
+    queue = deque([v.id])
+    while queue:
+        vid = queue.popleft()
+        dist = out[vid][0]
+        for e in pag.in_edges(vid):
+            if edge_ok is not None and not edge_ok(e):
+                continue
+            if e.src_id not in out:
+                out[e.src_id] = (dist + 1, e)
+                queue.append(e.src_id)
+    return out
+
+
+def _path_down(
+    anc: Dict[int, Tuple[int, Optional[Edge]]], start: int
+) -> List[Edge]:
+    """Reconstruct the edge path from ``start`` down to the BFS origin."""
+    path: List[Edge] = []
+    vid = start
+    while True:
+        _dist, edge = anc[vid]
+        if edge is None:
+            break
+        path.append(edge)
+        vid = edge.dst_id
+    return path
+
+
+def lowest_common_ancestor(
+    pag: PAG,
+    v: Vertex,
+    w: Vertex,
+    edge_ok: Optional[EdgePredicate] = None,
+) -> Tuple[Optional[Vertex], List[Edge]]:
+    """Deepest common ancestor of ``v`` and ``w`` and the connecting path."""
+    if v.id == w.id:
+        return v, []
+    anc_v = _ancestor_depths(pag, v, edge_ok)
+    anc_w = _ancestor_depths(pag, w, edge_ok)
+    common = set(anc_v) & set(anc_w)
+    common.discard(v.id)
+    common.discard(w.id)
+    # One input being the other's ancestor is the degenerate causal case:
+    # report the ancestor itself.
+    if w.id in anc_v:
+        return pag.vertex(w.id), _path_down(anc_v, w.id)
+    if v.id in anc_w:
+        return pag.vertex(v.id), _path_down(anc_w, v.id)
+    if not common:
+        return None, []
+    best = min(common, key=lambda a: (anc_v[a][0] + anc_w[a][0], a))
+    path = _path_down(anc_v, best) + _path_down(anc_w, best)
+    return pag.vertex(best), path
+
+
+def causal_analysis(
+    V: Any,
+    edge_ok: Optional[EdgePredicate] = None,
+    restrict_to_input: bool = False,
+    localize: bool = True,
+    max_pairs: int = 2000,
+) -> Tuple[List[int], List[List[str]], List[Edge]]:
+    """``repro.passes.causal.causal_analysis``'s pair loop, one LCA call
+    (two upward searches) per pair: ``(cause ids, their ``causes``
+    column, path edges with repeats)``."""
+    from repro.passes.causal import _localize
+
+    pag = V.pag
+    if pag is None:
+        return [], [], []
+    items: List[Vertex] = V.to_list()
+    scanned = set()
+    causes: Dict[int, List[str]] = {}  # ancestor id -> affected descendants
+    path_edges = []
+    pairs = 0
+    input_ids = {v.id for v in items}
+    for i, v1 in enumerate(items):
+        for v2 in items[i + 1 :]:
+            if v1.id == v2.id or v1.id in scanned or v2.id in scanned:
+                continue
+            if pairs >= max_pairs:
+                break
+            pairs += 1
+            anc, path = lowest_common_ancestor(pag, v1, v2, edge_ok)
+            if anc is None:
+                continue
+            scanned.add(v1.id)
+            scanned.add(v2.id)
+            if restrict_to_input and anc.id not in input_ids:
+                continue
+            if localize:
+                anc = _localize(pag, anc)
+            affected = causes.setdefault(anc.id, [])
+            for desc in (v1, v2):
+                tag = f"{desc.name}@{desc['debug-info']}"
+                if tag not in affected:
+                    affected.append(tag)
+            path_edges.extend(path)
+    return list(causes), list(causes.values()), path_edges
+
+
+# ----------------------------------------------------------------------
+# dense embedding reference (repro.pag.embedding.embed_samples)
+# ----------------------------------------------------------------------
+def embed_samples(
+    static_result: Any,
+    run: Any,
+    pmu_rates: Optional[Dict[str, float]] = None,
+) -> PAG:
+    """Embed a run's performance data into the top-down view, holding
+    one ``nprocs``-wide row per top-down vertex while it adds up."""
+    from repro.pag.columns import _np_view
+    from repro.pag.vertex import CALLKIND_CODE, VLABEL_CODE
+    from repro.runtime.sampler import DEFAULT_PMU_RATES
+
+    rates = dict(pmu_rates or DEFAULT_PMU_RATES)
+    pag = static_result.pag
+    nprocs = run.nprocs
+    nv = pag.num_vertices
+    excl = np.zeros(nv)
+    wait = np.zeros(nv)
+    counts = np.zeros(nv, dtype=np.int64)
+    nbytes = np.zeros(nv)
+    excl_per_rank = np.zeros((nv, nprocs))
+    wait_per_rank = np.zeros((nv, nprocs))
+    bytes_per_rank = np.zeros((nv, nprocs))
+
+    unresolved = 0
+    for path, per_unit in run.vertex_stats.items():
+        v = static_result.vertex_for_path(path)
+        if v is None:
+            unresolved += 1
+            continue
+        vid = v.id
+        for (rank, _thread), stat in per_unit.items():
+            excl[vid] += stat.time
+            wait[vid] += stat.wait
+            counts[vid] += stat.count
+            nbytes[vid] += stat.nbytes
+            excl_per_rank[vid, rank] += stat.time
+            wait_per_rank[vid, rank] += stat.wait
+            bytes_per_rank[vid, rank] += stat.nbytes
+
+    # Bottom-up inclusive aggregation.  Vertex ids are assigned in
+    # pre-order by the static expander, so iterating ids in reverse visits
+    # children before parents; each tree vertex has exactly one parent.
+    incl = excl.copy()
+    incl_per_rank = excl_per_rank.copy()
+    wait_incl = wait.copy()
+    wait_incl_per_rank = wait_per_rank.copy()
+    parent = np.full(nv, -1, dtype=np.int64)
+    if pag.num_edges:
+        parent[_np_view(pag._e_dst, np.int64)] = _np_view(pag._e_src, np.int64)
+    for vid in range(nv - 1, 0, -1):
+        p = parent[vid]
+        if p >= 0:
+            incl[p] += incl[vid]
+            incl_per_rank[p] += incl_per_rank[vid]
+            wait_incl[p] += wait_incl[vid]
+            wait_incl_per_rank[p] += wait_incl_per_rank[vid]
+
+    # Bulk write-out: scalar metrics land in typed columns in one pass,
+    # per-rank vectors and comm-info stay per-row in the spill column.
+    rows = np.nonzero((incl != 0.0) | (counts != 0))[0]
+    vp = pag._vprops
+    vp.set_numeric_bulk("time", rows, incl[rows])
+    vp.set_numeric_bulk("excl_time", rows, excl[rows])
+    vp.set_numeric_bulk("wait", rows, wait_incl[rows])
+    vp.set_numeric_bulk("count", rows, counts[rows], integer=True)
+    vp.set_obj_bulk("time_per_rank", rows, (incl_per_rank[r].copy() for r in rows))
+    vp.set_obj_bulk(
+        "wait_per_rank", rows, (wait_incl_per_rank[r].copy() for r in rows)
+    )
+    if len(rows):
+        is_comm = (
+            _np_view(pag._v_label, np.int8) == VLABEL_CODE[VertexLabel.CALL]
+        ) & (_np_view(pag._v_kind, np.int8) == CALLKIND_CODE[CallKind.COMM])
+        comm_rows = rows[is_comm[rows]]
+        vp.set_obj_bulk(
+            "comm-info", comm_rows, ({"bytes": float(nbytes[r])} for r in comm_rows)
+        )
+        vp.set_obj_bulk(
+            "bytes_per_rank", comm_rows, (bytes_per_rank[r].copy() for r in comm_rows)
+        )
+        compute_time = excl - wait
+        pmu_rows = rows[compute_time[rows] > 0]
+        for name, rate in rates.items():
+            vp.set_numeric_bulk(name, pmu_rows, compute_time[pmu_rows] * rate)
+
+    pag.metadata["nprocs"] = nprocs
+    pag.metadata["nthreads"] = run.nthreads
+    pag.metadata["elapsed"] = run.elapsed
+    pag.metadata["unresolved_contexts"] = unresolved
+    return pag

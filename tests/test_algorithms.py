@@ -210,6 +210,20 @@ def test_subgraph_matching_candidates_and_limit():
     assert all(emb.vertices["x"].id == 1 for emb in anchored)
 
 
+def test_subgraph_matching_limit_is_a_cap_from_zero_up():
+    g = diamond()
+    pat = PatternGraph()
+    pat.add_vertex("x").add_vertex("y")
+    pat.add_edge("x", "y")
+    everything = subgraph_matching(g, pat)
+    count = len(everything)
+    assert count == 4
+    for limit, want in ((0, 0), (1, 1), (count, count), (count + 1, count)):
+        found = subgraph_matching(g, pat, limit=limit)
+        assert len(found) == want
+        assert [e.vertices for e in found] == [e.vertices for e in everything[:want]]
+
+
 def test_pattern_listing6_api():
     pat = PatternGraph()
     pat.add_vertices([(1, "A"), (2, "B"), (3, "C"), (4, "D"), (5, "E")])

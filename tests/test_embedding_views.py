@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps import registry
 from repro.pag.edge import CommKind, EdgeLabel
 from repro.pag.views import (
     build_parallel_view,
@@ -167,3 +168,51 @@ def test_slice_parallel_view(ring_run):
     sub3 = slice_parallel_view(pv, names=(), around=(waitall.id,), hops=1)
     assert sub3.num_vertices >= 3
     assert sub3.metadata["sliced"] is True
+
+
+# ---------------------------------------------------------------------------
+# embed_samples holds rows only for vertices with data; the dense version it
+# replaced (one nprocs-wide row per top-down vertex) is the reference
+# ---------------------------------------------------------------------------
+def _embedded_both_ways(app: str, nprocs: int):
+    from repro.ir.static_analysis import analyze
+    from repro.pag.embedding import embed_samples
+
+    from tests import reference_shim as ref
+
+    program = registry("S")[app]()
+    run = run_program(program, nprocs=nprocs)
+    got = embed_samples(analyze(program, run.indirect_targets), run)
+    want = ref.embed_samples(analyze(program, run.indirect_targets), run)
+    return got, want
+
+
+@pytest.mark.parametrize("nprocs", [8, 64])
+@pytest.mark.parametrize("app", sorted(registry("S")))
+def test_embedding_equals_dense_reference_on_every_bundled_app(app, nprocs):
+    from repro.cache import fingerprint_pag
+
+    got, want = _embedded_both_ways(app, nprocs)
+    assert got.vertex(0)["time"] > 0.0
+    assert fingerprint_pag(got) == fingerprint_pag(want)
+
+
+def test_embedding_allocates_for_vertices_with_data_not_for_the_view():
+    """ZeusMP at 256 ranks: 11,981 top-down vertices, a few dozen with
+    data.  Five dense (vertices x ranks) float64 matrices are ~120 MB."""
+    import tracemalloc
+
+    from repro.ir.static_analysis import analyze
+    from repro.pag.embedding import embed_samples
+
+    program = registry("S")["zeusmp"]()
+    run = run_program(program, nprocs=256)
+    static_result = analyze(program, run.indirect_targets)
+    assert static_result.pag.num_vertices * 256 * 8 * 5 > 100e6
+    tracemalloc.start()
+    try:
+        embed_samples(static_result, run)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

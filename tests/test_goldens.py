@@ -1,7 +1,8 @@
 """Golden regression fixtures for the built-in paradigms.
 
 Normalized report outputs for the ``mpi_profiler``, ``scalability``,
-and ``critical_path`` paradigms are committed under ``tests/goldens/``;
+and ``critical_path`` paradigms are committed under ``tests/goldens/``
+(for the contention paradigm: the CLI's own stdout on Vite);
 these tests regenerate the same normalized text and compare it verbatim
 so that scheduler (and future) refactors can't silently change analysis
 *results* while keeping tests green.  The PerFlowGraph-backed paradigm
@@ -180,3 +181,15 @@ def test_golden_critical_path_microbench(micro_ctx):
         pflow, pags[4], max_ranks=4, expand_threads=True
     )
     _check_golden("critical_path_microbench.txt", _render_critical_path(res))
+
+
+def test_golden_contention_vite_cli_stdout(capsys):
+    """``repro paradigm contention vite --np 4 --threads 3``, byte for
+    byte: differential suspects, embedded vertices and wait edges, hubs.
+    The matcher returns an embedding once per parallel data edge and
+    those repeats count against the pass's ``limit``, so this output
+    moves if either side of that changes."""
+    from repro.cli import main
+
+    assert main(["paradigm", "contention", "vite", "--np", "4", "--threads", "3"]) == 0
+    _check_golden("contention_vite.txt", capsys.readouterr().out)

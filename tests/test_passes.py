@@ -202,6 +202,13 @@ def test_contention_detection_listing6():
     assert all(v["contention_hub"] == "hub@t:2" for v in V_ebd)
 
 
+def test_contention_detection_limit_zero_finds_nothing():
+    g = contention_pag()
+    V_ebd, E_ebd = contention_detection(VertexSet([g.vertex(2)]), limit=0)
+    assert len(V_ebd) == 0 and len(E_ebd) == 0
+    assert V_ebd.values("contention_hub") == []
+
+
 def test_contention_no_pattern_without_interthread_edges():
     g = metric_pag([1.0, 2.0, 3.0])
     V_ebd, E_ebd = contention_detection(g.vs)
