@@ -8,9 +8,9 @@ evidence, not asserted, since the GIL serializes it by construction.
 Forked workers overlap it fully, so with ≥4 cores the ideal speedup is
 ~4× and the test requires **≥ 2×** to absorb CI noise.
 
-The passes take plain-int arguments so the shared-memory publish step
-is a no-op: the measurement isolates pool + transfer overhead against
-raw compute, the regime the backend exists for.
+The passes take plain-int arguments, so nothing rebinds to a PAG: the
+measurement isolates fork + transfer overhead against raw compute, the
+regime the backend exists for.
 
 Each test prints one JSON line (run with ``-s`` to capture) so the
 numbers can be tracked across commits by the CI perf-smoke job.

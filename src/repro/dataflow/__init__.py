@@ -9,8 +9,8 @@
   inline (serial, ``jobs=1``) or thread-pool executor, with
   serial-identical semantics.
 * :mod:`~repro.dataflow.procpool` — the process executor behind
-  ``run(jobs=N, backend="process")``: forked workers that attach the
-  run's PAGs zero-copy from shared memory, for CPU-bound pipelines the
+  ``run(jobs=N, backend="process")``: forked workers that inherit the
+  graph and the run's PAGs copy-on-write, for CPU-bound pipelines the
   GIL would serialize.
 * :mod:`~repro.dataflow.lowlevel` — the low-level API surface of
   §4.3.1: graph operations, graph algorithms, set operations, and the
@@ -25,7 +25,6 @@ from repro.dataflow.graph import PerFlowGraph, PipelineError
 from repro.dataflow.procpool import (
     NotTransferable,
     ProcPoolError,
-    ShmAttachError,
     WorkerCrashed,
 )
 from repro.dataflow.scheduler import (
@@ -63,6 +62,5 @@ __all__ = [
     "resolve_backend",
     "ProcPoolError",
     "WorkerCrashed",
-    "ShmAttachError",
     "NotTransferable",
 ]

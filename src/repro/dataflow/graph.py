@@ -409,8 +409,8 @@ class PerFlowGraph:
         ``jobs=N`` runs dependency-free nodes concurrently on ``N``
         threads (``backend="thread"``, the default) or ``N`` forked
         worker processes (``backend="process"``,
-        :mod:`repro.dataflow.procpool`: PAGs published once into shared
-        memory, results returned as the result cache's ``(kind,
+        :mod:`repro.dataflow.procpool`: graph and PAGs inherited through
+        the fork, results returned as the result cache's ``(kind,
         fingerprint, id-array)`` references, nodes whose arguments or
         results cannot cross the process boundary run on the
         coordinator).  Whatever the executor, the ``{name: output}``

@@ -13,8 +13,8 @@ releases the newly ready ones.  Three pieces, kept apart:
   future, or ``None`` after completing the node on the coordinator.
   :class:`InlineExecutor` (no pool: the serial sweep, ``jobs=1``),
   :class:`ThreadExecutor` and
-  :class:`~repro.dataflow.procpool.ProcessExecutor` (forked workers,
-  PAGs in shared memory) are the three there are.
+  :class:`~repro.dataflow.procpool.ProcessExecutor` (forked workers)
+  are the three there are.
 * :func:`drive` — the loop: pop ready nodes, submit, wait for the first
   completion, settle it, repeat.
 

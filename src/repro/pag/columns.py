@@ -35,8 +35,7 @@ column never materializes per-element Python objects.
 Columns are either **heap-owned** (``array``/``bytearray`` buffers the
 column grows and mutates freely — the default) or **lazy views** over a
 :class:`SegmentBacking`: read-only ``numpy`` views into an attached
-buffer such as an mmap-ed format-3 file segment (or, in the future, a
-``multiprocessing.shared_memory`` block).  Lazy columns serve every
+buffer such as an mmap-ed format-3 file segment.  Lazy columns serve every
 read path zero-copy — the OS faults in only the pages a pass actually
 touches — and promote to heap with a single copy-on-write
 :meth:`~_TypedColumn._materialize` on the first mutation, so the
@@ -70,7 +69,7 @@ class SegmentBacking:
     """Keeps the buffer behind a family of lazy columns alive.
 
     One backing exists per attached storage object — an ``mmap.mmap``
-    over a format-3 file, a ``bytes`` blob, or a shared-memory block —
+    over a format-3 file, or a ``bytes`` blob —
     and every lazy column view into it holds a reference, so the buffer
     cannot be released while any column still reads from it.  ``source``
     is a human-readable origin (usually the file path) surfaced by

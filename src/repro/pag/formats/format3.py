@@ -255,8 +255,7 @@ def _finish_header(
     """Validate a fixed header + directory against ``total_size`` bytes.
 
     The shared core behind :func:`read_header` (file) and
-    :func:`read_header_buffer` (in-memory image, e.g. a shared-memory
-    block): ``head`` is the first ``HEADER_SIZE`` bytes, ``read_dir``
+    :func:`read_header_buffer` (in-memory image): ``head`` is the first ``HEADER_SIZE`` bytes, ``read_dir``
     yields the next ``dir_len`` bytes on demand, ``total_size`` bounds
     every segment extent.  Raises :class:`PAGFormatError` on anything
     truncated, misaligned, or out of bounds — so loaders can trust the
@@ -356,8 +355,7 @@ def read_header_buffer(buf: Any, source: Any = "<buffer>") -> Dict[str, Any]:
     """:func:`read_header` over an in-memory format-3 image.
 
     ``buf`` is any buffer holding the whole document (a ``bytes``
-    object, a ``memoryview``, a ``multiprocessing.shared_memory``
-    block's ``.buf``); segment extents are validated against its full
+    object, a ``bytearray``, a ``memoryview``); segment extents are validated against its full
     length, so a loader can attach views without further bounds checks.
     """
     data = memoryview(buf)
@@ -433,9 +431,9 @@ def _build_pag(
     every array as a numpy view over ``buf`` (columns carry ``backing``
     and promote to heap copy-on-write); otherwise arrays are heap-owned
     copies.  ``readonly`` force-clears view writability — an
-    ``ACCESS_READ`` mmap is born read-only, but a shared-memory
-    block's ``memoryview`` is writable, and a worker scribbling on a
-    zero-copy twin would corrupt every sibling's view of it.
+    ``ACCESS_READ`` mmap is born read-only, but a caller's buffer may be
+    writable (a ``bytearray``), and scribbling through a zero-copy twin
+    would corrupt every other view of it.
     """
     directory = hdr["directory"]
     data_start = hdr["data_start"]
@@ -541,14 +539,12 @@ def load_format3(path: Any, use_mmap: bool = False) -> PAG:
 def load_format3_buffer(buf: Any, source: Any = "<buffer>") -> PAG:
     """Attach a PAG zero-copy over an in-memory format-3 image.
 
-    The process-backend path: the coordinator streams ``write_format3``
-    into a ``multiprocessing.shared_memory`` block once, and every
-    worker reconstructs its read-only twin from the block's ``.buf``
-    with this function — O(header) per attach, column pages fault in
-    on first touch, and mutation promotes a column to a worker-local
-    heap copy exactly like the mmap path (the block itself is never
-    written).  The caller owns ``buf``'s lifetime and must keep the
-    underlying block mapped for as long as the returned PAG lives.
+    The mmap path without a file: a read-only twin over any buffer that
+    holds a whole ``write_format3`` document — O(header) to attach,
+    columns are views into ``buf``, and mutation promotes a column to a
+    heap copy exactly like the mmap path (``buf`` itself is never
+    written).  The caller owns ``buf``'s lifetime and must keep it alive
+    and unresized for as long as the returned PAG lives.
     """
     hdr = read_header_buffer(buf, source=source)
     backing = SegmentBacking(buf, source=str(source))

@@ -269,7 +269,7 @@ class PAG:
         """``(out_ptr, out_eids, in_ptr, in_eids)`` int64 arrays.
 
         Reads the endpoint arrays through zero-copy views, so it works
-        on mmap- and shm-backed graphs without thawing them.
+        on mmap- and buffer-backed graphs without thawing them.
         """
         nv, ne = len(self._v_label), len(self._e_src)
         cached = self._csr_cache

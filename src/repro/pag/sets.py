@@ -89,13 +89,7 @@ def _membership(query: np.ndarray, ids: np.ndarray, universe: int) -> np.ndarray
 
 
 class CrossPAGError(ValueError):
-    """Elements of two PAGs met in one set; a set covers exactly one.
-
-    Its own type because it is the one error that depends on graph
-    *identity*: a process-backend worker sees a graph the pass closed
-    over and the shared-memory twin of the same graph as two objects,
-    and must be able to tell this error from the pass's own failures.
-    """
+    """Elements of two PAGs met in one set; a set covers exactly one."""
 
 
 def _cross_pag(cls: type, a, b) -> CrossPAGError:

@@ -149,8 +149,8 @@ class ReproServer:
             thread_name_prefix="serve",
         )
         # Forking is not thread-safe: a worker forked while a sibling
-        # execution holds a lock (the shm publish path takes the global
-        # resource_tracker lock) inherits it held and deadlocks.  The
+        # execution holds any lock (logging, the metrics registry, the
+        # cache's MemoryLRU) inherits it held and deadlocks.  The
         # process backend forks lazily at submit, so the server must be
         # a single-forker: one process-backend run at a time, with the
         # run's own jobs=N worker pool providing the parallelism.

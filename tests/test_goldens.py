@@ -147,7 +147,7 @@ def test_golden_scalability_microbench(micro_ctx):
 
 def test_golden_mpi_profiler_microbench_process_backend(micro_ctx):
     """backend="process" must reproduce the committed golden byte-equal:
-    the shared-memory transport cannot perturb analysis results."""
+    the process boundary cannot perturb analysis results."""
     _, pags = micro_ctx
     rows = mpi_profiler_paradigm(PerFlow(jobs=2, backend="process"), pags[4], top=10)
     _check_golden("mpi_profiler_microbench.txt", _render_mpi_rows(rows))

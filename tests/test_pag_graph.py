@@ -243,27 +243,17 @@ def test_index_builds_over_mmap_backed_structure_without_thawing(tmp_path):
 
 
 def test_index_builds_over_shm_attached_structure_without_thawing():
-    import gc
-
-    from repro.dataflow.procpool import _attach_segment, publish_pags, unpublish_pags
+    """The read-only twin over an in-memory format-3 image is indexed
+    through its views, like the mmap-ed file above."""
+    from repro.pag.formats.format3 import load_format3_buffer, write_format3
 
     g = multigraph()
-    fp = g.fingerprint()
-    segments = publish_pags({fp: g})
-    try:
-        shm, twin = _attach_segment(segments[fp].name, fp)
-        try:
-            assert _structure_is_borrowed(twin)
-            assert adjacency(twin) == adjacency(g)
-            assert _structure_is_borrowed(twin)
-        finally:
-            # the index owns its arrays, so dropping the twin releases
-            # every view into shm.buf and close() succeeds
-            del twin
-            gc.collect()
-            shm.close()
-    finally:
-        unpublish_pags(segments)
+    image = bytearray()
+    write_format3(g, image.extend, include_per_rank=True)
+    twin = load_format3_buffer(image)
+    assert _structure_is_borrowed(twin)
+    assert adjacency(twin) == adjacency(g)
+    assert _structure_is_borrowed(twin)
 
 
 def test_golden_paradigms_build_each_index_at_most_once(monkeypatch):

@@ -1,24 +1,23 @@
 """Fault injection for the multiprocessing backend.
 
-The process pool adds failure modes threads cannot have: a worker can
-die without returning (SIGKILL, OOM-kill), a shared-memory attach can
-fail (segment gone, fingerprint mismatch), and results can be lost in
-transit.  Each must surface as a deterministic, well-typed error in the
-coordinator — and none may leak ``/dev/shm`` segments, whatever the
-exit path.
+The process pool adds a failure mode threads cannot have: a worker can
+die without returning (SIGKILL, OOM-kill) and its result is lost in
+transit.  It must surface as a deterministic, well-typed error in the
+coordinator — and leave no worker process behind, whatever the exit
+path.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 
 import pytest
 
-from repro.dataflow import procpool
 from repro.dataflow.graph import PerFlowGraph
-from repro.dataflow.procpool import ShmAttachError, WorkerCrashed
+from repro.dataflow.procpool import WorkerCrashed
 from repro.pag.edge import EdgeLabel
 from repro.pag.sets import VertexSet
 from repro.pag.graph import PAG
@@ -39,22 +38,6 @@ def make_pag(name: str = "g", n: int = 6) -> PAG:
     return pag
 
 
-def _shm_segments() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - non-Linux fallback
-        return set()
-
-
-@pytest.fixture
-def shm_guard():
-    """Assert the run under test leaks no shared-memory segments."""
-    before = _shm_segments()
-    yield
-    leaked = _shm_segments() - before
-    assert not leaked, f"leaked shm segments: {sorted(leaked)}"
-
-
 def _keep_all(s):
     return VertexSet(list(s))
 
@@ -68,7 +51,7 @@ def _poison(s):
 
 
 def _pag_pipeline(fn_mid):
-    """input → keep → <fn_mid> → names; PAG-backed so workers attach."""
+    """input → keep → <fn_mid> → names; PAG-backed so sets rebind."""
     g = PerFlowGraph("faulty")
     V = g.input("V", VertexSet)
     a = g.add_pass(_keep_all, V, name="keep")
@@ -78,7 +61,7 @@ def _pag_pipeline(fn_mid):
 
 
 # ----------------------------------------------------------------- crash
-def test_sigkilled_worker_raises_worker_crashed(shm_guard):
+def test_sigkilled_worker_raises_worker_crashed():
     pag = make_pag()
     g = _pag_pipeline(_die)
     with pytest.raises(WorkerCrashed) as exc:
@@ -87,7 +70,7 @@ def test_sigkilled_worker_raises_worker_crashed(shm_guard):
     assert "mid" in str(exc.value)
 
 
-def test_crash_counts_metric_and_semantic_errors_win(shm_guard):
+def test_crash_counts_metric_and_semantic_errors_win():
     """A plain raising pass beats WorkerCrashed taxonomy: the original
     exception type/message surface, exactly as the serial run raises."""
     pag = make_pag()
@@ -99,66 +82,14 @@ def test_crash_counts_metric_and_semantic_errors_win(shm_guard):
     assert type(proc_exc.value) is ValueError
 
 
-# ---------------------------------------------------------------- attach
-def test_shm_attach_failure_is_fatal_and_typed(shm_guard, monkeypatch):
-    """If a worker cannot attach a published segment, the run fails with
-    ShmAttachError (environmental, not semantic) rather than hanging or
-    silently recomputing."""
-
-    def broken_attach(name, fp):
-        raise ShmAttachError(f"injected attach failure for {name}")
-
-    # Workers fork at pool creation inside run(); they inherit the
-    # patched module, so every attach attempt fails.
-    monkeypatch.setattr(procpool, "_attach_segment", broken_attach)
-    pag = make_pag()
-    g = _pag_pipeline(_keep_all)
-    with pytest.raises(ShmAttachError) as exc:
-        g.run(jobs=2, backend="process", V=pag.vs)
-    assert "injected attach failure" in str(exc.value)
-
-
 # ----------------------------------------------------------------- leaks
-def test_successful_run_unregisters_every_segment(monkeypatch, shm_guard):
-    """Parent-side resource_tracker bookkeeping balances: every segment
-    registered at publish time is unregistered by the unlink in the
-    run's finally block (the tracker would otherwise warn at exit)."""
-    from multiprocessing import resource_tracker
-
-    events = []
-    real_register = resource_tracker.register
-    real_unregister = resource_tracker.unregister
-
-    def register(name, rtype):
-        if rtype == "shared_memory":
-            events.append(("register", name))
-        return real_register(name, rtype)
-
-    def unregister(name, rtype):
-        if rtype == "shared_memory":
-            events.append(("unregister", name))
-        return real_unregister(name, rtype)
-
-    monkeypatch.setattr(resource_tracker, "register", register)
-    monkeypatch.setattr(resource_tracker, "unregister", unregister)
-
-    pag = make_pag()
-    out = _pag_pipeline(_keep_all).run(jobs=2, backend="process", V=pag.vs)
-    assert out["names"] == [f"f{i}" for i in range(6)]
-
-    registered = [n for (kind, n) in events if kind == "register"]
-    unregistered = [n for (kind, n) in events if kind == "unregister"]
-    assert registered, "expected at least one published segment"
-    assert sorted(registered) == sorted(unregistered)
-
-
 def test_crashed_run_leaks_no_segments():
-    """The finally-block unlink runs even when the pool breaks."""
-    before = _shm_segments()
+    """``ProcessExecutor.close`` joins the pool even when it broke: the
+    surviving worker is gone by the time ``run`` raises."""
     pag = make_pag()
     with pytest.raises(WorkerCrashed):
         _pag_pipeline(_die).run(jobs=2, backend="process", V=pag.vs)
-    assert _shm_segments() - before == set()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------- ledger

@@ -161,8 +161,8 @@ def test_serve_process_backend_leaks_no_shm(tmp_path, pag_file):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    # Same idiom as tests/test_procpool_faults.py: the drain must return
-    # every shared-memory segment the process pool created.
+    # The process pool creates no shared-memory segment; a drained
+    # server must not have left one behind by any other route either.
     leaked = set(os.listdir("/dev/shm")) - before
     assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
