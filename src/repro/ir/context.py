@@ -39,13 +39,11 @@ class ExecContext:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def push_iteration(self, i: int) -> "ExecContext":
+        # positional: one context per simulated loop iteration, and keyword
+        # binding doubles the cost of the dataclass __init__
         return ExecContext(
-            rank=self.rank,
-            nprocs=self.nprocs,
-            thread=self.thread,
-            nthreads=self.nthreads,
-            iterations=self.iterations + (i,),
-            params=self.params,
+            self.rank, self.nprocs, self.thread, self.nthreads,
+            self.iterations + (i,), self.params,
         )
 
     def with_thread(self, thread: int, nthreads: int) -> "ExecContext":

@@ -23,6 +23,7 @@ longest-prefix fallback instead of a graph search.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -31,7 +32,6 @@ from repro.ir.model import (
     Call,
     CallTarget,
     CommCall,
-    Function,
     Loop,
     Node,
     Program,
@@ -40,15 +40,31 @@ from repro.ir.model import (
     ThreadOp,
 )
 from repro.obs.trace import timed_span as _timed_span
-from repro.pag.edge import EdgeLabel
+from repro.pag.columns import StrColumn
+from repro.pag.edge import ELABEL_CODE, EdgeLabel
 from repro.pag.graph import PAG
-from repro.pag.vertex import CallKind, Vertex, VertexLabel
+from repro.pag.vertex import CALLKIND_CODE, NO_KIND, VLABEL_CODE, CallKind, Vertex, VertexLabel
 
 PathElem = Union[int, str]
 Path = Tuple[PathElem, ...]
 
 #: Maximum inlining depth for recursive call chains.
 MAX_RECURSION_DEPTH = 2
+
+_FUNCTION, _LOOP, _BRANCH, _INSTRUCTION, _CALL = (
+    VLABEL_CODE[label] for label in (
+        VertexLabel.FUNCTION, VertexLabel.LOOP, VertexLabel.BRANCH,
+        VertexLabel.INSTRUCTION, VertexLabel.CALL,
+    )
+)
+_COMM, _THREAD, _EXTERNAL, _INDIRECT, _USER, _RECURSIVE = (
+    CALLKIND_CODE[kind] for kind in (
+        CallKind.COMM, CallKind.THREAD, CallKind.EXTERNAL,
+        CallKind.INDIRECT, CallKind.USER, CallKind.RECURSIVE,
+    )
+)
+_INTRA = ELABEL_CODE[EdgeLabel.INTRA_PROCEDURAL]
+_INTER = ELABEL_CODE[EdgeLabel.INTER_PROCEDURAL]
 
 
 @dataclass
@@ -108,76 +124,90 @@ class StaticAnalysisResult:
 
 
 class _Expander:
-    """Walks the IR and emits top-down-view vertices/edges."""
+    """Walks the IR and appends the top-down view straight into the PAG.
+
+    A vertex is one row of the structural arrays and of the
+    ``debug-info`` string column; every vertex but the root adds one
+    tree edge from its parent.  Names and debug strings are interned in
+    the order ``PAG.add_vertex`` would intern them (name, then
+    debug-info), so the string table comes out the same.
+    """
 
     def __init__(self, program: Program, indirect_targets: Dict[int, Set[str]]):
         self.program = program
         self.indirect_targets = indirect_targets
-        self.pag = PAG(
+        self.pag = pag = PAG(
             f"{program.name}/top-down",
             {"view": "top-down", "program": program.name},
         )
         self.path_to_vertex: Dict[Path, int] = {}
         self.unresolved: List[int] = []
+        self.debug = debug = StrColumn(pag.strings)
+        intern, path_to_vertex = pag.strings.intern, self.path_to_vertex
+        v_label, v_kind, v_name = pag._v_label.append, pag._v_kind.append, pag._v_name.append
+        e_src, e_dst, e_label = pag._e_src.append, pag._e_dst.append, pag._e_label.append
+        debug_sid = debug.sids.append
 
-    # -- helpers -----------------------------------------------------------
-    def _add(
-        self,
-        path: Path,
-        label: VertexLabel,
-        name: str,
-        parent: Optional[Vertex],
-        edge_label: EdgeLabel,
-        call_kind: Optional[CallKind] = None,
-        line: int = 0,
-        source_file: str = "",
-    ) -> Vertex:
-        v = self.pag.add_vertex(
-            label,
-            name,
-            call_kind,
-            {"debug-info": f"{source_file}:{line}" if source_file else f"line:{line}"},
-        )
-        self.path_to_vertex[path] = v.id
-        if parent is not None:
-            self.pag.add_edge(parent, v, edge_label)
-        return v
+        def add(path, label, name, parent, edge_label, kind, line, source_file) -> int:
+            vid = len(pag._v_label)
+            v_label(label)
+            v_kind(kind)
+            v_name(intern(name))
+            debug_sid(intern(f"{source_file}:{line}" if source_file else f"line:{line}"))
+            path_to_vertex[path] = vid
+            if parent >= 0:
+                e_src(parent)
+                e_dst(vid)
+                e_label(edge_label)
+            return vid
+
+        self._add = add
+
+    def finish(self) -> PAG:
+        """Size the property stores and edge kinds to the appended rows."""
+        pag = self.pag
+        nv, ne = pag.num_vertices, pag.num_edges
+        pag._e_kind.extend(array("b", [NO_KIND]) * ne)
+        pag._vprops.columns["debug-info"] = self.debug
+        pag._vprops.add_rows(nv)
+        pag._vprops.version += 1
+        pag._eprops.add_rows(ne)
+        return pag
 
     # -- expansion -----------------------------------------------------------
     def expand_function(
         self,
         fname: str,
         path: Path,
-        parent: Optional[Vertex],
+        parent: int,
         call_chain: Tuple[str, ...],
-    ) -> Vertex:
+    ) -> int:
         func = self.program.function(fname)
         fpath = path + (f"f:{fname}",)
         fv = self._add(
-            fpath,
-            VertexLabel.FUNCTION,
-            fname,
-            parent,
-            EdgeLabel.INTER_PROCEDURAL,
-            line=func.line,
-            source_file=func.source_file,
+            fpath, _FUNCTION, fname, parent, _INTER, NO_KIND, func.line, func.source_file
         )
-        self.expand_body(func.body, fpath, fv, func, call_chain + (fname,), loop_prefix="")
+        self.expand_body(func.body, fpath, fv, func.source_file, call_chain + (fname,), "")
         return fv
 
     def expand_body(
         self,
         body: Sequence[Node],
         path: Path,
-        parent: Vertex,
-        func: Function,
+        parent: int,
+        source_file: str,
         call_chain: Tuple[str, ...],
         loop_prefix: str,
     ) -> None:
+        add = self._add
         loop_index = 0
         for node in body:
             npath = path + (node.uid,)
-            if isinstance(node, Loop):
+            if isinstance(node, Stmt):
+                add(npath, _INSTRUCTION, node.name, parent, _INTRA, NO_KIND, node.line, source_file)
+            elif isinstance(node, Call):
+                self._expand_call(node, npath, parent, source_file, call_chain)
+            elif isinstance(node, Loop):
                 loop_index += 1
                 name = node.name or (
                     f"loop_{loop_prefix}{loop_index}" if not loop_prefix
@@ -188,45 +218,23 @@ class _Expander:
                 inner_prefix = (
                     f"{loop_prefix}.{loop_index}" if loop_prefix else str(loop_index)
                 )
-                lv = self._add(
-                    npath, VertexLabel.LOOP, name, parent,
-                    EdgeLabel.INTRA_PROCEDURAL, line=node.line,
-                    source_file=func.source_file,
-                )
-                self.expand_body(node.body, npath, lv, func, call_chain, inner_prefix)
+                lv = add(npath, _LOOP, name, parent, _INTRA, NO_KIND, node.line, source_file)
+                self.expand_body(node.body, npath, lv, source_file, call_chain, inner_prefix)
             elif isinstance(node, Branch):
-                name = node.name or "branch"
-                bv = self._add(
-                    npath, VertexLabel.BRANCH, name, parent,
-                    EdgeLabel.INTRA_PROCEDURAL, line=node.line,
-                    source_file=func.source_file,
+                bv = add(
+                    npath, _BRANCH, node.name or "branch", parent, _INTRA, NO_KIND,
+                    node.line, source_file,
                 )
                 self.expand_body(
                     list(node.then_body) + list(node.else_body),
-                    npath, bv, func, call_chain, loop_prefix,
-                )
-            elif isinstance(node, Stmt):
-                self._add(
-                    npath, VertexLabel.INSTRUCTION, node.name, parent,
-                    EdgeLabel.INTRA_PROCEDURAL, line=node.line,
-                    source_file=func.source_file,
+                    npath, bv, source_file, call_chain, loop_prefix,
                 )
             elif isinstance(node, CommCall):
-                self._add(
-                    npath, VertexLabel.CALL, node.name, parent,
-                    EdgeLabel.INTRA_PROCEDURAL, CallKind.COMM,
-                    line=node.line, source_file=func.source_file,
-                )
+                add(npath, _CALL, node.name, parent, _INTRA, _COMM, node.line, source_file)
             elif isinstance(node, ThreadCall):
-                tv = self._add(
-                    npath, VertexLabel.CALL, node.name, parent,
-                    EdgeLabel.INTRA_PROCEDURAL, CallKind.THREAD,
-                    line=node.line, source_file=func.source_file,
-                )
+                tv = add(npath, _CALL, node.name, parent, _INTRA, _THREAD, node.line, source_file)
                 if node.op is ThreadOp.CREATE and node.body:
-                    self.expand_body(node.body, npath, tv, func, call_chain, loop_prefix)
-            elif isinstance(node, Call):
-                self._expand_call(node, npath, parent, func, call_chain)
+                    self.expand_body(node.body, npath, tv, source_file, call_chain, loop_prefix)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown IR node type {type(node).__name__}")
 
@@ -234,38 +242,30 @@ class _Expander:
         self,
         node: Call,
         npath: Path,
-        parent: Vertex,
-        func: Function,
+        parent: int,
+        source_file: str,
         call_chain: Tuple[str, ...],
     ) -> None:
         if node.target is CallTarget.EXTERNAL:
             self._add(
-                npath, VertexLabel.CALL, node.name, parent,
-                EdgeLabel.INTRA_PROCEDURAL, CallKind.EXTERNAL,
-                line=node.line, source_file=func.source_file,
+                npath, _CALL, node.name, parent, _INTRA, _EXTERNAL, node.line, source_file
             )
             return
         if node.target is CallTarget.INDIRECT:
             cv = self._add(
-                npath, VertexLabel.CALL, node.name, parent,
-                EdgeLabel.INTRA_PROCEDURAL, CallKind.INDIRECT,
-                line=node.line, source_file=func.source_file,
+                npath, _CALL, node.name, parent, _INTRA, _INDIRECT, node.line, source_file
             )
             targets = self.indirect_targets.get(node.uid, set())
             if not targets:
-                self.unresolved.append(cv.id)
+                self.unresolved.append(cv)
             for target in sorted(targets):
                 if target in self.program.functions:
                     self.expand_function(target, npath, cv, call_chain)
             return
         # USER call: inline, cutting recursion at MAX_RECURSION_DEPTH.
         depth = call_chain.count(node.callee)
-        kind = CallKind.RECURSIVE if depth > 0 else CallKind.USER
-        cv = self._add(
-            npath, VertexLabel.CALL, node.name, parent,
-            EdgeLabel.INTRA_PROCEDURAL, kind,
-            line=node.line, source_file=func.source_file,
-        )
+        kind = _RECURSIVE if depth > 0 else _USER
+        cv = self._add(npath, _CALL, node.name, parent, _INTRA, kind, node.line, source_file)
         if node.callee not in self.program.functions:
             # Modelled as external if the body is absent from the program.
             return
@@ -292,13 +292,14 @@ def analyze(
     # both appears in recorded traces and keeps feeding static_seconds.
     with _timed_span("static.analyze", category="static", program=program.name) as sp:
         exp = _Expander(program, indirect_targets or {})
-        exp.expand_function(program.entry, (), None, ())
+        exp.expand_function(program.entry, (), -1, ())
+        pag = exp.finish()
         sp.set(
-            vertices=exp.pag.num_vertices,
+            vertices=pag.num_vertices,
             unresolved_calls=len(exp.unresolved),
         )
     return StaticAnalysisResult(
-        pag=exp.pag,
+        pag=pag,
         path_to_vertex=exp.path_to_vertex,
         unresolved_calls=exp.unresolved,
         static_seconds=sp.duration,

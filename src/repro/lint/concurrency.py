@@ -58,10 +58,8 @@ from repro.ir.model import (
 )
 from repro.lint.context import LintContext, Site
 from repro.lint.registry import Finding, rule
+from repro.runtime.interpreter import MALLOC_LOCK, RequestBook
 from repro.runtime.machine import MachineModel
-
-#: Lock name of the modelled allocator (mirrors the interpreter).
-_MALLOC_LOCK = "__malloc__"
 
 #: Per-rank projected-operation cap; past it the projection is truncated
 #: and PF101/PF102 stay silent (soundness over coverage).
@@ -123,8 +121,9 @@ class _Projection:
 
 class _Projector:
     """Walks the IR once per rank, mirroring the interpreter's lowering
-    (SENDRECV -> isend+irecv+waitall, request-label bookkeeping) but
-    keeping only what the engine's matcher sees."""
+    (SENDRECV -> isend+irecv+waitall, request labels kept in the
+    interpreter's own :class:`RequestBook`) but keeping only what the
+    engine's matcher sees."""
 
     def __init__(self, ctx: LintContext, has_comm: Dict[int, bool]):
         self.ctx = ctx
@@ -140,38 +139,13 @@ class _Projector:
             params=dict(cfg.params),
         )
         entry = self.program.entry_function
-        state = {"budget": _NODE_BUDGET, "labels": {}, "n": 0}
+        state = {"budget": _NODE_BUDGET, "book": RequestBook()}
         self._walk(entry.body, ectx, frozenset({entry.name}), proj, state)
         return proj
 
     # -- helpers -----------------------------------------------------------
     def _probe(self, value: Any, ectx: ExecContext) -> Any:
         return self.ctx.probe(value, ectx)
-
-    def _fresh(self, state: Dict[str, Any], user_label: str) -> str:
-        label = f"{user_label}#{state['n']}"
-        state["n"] += 1
-        state["labels"].setdefault(user_label, []).append(label)
-        return label
-
-    def _collect(self, state: Dict[str, Any], user_labels: Sequence[str]) -> Tuple[str, ...]:
-        if not user_labels:
-            return tuple(
-                lab for labs in state["labels"].values() for lab in labs
-            )
-        out: List[str] = []
-        for ul in user_labels:
-            out.extend(state["labels"].get(ul, []))
-        return tuple(out)
-
-    def _drop(self, state: Dict[str, Any], labels: Sequence[str]) -> None:
-        done = set(labels)
-        for ul in list(state["labels"]):
-            remaining = [l for l in state["labels"][ul] if l not in done]
-            if remaining:
-                state["labels"][ul] = remaining
-            else:
-                del state["labels"][ul]
 
     def _subtree_has_comm(self, node: Node) -> bool:
         return self.has_comm.get(node.uid, False)
@@ -300,18 +274,17 @@ class _Projector:
                 proj.ops.append(_AbsOp(kind="recv", site=site, peer=peer,
                                        tag=node.tag))
             elif op is CommOp.ISEND:
-                label = self._fresh(state, node.req or "isend")
+                label = state["book"].post(node.req or "isend")
                 proj.ops.append(_AbsOp(kind="isend", site=site, peer=peer,
                                        tag=node.tag, label=label))
             else:  # IRECV
-                label = self._fresh(state, node.req or "irecv")
+                label = state["book"].post(node.req or "irecv")
                 proj.ops.append(_AbsOp(kind="irecv", site=site, peer=peer,
                                        tag=node.tag, label=label))
             return True
         if op in (CommOp.WAIT, CommOp.WAITALL):
-            labels = self._collect(state, node.requests)
+            labels = state["book"].take(node.requests)
             proj.ops.append(_AbsOp(kind="wait", site=site, labels=labels))
-            self._drop(state, labels)
             return True
         if op is CommOp.SENDRECV:
             dst = peer_of(node.peer)
@@ -325,14 +298,12 @@ class _Projector:
             except (TypeError, ValueError):
                 proj.complete = False
                 return False
-            ls = self._fresh(state, "srs")
-            lr = self._fresh(state, "srr")
+            ls, lr = state["book"].label("srs"), state["book"].label("srr")
             proj.ops.append(_AbsOp(kind="isend", site=site, peer=dst,
                                    tag=node.tag, label=ls))
             proj.ops.append(_AbsOp(kind="irecv", site=site, peer=src,
                                    tag=node.tag, label=lr))
             proj.ops.append(_AbsOp(kind="wait", site=site, labels=(ls, lr)))
-            self._drop(state, (ls, lr))
             return True
         proj.complete = False  # pragma: no cover - future comm ops
         return False
@@ -806,7 +777,7 @@ class _LockGraph:
 def _lock_name(node: ThreadCall) -> str:
     if node.op is ThreadOp.MUTEX_LOCK or node.op is ThreadOp.MUTEX_UNLOCK:
         return node.lock or "mutex"
-    return node.lock or _MALLOC_LOCK
+    return node.lock or MALLOC_LOCK
 
 
 def _walk_locks(

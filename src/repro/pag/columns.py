@@ -229,8 +229,9 @@ class _TypedColumn:
         short = n - len(self.data)
         if short > 0:
             self._materialize()
-            self.data.extend([0] * short)
-            self.valid.extend(b"\x00" * short)
+            # one zero block: all-zero bytes are 0 / 0.0 in every typecode
+            self.data.frombytes(bytes(self.data.itemsize * short))
+            self.valid.extend(bytes(short))
 
     # -- scalar access ---------------------------------------------------
     def get(self, i: int) -> Any:
@@ -398,7 +399,7 @@ class StrColumn:
         short = n - len(self.sids)
         if short > 0:
             self._materialize()
-            self.sids.extend([NO_STRING] * short)
+            self.sids.extend(array("q", [NO_STRING]) * short)
 
     def get(self, i: int) -> Optional[str]:
         if i < len(self.sids):

@@ -90,16 +90,24 @@ def embed_samples(
     excl_per_rank = np.zeros((k, nprocs))
     wait_per_rank = np.zeros((k, nprocs))
     bytes_per_rank = np.zeros((k, nprocs))
+    # Stats flattened in run order, then np.add.at: it adds repeated
+    # indices one at a time in that order, so every sum is the loop's sum.
+    rows_at, ranks_at, stats = [], [], []
     for vid, per_unit in resolved:
-        r = row_of[vid]
-        for (rank, _thread), stat in per_unit.items():
-            excl[r] += stat.time
-            wait[r] += stat.wait
-            counts[r] += stat.count
-            nbytes[r] += stat.nbytes
-            excl_per_rank[r, rank] += stat.time
-            wait_per_rank[r, rank] += stat.wait
-            bytes_per_rank[r, rank] += stat.nbytes
+        rows_at += [row_of[vid]] * len(per_unit)
+        ranks_at += [rank for rank, _thread in per_unit]
+        stats += per_unit.values()
+    if stats:
+        at = (np.array(rows_at, dtype=np.int64), np.array(ranks_at, dtype=np.int64))
+        for total, per_rank, values in (
+            (excl, excl_per_rank, [s.time for s in stats]),
+            (wait, wait_per_rank, [s.wait for s in stats]),
+            (nbytes, bytes_per_rank, [s.nbytes for s in stats]),
+        ):
+            values = np.array(values, dtype=np.float64)
+            np.add.at(total, at[0], values)
+            np.add.at(per_rank, at, values)
+        np.add.at(counts, at[0], np.array([s.count for s in stats], dtype=np.int64))
 
     # Bottom-up inclusive aggregation.  Vertex ids are assigned in
     # pre-order by the static expander, so iterating ids in reverse visits

@@ -22,7 +22,7 @@ the test suite.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,12 +31,16 @@ from repro.ir.static_analysis import StaticAnalysisResult, analyze
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
 from repro.pag.columns import NO_STRING, IntColumn, ObjColumn, StrColumn
-from repro.pag.edge import ELABEL_CODE, NO_KIND, CommKind, EdgeLabel
+from repro.pag.edge import COMMKIND_CODE, ELABEL_CODE, NO_KIND, CommKind, EdgeLabel
 from repro.pag.embedding import embed_samples
 from repro.pag.graph import PAG
 from repro.runtime.records import RunResult
 
 _LOG = get_logger("pag.views")
+
+_COLLECTIVE, _P2P_SYNC, _P2P_ASYNC = (
+    COMMKIND_CODE[kind] for kind in (CommKind.COLLECTIVE, CommKind.P2P_SYNC, CommKind.P2P_ASYNC)
+)
 
 
 def build_top_down_view(
@@ -187,8 +191,10 @@ def build_parallel_view(
         if fsp:
             fsp.set(vertices=pv.num_vertices, flow_edges=pv.num_edges)
 
-    # 2) per-unit performance data.
+    # 2) per-unit performance data, summed per flow vertex in the run's
+    #    stat order, then written one column at a time.
     with _span("pv.perf_data", category="pag") as psp:
+        sums: Dict[int, List] = {}  # flow vertex -> [time, wait, count]
         embedded = 0
         for path, per_unit in run.vertex_stats.items():
             v = static_result.vertex_for_path(path)
@@ -198,15 +204,21 @@ def build_parallel_view(
                 if rank >= nprocs:
                     continue
                 tslot = thread if expand_threads and thread < nthreads else 0
-                nv = pv.vertex(flow_vid(v.id, rank, tslot))
-                nv["time"] = (nv["time"] or 0.0) + stat.time
-                nv["wait"] = (nv["wait"] or 0.0) + stat.wait
-                nv["count"] = (nv["count"] or 0) + stat.count
+                acc = sums.setdefault(flow_vid(v.id, rank, tslot), [0.0, 0.0, 0])
+                acc[0] += stat.time
+                acc[1] += stat.wait
+                acc[2] += stat.count
                 embedded += 1
+        rows = np.fromiter(sums, dtype=np.int64, count=len(sums))
+        for i, key in enumerate(("time", "wait", "count")):
+            pv._vprops.set_numeric_bulk(
+                key, rows, [acc[i] for acc in sums.values()], integer=key == "count"
+            )
         if psp:
             psp.set(stats_embedded=embedded)
 
-    # 3) inter-process edges from communication events.
+    # 3) inter-process edges from communication events and 4) inter-thread
+    #    edges from lock waits (holder -> waiter), appended in one block.
     def event_vid(path, rank: int) -> Optional[int]:
         if path is None or rank < 0 or rank >= nprocs:
             return None
@@ -215,8 +227,10 @@ def build_parallel_view(
             return None
         return flow_vid(v.id, rank, 0)
 
+    #: (src, dst, label code, kind code, properties) per new edge
+    edges: List[Tuple[int, int, int, int, Dict[str, Any]]] = []
+    inter_process = ELABEL_CODE[EdgeLabel.INTER_PROCESS]
     with _span("pv.comm_edges", category="pag", events=len(run.comm_events)) as csp:
-        before = pv.num_edges
         for ev in run.comm_events:
             if ev.participants is not None:
                 # Collective: star from the last-arriving rank to every other
@@ -230,36 +244,24 @@ def build_parallel_view(
                     dst = event_vid(path, rank)
                     if dst is None:
                         continue
-                    pv.add_edge(
-                        src,
-                        dst,
-                        EdgeLabel.INTER_PROCESS,
-                        CommKind.COLLECTIVE,
-                        {"comm_time": ev.t_complete, "wait_time": wait, "comm_bytes": ev.nbytes},
-                    )
+                    edges.append((src, dst, inter_process, _COLLECTIVE, {
+                        "comm_time": ev.t_complete, "wait_time": wait, "comm_bytes": ev.nbytes,
+                    }))
             else:
                 src = event_vid(ev.src_path, ev.src_rank)
                 dst = event_vid(ev.dst_path, ev.dst_rank)
                 if src is None or dst is None:
                     continue
-                kind = CommKind.P2P_SYNC if ev.op.value == "MPI_Recv" else CommKind.P2P_ASYNC
-                pv.add_edge(
-                    src,
-                    dst,
-                    EdgeLabel.INTER_PROCESS,
-                    kind,
-                    {
-                        "comm_bytes": ev.nbytes,
-                        "wait_time": ev.wait_time,
-                        "comm_time": ev.t_complete,
-                    },
-                )
+                kind = _P2P_SYNC if ev.op.value == "MPI_Recv" else _P2P_ASYNC
+                edges.append((src, dst, inter_process, kind, {
+                    "comm_bytes": ev.nbytes, "wait_time": ev.wait_time, "comm_time": ev.t_complete,
+                }))
         if csp:
-            csp.set(edges_added=pv.num_edges - before)
+            csp.set(edges_added=len(edges))
 
-    # 4) inter-thread edges from lock waits (holder -> waiter).
     with _span("pv.lock_edges", category="pag", events=len(run.lock_events)) as lsp:
-        before = pv.num_edges
+        before = len(edges)
+        inter_thread = ELABEL_CODE[EdgeLabel.INTER_THREAD]
         for lk in run.lock_events:
             if lk.rank >= nprocs:
                 continue
@@ -269,14 +271,23 @@ def build_parallel_view(
                 continue
             ht = lk.holder_thread if expand_threads and lk.holder_thread < nthreads else 0
             wt = lk.waiter_thread if expand_threads and lk.waiter_thread < nthreads else 0
-            pv.add_edge(
-                flow_vid(hv.id, lk.rank, ht),
-                flow_vid(wv.id, lk.rank, wt),
-                EdgeLabel.INTER_THREAD,
-                properties={"wait_time": lk.wait_time, "lock": lk.lock},
-            )
+            edges.append((
+                flow_vid(hv.id, lk.rank, ht), flow_vid(wv.id, lk.rank, wt), inter_thread,
+                NO_KIND, {"wait_time": lk.wait_time, "lock": lk.lock},
+            ))
         if lsp:
-            lsp.set(edges_added=pv.num_edges - before)
+            lsp.set(edges_added=len(edges) - before)
+
+    base = pv.num_edges
+    pv._e_src.extend(array("q", [e[0] for e in edges]))
+    pv._e_dst.extend(array("q", [e[1] for e in edges]))
+    pv._e_label.extend(array("b", [e[2] for e in edges]))
+    pv._e_kind.extend(array("b", [e[3] for e in edges]))
+    pv._eprops.add_rows(len(edges))
+    eset = pv._eprops.set
+    for eid, edge in enumerate(edges, base):
+        for key, value in edge[4].items():
+            eset(eid, key, value)
 
     _LOG.info(
         "built parallel view %s: |V|=%d |E|=%d (%d flows)",

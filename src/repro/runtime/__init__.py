@@ -12,9 +12,10 @@ that machinery with a deterministic discrete-event simulation:
   same causes as on a real machine (a collective completes when its last
   participant arrives; a rendezvous send completes when the receiver
   posts; a lock holder delays its waiters).
-* :mod:`~repro.runtime.interpreter` — walks the program IR per rank,
-  tracking the calling-context path and local clock, and records
-  per-vertex statistics.
+* :mod:`~repro.runtime.interpreter` — lowers the program IR once per
+  run into one closure per calling-context path it reaches, and runs
+  it per rank and thread with a local clock, recording per-context
+  statistics through integer context ids.
 * :mod:`~repro.runtime.machine` — latency/bandwidth/collective cost
   model.
 * :mod:`~repro.runtime.sampler` — simulated PMU sampling (counters +

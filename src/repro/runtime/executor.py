@@ -15,7 +15,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
 from repro.runtime.engine import DeadlockError, Engine
-from repro.runtime.interpreter import UnitInterpreter
+from repro.runtime.interpreter import Lowering
 from repro.runtime.machine import MachineModel
 from repro.runtime.records import RunResult
 from repro.runtime.tracer import Tracer
@@ -66,11 +66,8 @@ def run_program(
         tracer = Tracer()
         engine = Engine(nprocs, machine or MachineModel(), tracer)
         with _span("run.build_units", category="runtime", nprocs=nprocs):
-            for rank in range(nprocs):
-                interp = UnitInterpreter(
-                    program, result, tracer, rank=rank, thread=0, nthreads=nthreads
-                )
-                engine.add_unit(rank, 0, interp.run())
+            for rank, unit in enumerate(Lowering(program, result, tracer).ranks(nthreads)):
+                engine.add_unit(rank, 0, unit)
         with _span("run.engine", category="runtime") as esp:
             try:
                 result.per_rank_elapsed = engine.run()

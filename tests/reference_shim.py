@@ -23,20 +23,70 @@ kernels to them result-for-result.
 The third part does the same for the matching and LCA kernels
 (``repro.algorithms.subgraph`` / ``.lca`` and the ``causal_analysis``
 pair loop around the latter) — ``test_matching_kernels.py`` — and the
-last keeps the dense ``embed_samples`` that allocated one row per
+next keeps the dense ``embed_samples`` that allocated one row per
 top-down vertex, for ``test_embedding_views.py``.
+
+The last part is the run -> PAG substrate as it was before lowering,
+for ``test_runtime_lowering.py``: the per-node interpreter (one
+generator per IR node visit, ``evaluate`` on every attribute) with its
+``run_program``, the static expander that called ``add_vertex`` /
+``add_edge`` per vertex, the parallel view that wrote per-unit data one
+vertex handle at a time and added one edge per event, and column
+padding that grew one list element per row.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import itertools
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.ir.context import ExecContext, evaluate
+from repro.ir.model import (
+    Branch,
+    Call,
+    CallTarget,
+    CommCall,
+    CommOp,
+    Loop,
+    Program,
+    Stmt,
+    ThreadCall,
+    ThreadOp,
+)
 from repro.pag.edge import CommKind, EdgeLabel
 from repro.pag.vertex import CallKind, VertexLabel
+from repro.runtime.engine import (
+    CollReq,
+    Completion,
+    DeadlockError,
+    Engine,
+    FinishReq,
+    JoinReq,
+    LockReq,
+    RecvReq,
+    SendReq,
+    SpawnReq,
+    WaitReq,
+)
+from repro.runtime.machine import MachineModel
+from repro.runtime.records import AccessEvent, RunResult, SyncEvent
+from repro.runtime.tracer import Tracer
 
 
 class RefVertex:
@@ -773,3 +823,722 @@ def embed_samples(
     pag.metadata["elapsed"] = run.elapsed
     pag.metadata["unresolved_contexts"] = unresolved
     return pag
+
+
+# ----------------------------------------------------------------------
+# per-node interpreter reference (repro.runtime.interpreter before lowering)
+# ----------------------------------------------------------------------
+# One deliberate edit against the code as it shipped: a Wait whose named
+# requests have nothing outstanding completes at once (MPI_REQUEST_NULL).
+# The shipped loop sent the engine an empty label tuple, which the engine
+# reads as "every outstanding request", so the Wait took unrelated
+# requests and the interpreter's bookkeeping fell out of step.
+_COLLECTIVES = {
+    CommOp.BARRIER,
+    CommOp.BCAST,
+    CommOp.REDUCE,
+    CommOp.ALLREDUCE,
+    CommOp.ALLGATHER,
+    CommOp.ALLTOALL,
+}
+MALLOC_LOCK = "__malloc__"
+
+
+class UnitInterpreter:
+    """Interprets IR for one execution unit (rank, thread)."""
+
+    def __init__(
+        self,
+        program: Program,
+        result: RunResult,
+        tracer: Tracer,
+        rank: int,
+        thread: int,
+        nthreads: int,
+        start_clock: float = 0.0,
+    ) -> None:
+        self.program = program
+        self.result = result
+        self.tracer = tracer
+        self.rank = rank
+        self.thread = thread
+        self.nthreads = nthreads
+        self.clock = start_clock
+        self._label_counter = itertools.count()
+        #: user request label -> outstanding engine labels
+        self._outstanding: Dict[str, List[str]] = {}
+        #: thread ids spawned by the most recent CREATE (cleared at JOIN);
+        #: mirrors the engine's children list for spawn/join sync events.
+        self._children: List[int] = []
+
+    # ------------------------------------------------------------------
+    def run(self) -> Generator:
+        """Top-level generator for a rank's main thread."""
+        ctx = ExecContext(
+            rank=self.rank,
+            nprocs=self.result.nprocs,
+            thread=self.thread,
+            nthreads=self.nthreads,
+            params=self.result.params,
+        )
+        entry = self.program.entry_function
+        path: Path = (f"f:{entry.name}",)
+        yield from self._exec_body(entry.body, path, ctx)
+        yield FinishReq(t=self.clock)
+
+    def run_body(self, body: Sequence[Node], path: Path, ctx: ExecContext) -> Generator:
+        """Top-level generator for a spawned thread executing ``body``."""
+        yield from self._exec_body(body, path, ctx)
+        yield FinishReq(t=self.clock)
+
+    # ------------------------------------------------------------------
+    def _record(self, path: Path, time: float, wait: float = 0.0, nbytes: float = 0.0, count: int = 1) -> None:
+        self.result.stat(path, self.rank, self.thread).add(time, wait, nbytes, count)
+
+    def _exec_body(self, body: Sequence[Node], path: Path, ctx: ExecContext) -> Generator:
+        for node in body:
+            yield from self._exec_node(node, path + (node.uid,), ctx)
+
+    def _exec_node(self, node: Node, path: Path, ctx: ExecContext) -> Generator:
+        if isinstance(node, Stmt):
+            cost = float(evaluate(node.cost, ctx))
+            self.clock += cost
+            self._record(path, cost)
+            for var, mode in node.touches:
+                self.tracer.record_access(AccessEvent(
+                    rank=self.rank, thread=self.thread, var=var, mode=mode,
+                    t=self.clock, uid=node.uid, path=path,
+                ))
+        elif isinstance(node, Loop):
+            trips = int(evaluate(node.trips, ctx))
+            self._record(path, 0.0, count=trips)
+            for i in range(trips):
+                yield from self._exec_body(node.body, path, ctx.push_iteration(i))
+        elif isinstance(node, Branch):
+            taken = bool(node.condition(ctx))
+            self._record(path, 0.0)
+            body = node.then_body if taken else node.else_body
+            yield from self._exec_body(body, path, ctx)
+        elif isinstance(node, Call):
+            yield from self._exec_call(node, path, ctx)
+        elif isinstance(node, CommCall):
+            yield from self._exec_comm(node, path, ctx)
+        elif isinstance(node, ThreadCall):
+            yield from self._exec_thread(node, path, ctx)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown IR node {type(node).__name__}")
+
+    # -- calls ---------------------------------------------------------------
+    def _exec_call(self, node: Call, path: Path, ctx: ExecContext) -> Generator:
+        if node.target is CallTarget.EXTERNAL:
+            cost = float(evaluate(node.cost, ctx))
+            self.clock += cost
+            self._record(path, cost)
+            return
+        callee = evaluate(node.callee, ctx)
+        if node.target is CallTarget.INDIRECT:
+            self.tracer.record_indirect(node.uid, callee)
+        if callee not in self.program.functions:
+            # Body absent from the model: treat as opaque external work.
+            cost = float(evaluate(node.cost, ctx))
+            self.clock += cost
+            self._record(path, cost)
+            return
+        self._record(path, 0.0)
+        func = self.program.function(callee)
+        fpath = path + (f"f:{callee}",)
+        self._record(fpath, 0.0)
+        yield from self._exec_body(func.body, fpath, ctx)
+
+    # -- communication --------------------------------------------------------
+    def _exec_comm(self, node: CommCall, path: Path, ctx: ExecContext) -> Generator:
+        if self.thread != 0:
+            raise RuntimeError(
+                f"{node.name} issued from thread {self.thread}; the simulator "
+                "models MPI_THREAD_FUNNELED (MPI from thread 0 only)"
+            )
+        t0 = self.clock
+        op = node.op
+        nbytes = float(evaluate(node.nbytes, ctx))
+        if op in _COLLECTIVES:
+            completion = yield CollReq(
+                t=t0, path=path, op=op, nbytes=nbytes, root=node.root
+            )
+        elif op is CommOp.SEND:
+            peer = int(evaluate(node.peer, ctx))
+            completion = yield SendReq(
+                t=t0, path=path, dst=peer, tag=node.tag, nbytes=nbytes, blocking=True
+            )
+        elif op is CommOp.RECV:
+            peer = int(evaluate(node.peer, ctx))
+            completion = yield RecvReq(
+                t=t0, path=path, src=peer, tag=node.tag, nbytes=nbytes, blocking=True
+            )
+        elif op is CommOp.ISEND:
+            peer = int(evaluate(node.peer, ctx))
+            label = self._fresh(node.req or "isend")
+            completion = yield SendReq(
+                t=t0, path=path, dst=peer, tag=node.tag, nbytes=nbytes,
+                blocking=False, label=label,
+            )
+        elif op is CommOp.IRECV:
+            peer = int(evaluate(node.peer, ctx))
+            label = self._fresh(node.req or "irecv")
+            completion = yield RecvReq(
+                t=t0, path=path, src=peer, tag=node.tag, nbytes=nbytes,
+                blocking=False, label=label,
+            )
+        elif op in (CommOp.WAIT, CommOp.WAITALL):
+            labels = self._collect_labels(node.requests)
+            if labels:
+                completion = yield WaitReq(t=t0, path=path, labels=labels, op=op)
+            else:  # the deliberate edit: nothing outstanding, nothing to wait for
+                completion = Completion(t0)
+        elif op is CommOp.SENDRECV:
+            # Deadlock-free exchange: isend + irecv + waitall.  The receive
+            # side defaults to the destination (symmetric pairwise swap) but
+            # honors an explicit `source` for ring shifts.
+            peer = int(evaluate(node.peer, ctx))
+            src = peer if node.source is None else int(evaluate(node.source, ctx))
+            ls = self._fresh("srs")
+            lr = self._fresh("srr")
+            completion = yield SendReq(
+                t=self.clock, path=path, dst=peer, tag=node.tag, nbytes=nbytes,
+                blocking=False, label=ls,
+            )
+            self.clock = completion.t
+            completion = yield RecvReq(
+                t=self.clock, path=path, src=src % self.result.nprocs, tag=node.tag,
+                nbytes=nbytes, blocking=False, label=lr,
+            )
+            self.clock = completion.t
+            completion = yield WaitReq(
+                t=self.clock, path=path, labels=(ls, lr), op=CommOp.WAITALL
+            )
+            self._drop_labels((ls, lr))
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unhandled comm op {op}")
+        self.clock = completion.t
+        if op in (CommOp.WAIT, CommOp.WAITALL):
+            self._drop_labels(labels)
+        self._record(path, self.clock - t0, wait=completion.wait, nbytes=nbytes)
+
+    def _fresh(self, user_label: str) -> str:
+        label = f"{user_label}#{next(self._label_counter)}"
+        self._outstanding.setdefault(user_label, []).append(label)
+        return label
+
+    def _collect_labels(self, user_labels: Sequence[str]) -> Tuple[str, ...]:
+        if not user_labels:
+            # Wait for everything outstanding.
+            labels = tuple(
+                lab for labs in self._outstanding.values() for lab in labs
+            )
+            return labels
+        out: List[str] = []
+        for ul in user_labels:
+            out.extend(self._outstanding.get(ul, []))
+        return tuple(out)
+
+    def _drop_labels(self, labels: Sequence[str]) -> None:
+        done = set(labels)
+        for ul in list(self._outstanding):
+            remaining = [lab for lab in self._outstanding[ul] if lab not in done]
+            if remaining:
+                self._outstanding[ul] = remaining
+            else:
+                del self._outstanding[ul]
+
+    # -- threads ----------------------------------------------------------------
+    def _exec_thread(self, node: ThreadCall, path: Path, ctx: ExecContext) -> Generator:
+        t0 = self.clock
+        if node.op is ThreadOp.CREATE:
+            count = int(evaluate(node.count, ctx))
+            nthreads = max(count, 1)
+
+            spawned: List[int] = []
+
+            def make_factory(body: Sequence[Node]):
+                def factory(tid: int, t_start: float) -> Generator:
+                    spawned.append(tid)
+                    child = UnitInterpreter(
+                        self.program, self.result, self.tracer,
+                        self.rank, tid, nthreads, start_clock=t_start,
+                    )
+                    child_ctx = ctx.with_thread(tid, nthreads)
+                    return child.run_body(body, path, child_ctx)
+
+                return factory
+
+            completion = yield SpawnReq(
+                t=t0, path=path, factories=[make_factory(node.body) for _ in range(count)]
+            )
+            self.clock = completion.t
+            # The engine invokes the factories synchronously while handling
+            # the SpawnReq, so `spawned` is fully populated here.
+            for tid in spawned:
+                self.tracer.record_sync(SyncEvent(
+                    kind="spawn", rank=self.rank, thread=self.thread,
+                    t=self.clock, child=tid, uid=node.uid, path=path,
+                ))
+            self._children.extend(spawned)
+            self._record(path, self.clock - t0, count=count)
+        elif node.op is ThreadOp.JOIN:
+            completion = yield JoinReq(t=t0, path=path)
+            self.clock = completion.t
+            for tid in self._children:
+                self.tracer.record_sync(SyncEvent(
+                    kind="join", rank=self.rank, thread=self.thread,
+                    t=self.clock, child=tid, uid=node.uid, path=path,
+                ))
+            self._children.clear()
+            self._record(path, self.clock - t0, wait=completion.wait)
+        elif node.op in (ThreadOp.MUTEX_LOCK, ThreadOp.ALLOC, ThreadOp.REALLOC, ThreadOp.DEALLOC):
+            hold = float(evaluate(node.hold, ctx))
+            lock = node.lock or (MALLOC_LOCK if node.op is not ThreadOp.MUTEX_LOCK else "mutex")
+            completion = yield LockReq(t=t0, path=path, lock=lock, hold=hold, op=node.op)
+            self.clock = completion.t
+            self.tracer.record_sync(SyncEvent(
+                kind="acquire", rank=self.rank, thread=self.thread,
+                t=t0 + completion.wait, lock=lock, uid=node.uid, path=path,
+            ))
+            if node.op is not ThreadOp.MUTEX_LOCK:
+                # Allocator calls release the lock on return: record the
+                # matching release immediately (program-order adjacent).
+                self.tracer.record_sync(SyncEvent(
+                    kind="release", rank=self.rank, thread=self.thread,
+                    t=self.clock, lock=lock, uid=node.uid, path=path,
+                ))
+            self._record(path, self.clock - t0, wait=completion.wait)
+        elif node.op is ThreadOp.MUTEX_UNLOCK:
+            # Lock release is folded into MUTEX_LOCK's hold; an explicit
+            # unlock marks where the critical section ends for the
+            # happens-before checker (the engine itself does not block).
+            lock = node.lock or "mutex"
+            self.tracer.record_sync(SyncEvent(
+                kind="release", rank=self.rank, thread=self.thread,
+                t=self.clock, lock=lock, uid=node.uid, path=path,
+            ))
+            self._record(path, 0.0)
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unhandled thread op {node.op}")
+
+
+def run_program(
+    program: Program,
+    nprocs: int = 1,
+    nthreads: int = 1,
+    params: Optional[Dict[str, Any]] = None,
+    machine: Optional[MachineModel] = None,
+    on_deadlock: str = "raise",
+) -> RunResult:
+    """``repro.runtime.run_program`` driving one :class:`UnitInterpreter`
+    per rank (spans, metrics and logging left out)."""
+    run_params = dict(params or {})
+    run_params.setdefault("nthreads", nthreads)
+    result = RunResult(program=program, nprocs=nprocs, nthreads=nthreads, params=run_params)
+    tracer = Tracer()
+    engine = Engine(nprocs, machine or MachineModel(), tracer)
+    for rank in range(nprocs):
+        interp = UnitInterpreter(program, result, tracer, rank=rank, thread=0, nthreads=nthreads)
+        engine.add_unit(rank, 0, interp.run())
+    try:
+        result.per_rank_elapsed = engine.run()
+    except DeadlockError as err:
+        if on_deadlock == "raise":
+            raise
+        result.deadlock = {
+            "message": str(err),
+            "blocked": [
+                {
+                    "rank": b["rank"],
+                    "thread": b["thread"],
+                    "blocker": b["blocker"],
+                    "path": list(b["path"]) if b["path"] else None,
+                }
+                for b in err.blocked
+            ],
+        }
+    result.comm_events = tracer.comm_events
+    result.lock_events = tracer.lock_events
+    result.sync_events = tracer.sync_events
+    result.access_events = tracer.access_events
+    result.indirect_targets = tracer.indirect_targets
+    return result
+
+
+# ----------------------------------------------------------------------
+# per-vertex expander reference (repro.ir.static_analysis._Expander)
+# ----------------------------------------------------------------------
+MAX_RECURSION_DEPTH = 2
+
+
+class _Expander:
+    """Walks the IR and emits top-down-view vertices/edges."""
+
+    def __init__(self, program: Any, indirect_targets: Dict[int, Set[str]]):
+        from repro.pag.graph import PAG as RealPAG
+
+        self.program = program
+        self.indirect_targets = indirect_targets
+        self.pag = RealPAG(
+            f"{program.name}/top-down",
+            {"view": "top-down", "program": program.name},
+        )
+        self.path_to_vertex: Dict[Path, int] = {}
+        self.unresolved: List[int] = []
+
+    # -- helpers -----------------------------------------------------------
+    def _add(
+        self,
+        path: Path,
+        label: VertexLabel,
+        name: str,
+        parent: Optional[Any],
+        edge_label: EdgeLabel,
+        call_kind: Optional[CallKind] = None,
+        line: int = 0,
+        source_file: str = "",
+    ) -> Any:
+        v = self.pag.add_vertex(
+            label,
+            name,
+            call_kind,
+            {"debug-info": f"{source_file}:{line}" if source_file else f"line:{line}"},
+        )
+        self.path_to_vertex[path] = v.id
+        if parent is not None:
+            self.pag.add_edge(parent, v, edge_label)
+        return v
+
+    # -- expansion -----------------------------------------------------------
+    def expand_function(
+        self,
+        fname: str,
+        path: Path,
+        parent: Optional[Any],
+        call_chain: Tuple[str, ...],
+    ) -> Any:
+        func = self.program.function(fname)
+        fpath = path + (f"f:{fname}",)
+        fv = self._add(
+            fpath,
+            VertexLabel.FUNCTION,
+            fname,
+            parent,
+            EdgeLabel.INTER_PROCEDURAL,
+            line=func.line,
+            source_file=func.source_file,
+        )
+        self.expand_body(func.body, fpath, fv, func, call_chain + (fname,), loop_prefix="")
+        return fv
+
+    def expand_body(
+        self,
+        body: Sequence[Any],
+        path: Path,
+        parent: Vertex,
+        func: Any,
+        call_chain: Tuple[str, ...],
+        loop_prefix: str,
+    ) -> None:
+        loop_index = 0
+        for node in body:
+            npath = path + (node.uid,)
+            if isinstance(node, Loop):
+                loop_index += 1
+                name = node.name or (
+                    f"loop_{loop_prefix}{loop_index}" if not loop_prefix
+                    else f"loop_{loop_prefix}.{loop_index}"
+                )
+                # The hierarchical numbering in names like "loop_10.1"
+                # concatenates ancestor loop ordinals within the function.
+                inner_prefix = (
+                    f"{loop_prefix}.{loop_index}" if loop_prefix else str(loop_index)
+                )
+                lv = self._add(
+                    npath, VertexLabel.LOOP, name, parent,
+                    EdgeLabel.INTRA_PROCEDURAL, line=node.line,
+                    source_file=func.source_file,
+                )
+                self.expand_body(node.body, npath, lv, func, call_chain, inner_prefix)
+            elif isinstance(node, Branch):
+                name = node.name or "branch"
+                bv = self._add(
+                    npath, VertexLabel.BRANCH, name, parent,
+                    EdgeLabel.INTRA_PROCEDURAL, line=node.line,
+                    source_file=func.source_file,
+                )
+                self.expand_body(
+                    list(node.then_body) + list(node.else_body),
+                    npath, bv, func, call_chain, loop_prefix,
+                )
+            elif isinstance(node, Stmt):
+                self._add(
+                    npath, VertexLabel.INSTRUCTION, node.name, parent,
+                    EdgeLabel.INTRA_PROCEDURAL, line=node.line,
+                    source_file=func.source_file,
+                )
+            elif isinstance(node, CommCall):
+                self._add(
+                    npath, VertexLabel.CALL, node.name, parent,
+                    EdgeLabel.INTRA_PROCEDURAL, CallKind.COMM,
+                    line=node.line, source_file=func.source_file,
+                )
+            elif isinstance(node, ThreadCall):
+                tv = self._add(
+                    npath, VertexLabel.CALL, node.name, parent,
+                    EdgeLabel.INTRA_PROCEDURAL, CallKind.THREAD,
+                    line=node.line, source_file=func.source_file,
+                )
+                if node.op is ThreadOp.CREATE and node.body:
+                    self.expand_body(node.body, npath, tv, func, call_chain, loop_prefix)
+            elif isinstance(node, Call):
+                self._expand_call(node, npath, parent, func, call_chain)
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown IR node type {type(node).__name__}")
+
+    def _expand_call(
+        self,
+        node: Any,
+        npath: Path,
+        parent: Vertex,
+        func: Any,
+        call_chain: Tuple[str, ...],
+    ) -> None:
+        if node.target is CallTarget.EXTERNAL:
+            self._add(
+                npath, VertexLabel.CALL, node.name, parent,
+                EdgeLabel.INTRA_PROCEDURAL, CallKind.EXTERNAL,
+                line=node.line, source_file=func.source_file,
+            )
+            return
+        if node.target is CallTarget.INDIRECT:
+            cv = self._add(
+                npath, VertexLabel.CALL, node.name, parent,
+                EdgeLabel.INTRA_PROCEDURAL, CallKind.INDIRECT,
+                line=node.line, source_file=func.source_file,
+            )
+            targets = self.indirect_targets.get(node.uid, set())
+            if not targets:
+                self.unresolved.append(cv.id)
+            for target in sorted(targets):
+                if target in self.program.functions:
+                    self.expand_function(target, npath, cv, call_chain)
+            return
+        # USER call: inline, cutting recursion at MAX_RECURSION_DEPTH.
+        depth = call_chain.count(node.callee)
+        kind = CallKind.RECURSIVE if depth > 0 else CallKind.USER
+        cv = self._add(
+            npath, VertexLabel.CALL, node.name, parent,
+            EdgeLabel.INTRA_PROCEDURAL, kind,
+            line=node.line, source_file=func.source_file,
+        )
+        if node.callee not in self.program.functions:
+            # Modelled as external if the body is absent from the program.
+            return
+        if depth < MAX_RECURSION_DEPTH:
+            self.expand_function(node.callee, npath, cv, call_chain)
+
+
+
+def analyze(program: Any, indirect_targets: Optional[Dict[int, Set[str]]] = None) -> Any:
+    """``repro.ir.static_analysis.analyze`` through ``add_vertex`` /
+    ``add_edge``, one handle per vertex (timing fields left at zero)."""
+    from repro.ir.static_analysis import StaticAnalysisResult
+
+    exp = _Expander(program, indirect_targets or {})
+    exp.expand_function(program.entry, (), None, ())
+    return StaticAnalysisResult(
+        pag=exp.pag, path_to_vertex=exp.path_to_vertex, unresolved_calls=exp.unresolved
+    )
+
+
+# ----------------------------------------------------------------------
+# per-element parallel-view reference (repro.pag.views.build_parallel_view)
+# ----------------------------------------------------------------------
+def build_parallel_view(
+    top_down: Any,
+    static_result: Any,
+    run: Any,
+    max_ranks: Optional[int] = None,
+    expand_threads: bool = False,
+) -> Any:
+    """The parallel view with per-unit data written one vertex handle at
+    a time and one ``add_edge`` per event (flows tiled as shipped; spans
+    and logging left out)."""
+    from array import array
+
+    from repro.pag.columns import NO_STRING, IntColumn, ObjColumn, StrColumn
+    from repro.pag.edge import ELABEL_CODE, NO_KIND
+    from repro.pag.graph import PAG as RealPAG
+
+    nprocs = run.nprocs if max_ranks is None else min(run.nprocs, max_ranks)
+    nthreads = run.nthreads + 1 if expand_threads else 1
+    ntd = top_down.num_vertices
+    pv = RealPAG(
+        top_down.name.replace("/top-down", "") + "/parallel",
+        {
+            "view": "parallel",
+            "program": top_down.metadata.get("program"),
+            "nprocs": nprocs,
+            "nthreads": nthreads,
+        },
+    )
+    pv.strings = top_down.strings
+    pv._vprops.strings = pv.strings
+    pv._eprops.strings = pv.strings
+
+    tree_parent: Dict[int, Tuple[int, int]] = {}
+    td_esrc, td_edst, td_elab = top_down._e_src, top_down._e_dst, top_down._e_label
+    for i in range(len(td_esrc)):
+        tree_parent[td_edst[i]] = (td_esrc[i], td_elab[i])
+
+    def flow_vid(td_vid: int, rank: int, thread: int) -> int:
+        return (rank * nthreads + thread) * ntd + td_vid
+
+    flows = nprocs * nthreads
+    intra_code = ELABEL_CODE[EdgeLabel.INTRA_PROCEDURAL]
+    flow_src = array("q")
+    flow_dst = array("q")
+    flow_lab = array("b")
+    for td_vid in range(1, ntd):
+        parent = tree_parent.get(td_vid)
+        flow_src.append(td_vid - 1)
+        flow_dst.append(td_vid)
+        flow_lab.append(
+            parent[1] if parent is not None and parent[0] == td_vid - 1 else intra_code
+        )
+    flow_kind = array("b", [NO_KIND]) * (ntd - 1)
+    src_np = np.frombuffer(flow_src, dtype=np.int64) if ntd > 1 else None
+    dst_np = np.frombuffer(flow_dst, dtype=np.int64) if ntd > 1 else None
+    proc_col = IntColumn()
+    thread_col = IntColumn()
+    td_dbg = top_down.vs.values("debug-info")
+    dbg_is_str = all(x is None or isinstance(x, str) for x in td_dbg)
+    if dbg_is_str:
+        dbg_template = array(
+            "q",
+            (pv.strings.intern(x) if x is not None else NO_STRING for x in td_dbg),
+        )
+        dbg_col: Any = StrColumn(pv.strings)
+    else:
+        dbg_col = ObjColumn()
+    for rank in range(nprocs):
+        for thread in range(nthreads):
+            offset = (rank * nthreads + thread) * ntd
+            pv._v_label.extend(top_down._v_label)
+            pv._v_kind.extend(top_down._v_kind)
+            pv._v_name.extend(top_down._v_name)
+            proc_col.data.extend(array("q", [rank]) * ntd)
+            thread_col.data.extend(array("q", [thread]) * ntd)
+            if dbg_is_str:
+                dbg_col.sids.extend(dbg_template)
+            else:
+                for td_vid, val in enumerate(td_dbg):
+                    if val is not None:
+                        dbg_col.cells[offset + td_vid] = val
+            if ntd > 1:
+                pv._e_src.frombytes((src_np + offset).tobytes())
+                pv._e_dst.frombytes((dst_np + offset).tobytes())
+                pv._e_label.extend(flow_lab)
+                pv._e_kind.extend(flow_kind)
+    proc_col.valid = bytearray(b"\x01" * (ntd * flows))
+    thread_col.valid = bytearray(b"\x01" * (ntd * flows))
+    pv._vprops.columns["process"] = proc_col
+    pv._vprops.columns["thread"] = thread_col
+    pv._vprops.columns["debug-info"] = dbg_col
+    pv._vprops.add_rows(ntd * flows)
+    pv._eprops.add_rows((ntd - 1) * flows if ntd > 1 else 0)
+
+    for path, per_unit in run.vertex_stats.items():
+        v = static_result.vertex_for_path(path)
+        if v is None:
+            continue
+        for (rank, thread), stat in per_unit.items():
+            if rank >= nprocs:
+                continue
+            tslot = thread if expand_threads and thread < nthreads else 0
+            nv = pv.vertex(flow_vid(v.id, rank, tslot))
+            nv["time"] = (nv["time"] or 0.0) + stat.time
+            nv["wait"] = (nv["wait"] or 0.0) + stat.wait
+            nv["count"] = (nv["count"] or 0) + stat.count
+
+    def event_vid(path: Any, rank: int) -> Optional[int]:
+        if path is None or rank < 0 or rank >= nprocs:
+            return None
+        v = static_result.vertex_for_path(path)
+        if v is None:
+            return None
+        return flow_vid(v.id, rank, 0)
+
+    for ev in run.comm_events:
+        if ev.participants is not None:
+            src = event_vid(ev.src_path, ev.src_rank)
+            if src is None:
+                continue
+            for rank, path, _arrival, wait in ev.participants:
+                if rank == ev.src_rank:
+                    continue
+                dst = event_vid(path, rank)
+                if dst is None:
+                    continue
+                pv.add_edge(
+                    src,
+                    dst,
+                    EdgeLabel.INTER_PROCESS,
+                    CommKind.COLLECTIVE,
+                    {"comm_time": ev.t_complete, "wait_time": wait, "comm_bytes": ev.nbytes},
+                )
+        else:
+            src = event_vid(ev.src_path, ev.src_rank)
+            dst = event_vid(ev.dst_path, ev.dst_rank)
+            if src is None or dst is None:
+                continue
+            kind = CommKind.P2P_SYNC if ev.op.value == "MPI_Recv" else CommKind.P2P_ASYNC
+            pv.add_edge(
+                src,
+                dst,
+                EdgeLabel.INTER_PROCESS,
+                kind,
+                {
+                    "comm_bytes": ev.nbytes,
+                    "wait_time": ev.wait_time,
+                    "comm_time": ev.t_complete,
+                },
+            )
+
+    for lk in run.lock_events:
+        if lk.rank >= nprocs:
+            continue
+        hv = static_result.vertex_for_path(lk.holder_path)
+        wv = static_result.vertex_for_path(lk.waiter_path)
+        if hv is None or wv is None:
+            continue
+        ht = lk.holder_thread if expand_threads and lk.holder_thread < nthreads else 0
+        wt = lk.waiter_thread if expand_threads and lk.waiter_thread < nthreads else 0
+        pv.add_edge(
+            flow_vid(hv.id, lk.rank, ht),
+            flow_vid(wv.id, lk.rank, wt),
+            EdgeLabel.INTER_THREAD,
+            properties={"wait_time": lk.wait_time, "lock": lk.lock},
+        )
+    return pv
+
+
+def pad_to(column: Any, n: int) -> None:
+    """``_TypedColumn._pad_to`` / ``StrColumn._pad_to`` as shipped: one
+    list element per missing row."""
+    from repro.pag.columns import NO_STRING, StrColumn
+
+    if isinstance(column, StrColumn):
+        short = n - len(column.sids)
+        if short > 0:
+            column._materialize()
+            column.sids.extend([NO_STRING] * short)
+        return
+    short = n - len(column.data)
+    if short > 0:
+        column._materialize()
+        column.data.extend([0] * short)
+        column.valid.extend(b"\x00" * short)

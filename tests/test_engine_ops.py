@@ -96,7 +96,7 @@ def test_wait_on_named_request():
 
 
 def test_interpreter_rejects_unhandled_wait_reuse():
-    """Waiting twice on the same completed request must fail loudly."""
+    """Waiting again on a completed request is a Wait on MPI_REQUEST_NULL."""
     p = Program(name="reuse")
     p.add_function(
         Function(
@@ -109,10 +109,37 @@ def test_interpreter_rejects_unhandled_wait_reuse():
             ],
         )
     )
-    # after the first wait, "x" is consumed; the second wait has nothing
-    # outstanding under that label -> empty label set -> completes at once
+    # after the first wait, "x" is consumed; the second wait takes no label,
+    # and the interpreter completes it at once without asking the engine
+    # (which would read an empty label set as "every outstanding request")
     run = run_program(p, nprocs=1)
     assert run.elapsed > 0
+
+
+def test_named_wait_with_nothing_outstanding_takes_no_other_request():
+    """irecv r, isend s, wait s, wait s, wait r on 2 ranks: the second
+    Wait(s) completes at once instead of taking r, so the Wait(r) after it
+    still finds r outstanding — and the PF101 projection agrees."""
+    from repro.lint import LintConfig, lint_program
+
+    p = Program(name="wait-null")
+    nodes = [
+        CommCall(CommOp.IRECV, peer=lambda c: 1 - c.rank, nbytes=64, req="r"),
+        CommCall(CommOp.ISEND, peer=lambda c: 1 - c.rank, nbytes=64, req="s"),
+        CommCall(CommOp.WAIT, requests=("s",), name="wait_s"),
+        CommCall(CommOp.WAIT, requests=("s",), name="wait_s_again"),
+        CommCall(CommOp.WAIT, requests=("r",), name="wait_r"),
+    ]
+    p.add_function(Function("main", nodes))
+    run = run_program(p, nprocs=2)
+    again, wait_r = ("f:main", nodes[3].uid), ("f:main", nodes[4].uid)
+    for rank in (0, 1):
+        stat = run.vertex_stats[again][(rank, 0)]
+        assert (stat.time, stat.wait, stat.count) == (0.0, 0.0, 1)
+    # each receive surfaces at the Wait that names it
+    assert [ev.dst_path for ev in run.comm_events] == [wait_r, wait_r]
+    report = lint_program(p, LintConfig(nprocs=2), codes=["PF101", "PF102"])
+    assert list(report) == []
 
 
 def test_edgeset_select_comm_kind():
