@@ -12,7 +12,7 @@ builder — the iteration order matches Table 1/2's column order.
 from typing import Callable, Dict
 
 from repro.ir.model import Program
-from repro.apps import deadlock_ring, lammps, microbench, npb, vite, zeusmp
+from repro.apps import lammps, microbench, npb, vite, zeusmp
 from repro.apps.npb import (
     build_bt,
     build_cg,
@@ -25,16 +25,11 @@ from repro.apps.npb import (
 )
 
 
-def registry(
-    problem_class: str = "W", demos: bool = False
-) -> Dict[str, Callable[[], Program]]:
+def registry(problem_class: str = "W") -> Dict[str, Callable[[], Program]]:
     """name -> zero-argument builder for every evaluated program.
 
     ``problem_class`` applies to the NPB kernels (the paper uses CLASS C;
-    tests default to W for speed).  ``demos`` additionally exposes the
-    deliberately-broken demonstration programs (``deadlock_ring``),
-    which are excluded by default so benchmark sweeps and paper tables
-    only see the evaluated applications.
+    tests default to W for speed).
     """
     builders: Dict[str, Callable[[], Program]] = {
         name: (lambda b=b: b(problem_class)) for name, b in npb.BUILDERS.items()
@@ -42,8 +37,6 @@ def registry(
     builders["zeusmp"] = zeusmp.build
     builders["lammps"] = lammps.build
     builders["vite"] = vite.build
-    if demos:
-        builders["deadlock_ring"] = deadlock_ring.build
     return builders
 
 
@@ -54,7 +47,6 @@ __all__ = [
     "lammps",
     "vite",
     "microbench",
-    "deadlock_ring",
     "build_bt",
     "build_cg",
     "build_ep",

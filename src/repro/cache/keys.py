@@ -46,7 +46,6 @@ from repro.pag.sets import EdgeSet, VertexSet
 __all__ = [
     "Uncacheable",
     "pass_identity",
-    "callable_identity",
     "value_digest",
     "node_key",
 ]
@@ -210,19 +209,6 @@ def pass_identity(fn: Any) -> str:
     the key cannot observe.
     """
     h = hashlib.blake2b(b"perflow-pass-v1", digest_size=16)
-    _identity_update(h, fn, set())
-    return h.hexdigest()
-
-
-def callable_identity(fn: Any) -> str:
-    """Stable identity of any model callable (same machinery, distinct
-    domain tag).
-
-    Used by the incremental linter to fingerprint ``Dyn`` attributes —
-    the lambdas a program model bakes costs, peers, and conditions into.
-    Raises :class:`Uncacheable` exactly like :func:`pass_identity`.
-    """
-    h = hashlib.blake2b(b"perflow-callable-v1", digest_size=16)
     _identity_update(h, fn, set())
     return h.hexdigest()
 

@@ -5,11 +5,7 @@ packages the same flows for the terminal::
 
     python -m repro list
     python -m repro run cg --np 8 --report
-    python -m repro run deadlock_ring --record-trace ring.json
     python -m repro lint zeusmp --json --fail-on=warning
-    python -m repro lint deadlock_ring --trace ring.json --format sarif
-    python -m repro lint zeusmp --baseline .perflowlint.toml --write-baseline
-    python -m repro lint zeusmp --incremental --cache-dir .lintcache
     python -m repro paradigm communication zeusmp --np 16
     python -m repro paradigm scalability zeusmp --np 8 --np-large 64
     python -m repro paradigm mpi-profiler cg --np 8 --jobs 4
@@ -96,8 +92,8 @@ def _usage_error(message: str) -> "SystemExit":
     return SystemExit(EXIT_USAGE)
 
 
-def _build(name: str, problem_class: str, demos: bool = False):
-    reg = registry(problem_class, demos=demos)
+def _build(name: str, problem_class: str):
+    reg = registry(problem_class)
     if name not in reg:
         raise _usage_error(f"unknown program {name!r}; try: {', '.join(sorted(reg))}")
     return reg[name]()
@@ -118,15 +114,9 @@ def _pflow_for(args) -> PerFlow:
 
 
 def cmd_list(_args) -> int:
-    evaluated = set(registry())
     print("modelled programs (repro.apps):")
-    for name in sorted(evaluated):
+    for name in sorted(registry()):
         print(f"  {name}")
-    demos = sorted(set(registry(demos=True)) - evaluated)
-    if demos:
-        print("\ndemo programs (run/lint only; deliberately broken):")
-        for name in demos:
-            print(f"  {name}")
     print("\nparadigms: mpi-profiler, communication, scalability, critical-path, contention")
     return 0
 
@@ -145,41 +135,12 @@ def _maybe_save_pag(args, pag) -> None:
 def cmd_run(args) -> int:
     from repro.runtime.engine import DeadlockError
 
-    prog = _build(args.program, args.problem_class, demos=True)
-    if args.record_trace:
-        from repro.runtime.executor import run_program
-        from repro.runtime.records import run_trace, save_run_trace
-
-        result = run_program(
-            prog,
-            nprocs=args.np,
-            nthreads=args.threads,
-            machine=_machine_for(args.program),
-            on_deadlock="record",
-        )
-        trace = run_trace(result)
-        save_run_trace(trace, args.record_trace)
-        print(
-            f"wrote run trace: {args.record_trace} "
-            f"({len(trace.comm_events)} comm, {len(trace.sync_events)} sync, "
-            f"{len(trace.access_events)} access events)"
-        )
-        if trace.deadlocked:
-            print(f"{prog.name}: DEADLOCK — {trace.deadlock['message']}")
-            print(
-                f"  confirm the static findings: "
-                f"repro lint {prog.name} --trace {args.record_trace}"
-            )
-            return EXIT_ISSUES
+    prog = _build(args.program, args.problem_class)
     pflow = _pflow_for(args)
     try:
         pag = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
     except DeadlockError as err:
         print(f"{prog.name}: deadlock — {err}")
-        print(
-            "  record evidence with --record-trace FILE, then "
-            f"`repro lint {prog.name} --trace FILE`"
-        )
         return EXIT_ISSUES
     _maybe_save_pag(args, pag)
     ctx = pflow.context(pag)
@@ -299,11 +260,9 @@ def _parse_params(pairs: Sequence[str]) -> dict:
 
 
 def cmd_lint(args) -> int:
-    import os
+    from repro.lint import LintConfig, Severity, lint_program
 
-    from repro.lint import LintConfig, LintReport, Severity, lint_program
-
-    prog = _build(args.program, args.problem_class, demos=True)
+    prog = _build(args.program, args.problem_class)
     try:
         config = LintConfig(
             nprocs=args.np, nthreads=args.threads, params=_parse_params(args.param)
@@ -311,90 +270,11 @@ def cmd_lint(args) -> int:
     except ValueError as err:
         raise _usage_error(str(err))
     codes = [c.strip() for c in args.rules.split(",")] if args.rules else None
-    fmt = args.format
-    if args.json:
-        if fmt == "sarif":
-            raise _usage_error("--json conflicts with --format sarif")
-        fmt = "json"
-
-    trace = None
-    if args.run_trace:
-        from repro.runtime.records import load_run_trace
-
-        try:
-            trace = load_run_trace(args.run_trace)
-        except FileNotFoundError as err:
-            raise _usage_error(f"no such trace file: {err.filename}")
-        except (ValueError, KeyError) as err:
-            raise _usage_error(f"not a repro run trace: {err}")
-        if trace.program != prog.name:
-            raise _usage_error(
-                f"trace {args.run_trace} records program {trace.program!r}, "
-                f"not {prog.name!r}"
-            )
-
     try:
-        if args.incremental:
-            from repro.lint.incremental import lint_program_incremental
-
-            report, stats = lint_program_incremental(
-                prog, config, codes=codes, trace=trace, cache_dir=args.cache_dir
-            )
-            print(
-                f"lint cache: {stats.function_hits} function hit(s), "
-                f"{stats.function_misses} miss(es), program "
-                f"{'hit' if stats.program_hit else 'miss'}",
-                file=sys.stderr,
-            )
-        else:
-            report = lint_program(prog, config, codes=codes, trace=trace)
+        report = lint_program(prog, config, codes=codes)
     except KeyError as err:
         raise _usage_error(err.args[0] if err.args else str(err))
-
-    hidden = []
-    if args.write_baseline and not args.baseline:
-        raise _usage_error("--write-baseline needs --baseline FILE to write to")
-    if args.baseline:
-        from repro.lint.baseline import (
-            Baseline,
-            load_baseline,
-            partition,
-            write_baseline,
-        )
-
-        if os.path.exists(args.baseline):
-            try:
-                base = load_baseline(args.baseline)
-            except ValueError as err:
-                raise _usage_error(str(err))
-        elif args.write_baseline:
-            base = Baseline.empty()
-        else:
-            raise _usage_error(f"no such baseline file: {args.baseline}")
-        if args.write_baseline:
-            added, expired = write_baseline(args.baseline, list(report), previous=base)
-            print(
-                f"wrote baseline {args.baseline}: {len(report)} finding(s) "
-                f"pinned (+{added} new, -{expired} expired)"
-            )
-            return EXIT_OK
-        part = partition(list(report), base)
-        hidden = part.hidden
-        if hidden:
-            obs_metrics.counter("lint.rules.suppressed").inc(len(hidden))
-        report = LintReport(subject=report.subject, diagnostics=part.active)
-
-    if fmt == "sarif":
-        from repro.lint.sarif import sarif_json
-
-        print(sarif_json(report, suppressed=hidden))
-    elif fmt == "json":
-        print(report.to_json())
-    else:
-        text = report.to_text()
-        if hidden:
-            text += f"\n{len(hidden)} baselined/suppressed finding(s) hidden"
-        print(text)
+    print(report.to_json() if args.json else report.to_text())
     if args.fail_on != "never" and report.count_at_least(Severity.parse(args.fail_on)):
         return EXIT_ISSUES
     return EXIT_OK
@@ -935,34 +815,17 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--report", action="store_true", help="print a hotspot report")
     p_run.add_argument("--dot", help="write a Graphviz view to this file")
-    p_run.add_argument(
-        "--record-trace", metavar="FILE",
-        help="save the run's event streams as a run trace (deadlocks are "
-             "recorded instead of raised); feed it to `repro lint --trace`",
-    )
 
-    # lint defines its own --trace (a *run trace input*), so it must not
-    # inherit obspar's --trace (a Chrome trace *output*); --metrics is
-    # re-declared to keep the observability side available.
     p_lint = sub.add_parser(
         "lint",
-        parents=[logpar, ledgerpar],
+        parents=[logpar, obspar, ledgerpar],
         help="statically lint a program model (no simulated run)",
     )
     p_lint.add_argument("program", help="program name (see `repro list`)")
     p_lint.add_argument("--np", type=int, default=16, help="sample MPI rank count to probe")
     p_lint.add_argument("--threads", type=int, default=4, help="sample threads per rank")
     p_lint.add_argument("--class", dest="problem_class", default="W", help="NPB class (S/W/A/B/C)")
-    p_lint.add_argument(
-        "--json", action="store_true",
-        help="emit diagnostics as JSON (same as --format json)",
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (sarif emits a SARIF 2.1.0 log for CI upload)",
-    )
+    p_lint.add_argument("--json", action="store_true", help="emit diagnostics as JSON")
     p_lint.add_argument(
         "--fail-on",
         choices=["info", "warning", "error", "never"],
@@ -978,33 +841,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY[=VALUE]",
         help="model parameter passed to probes, e.g. --param optimized",
-    )
-    p_lint.add_argument(
-        "--trace", dest="run_trace", metavar="FILE",
-        help="recorded run trace (`repro run --record-trace`); concurrency "
-             "findings are confirmed against it and races reported",
-    )
-    p_lint.add_argument(
-        "--metrics", dest="metrics_out", metavar="FILE",
-        help="write the metrics registry as JSON when the command finishes",
-    )
-    p_lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="apply a .perflowlint.toml suppression/baseline file; only "
-             "findings absent from it fail the run",
-    )
-    p_lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="snapshot the current findings into --baseline FILE and exit 0",
-    )
-    p_lint.add_argument(
-        "--incremental", action="store_true",
-        help="cache per-function rule results keyed on IR fingerprints",
-    )
-    p_lint.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="lint cache directory (default: $PERFLOW_CACHE_DIR or "
-             "~/.cache/perflow)",
     )
 
     p_par = sub.add_parser(

@@ -53,10 +53,6 @@ class Diagnostic:
     line: int = 0
     function: str = ""  #: enclosing IR function (empty for graph-level findings)
     node: str = ""  #: IR node / PerFlowGraph node name
-    #: dynamic-confirmation status: "" (purely static), "confirmed" (a
-    #: supplied run trace exhibits the defect) or "unobserved" (a trace
-    #: was supplied and did not exhibit it).
-    status: str = ""
 
     @property
     def location(self) -> str:
@@ -68,15 +64,12 @@ class Diagnostic:
     def format(self) -> str:
         loc = f"{self.location}: " if self.location else ""
         where = f" [{self.function}]" if self.function else ""
-        tag = f" ({self.status})" if self.status else ""
-        return f"{loc}{self.code} {self.severity}: {self.message}{where}{tag}"
+        return f"{loc}{self.code} {self.severity}: {self.message}{where}"
 
     def to_dict(self) -> Dict[str, Any]:
         d = asdict(self)
         d["severity"] = str(self.severity)
         d["location"] = self.location
-        if not self.status:  # keep purely-static payloads unchanged
-            del d["status"]
         return d
 
     def sort_key(self):

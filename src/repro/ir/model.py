@@ -95,14 +95,9 @@ class Stmt(Node):
 
     ``cost`` is simulated seconds; ``pmu`` maps counter names to rates per
     simulated second (defaults applied by the sampler when absent).
-    ``touches`` declares shared-state accesses — ``(variable, mode)``
-    pairs with mode ``"r"`` or ``"w"`` — that the runtime records as
-    :class:`~repro.runtime.records.AccessEvent`\\ s for the
-    happens-before race checker (lint rule PF104).  Thread-private state
-    is simply not declared.
     """
 
-    __slots__ = ("cost", "pmu", "touches")
+    __slots__ = ("cost", "pmu")
 
     def __init__(
         self,
@@ -110,12 +105,10 @@ class Stmt(Node):
         cost: Dyn,
         line: int = 0,
         pmu: Optional[Dict[str, float]] = None,
-        touches: Sequence[tuple] = (),
     ) -> None:
         super().__init__(name, line)
         self.cost = cost
         self.pmu = dict(pmu or {})
-        self.touches = tuple(touches)
 
 
 class Loop(Node):

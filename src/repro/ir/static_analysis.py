@@ -108,20 +108,6 @@ class StaticAnalysisResult:
             probe = probe[:-1]
         return None
 
-    def debug_of(self, path: Path) -> str:
-        """``file:line`` debug info for a calling context ("" if unknown).
-
-        Used by the concurrency lint to anchor trace-derived evidence
-        (which carries context paths, not IR nodes) to source locations.
-        """
-        v = self.vertex_for_path(path)
-        if v is None:
-            return ""
-        try:
-            return v["debug-info"] or ""
-        except (KeyError, TypeError):
-            return ""
-
 
 class _Expander:
     """Walks the IR and appends the top-down view straight into the PAG.

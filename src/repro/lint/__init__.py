@@ -1,4 +1,4 @@
-"""``repro.lint`` — static performance-smell and deadlock analysis.
+"""``repro.lint`` — static performance-smell analysis.
 
 PerFlow's static side (:mod:`repro.ir.static_analysis`) extracts PAG
 structure; this package *judges* it.  A rule-based analyzer walks the
@@ -17,18 +17,15 @@ From the command line: ``python -m repro lint zeusmp [--json]
 [--fail-on=severity]``.
 
 The rule set lives in :mod:`repro.lint.rules` (codes PF001–PF007, one
-per pathology class of the paper's case studies) and
-:mod:`repro.lint.concurrency` (codes PF101–PF104: deadlock, orphaned
-communication, lock-order inversion, data races — with dynamic
-confirmation against a recorded run trace); register custom rules with
-:func:`repro.lint.registry.rule` — see ``docs/LINT.md``.  Codes
+per pathology class of the paper's case studies); register custom rules
+with :func:`repro.lint.registry.rule` — see ``docs/LINT.md``.  Codes
 PF8## are reserved for the :class:`~repro.dataflow.graph.PerFlowGraph`
 pipeline type-checker, which shares this diagnostic format.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.diagnostics import Diagnostic, LintReport, Severity, worst_exceeds
 from repro.ir.model import Program
@@ -45,16 +42,14 @@ from repro.lint.registry import (
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 
-# Importing the modules registers the built-in rule sets.
+# Importing the module registers the built-in rule set.
 from repro.lint import rules as _builtin_rules  # noqa: F401
-from repro.lint import concurrency as _concurrency_rules  # noqa: F401
 
 
 def lint_program(
     program: Program,
     config: Optional[LintConfig] = None,
     codes: Optional[Sequence[str]] = None,
-    trace: Optional[Any] = None,
 ) -> LintReport:
     """Run the (selected) rule set over a program model.
 
@@ -67,16 +62,12 @@ def lint_program(
         as ``{"optimized": True}``, divergence threshold).
     codes:
         Restrict to these rule codes (default: every registered rule).
-    trace:
-        Optional :class:`~repro.runtime.records.RunTrace` of the same
-        program; concurrency rules confirm their static findings
-        against it and detect dynamic races (PF104).
 
     Returns a :class:`LintReport` whose diagnostics are sorted by
     (code, file, line) for stable output.
     """
     with _span("lint.program", category="lint", program=program.name) as sp:
-        ctx = LintContext(program, config, trace=trace)
+        ctx = LintContext(program, config)
         report = LintReport(subject=program.name)
         for r in active_rules(codes):
             with _span("lint.rule", category="lint", code=r.code) as rsp:
@@ -88,9 +79,6 @@ def lint_program(
                     rsp.set(findings=n)
             if n:
                 _metrics.counter("lint.rules.fired").inc(n)
-        confirmed = sum(1 for d in report if d.status == "confirmed")
-        if confirmed:
-            _metrics.counter("lint.rules.confirmed").inc(confirmed)
         report.sort()
         if sp:
             sp.set(diagnostics=len(report))

@@ -116,27 +116,14 @@ class Site:
 
 
 class LintContext:
-    """Everything the rule set needs, computed once per lint run.
+    """Everything the rule set needs, computed once per lint run."""
 
-    ``trace`` optionally carries a recorded
-    :class:`~repro.runtime.records.RunTrace` of the same program; the
-    concurrency rules (PF101–PF104) use it to *confirm* static findings
-    against observed behaviour and to detect dynamic races.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        config: Optional[LintConfig] = None,
-        trace: Optional[Any] = None,
-    ):
+    def __init__(self, program: Program, config: Optional[LintConfig] = None):
         self.program = program
         self.config = config or LintConfig()
-        self.trace = trace
         #: all sites in deterministic pre-order, per function name order.
         self.sites: List[Site] = []
         self._sites_by_function: Dict[str, List[Site]] = {}
-        self._site_by_uid: Dict[int, Site] = {}
         self._static_result = None
         self._collective_signatures: Dict[str, Tuple[str, ...]] = {}
         self._walk_program()
@@ -214,13 +201,6 @@ class LintContext:
         for site in self.sites:
             if isinstance(site.node, types):
                 yield site
-
-    def function_sites(self, fname: str) -> Sequence[Site]:
-        return self._sites_by_function.get(fname, ())
-
-    def site_for_uid(self, uid: int) -> Optional[Site]:
-        """The site owning the node with ``uid`` (trace evidence anchoring)."""
-        return self._site_by_uid.get(uid)
 
     def in_hot_path(self, site: Site) -> bool:
         """True when the node repeats: lexically inside a loop, or in a
@@ -307,7 +287,6 @@ class LintContext:
                 held_locks=held_now,
             )
             out.append(site)
-            self._site_by_uid.setdefault(node.uid, site)
             if isinstance(node, Loop):
                 self._walk_body(
                     node.body, func, loops + (node,), branches, regions, held_now, out

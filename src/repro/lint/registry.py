@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.diagnostics import Diagnostic, Severity
 
@@ -42,27 +42,17 @@ class Finding:
     node: str = ""
     #: overrides the rule's default severity when set.
     severity: Optional[Severity] = None
-    #: dynamic-confirmation status ("", "confirmed" or "unobserved").
-    status: str = ""
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered static-analysis rule.
-
-    ``scope`` declares what a check inspects: ``"function"`` checks look
-    at one function's sites at a time (their findings can be cached
-    per-function by the incremental linter), ``"program"`` checks need
-    whole-program context (call graph, cross-rank matching) and re-run
-    whenever anything changes.
-    """
+    """A registered static-analysis rule."""
 
     code: str
     name: str
     severity: Severity
     description: str
     check: Callable[..., Iterable[Finding]] = field(compare=False)
-    scope: str = "program"
 
     def to_diagnostic(self, finding: Finding) -> Diagnostic:
         return Diagnostic(
@@ -73,7 +63,6 @@ class Rule:
             line=finding.line,
             function=finding.function,
             node=finding.node,
-            status=finding.status,
         )
 
 
@@ -100,15 +89,12 @@ def rule(
     name: str,
     severity: Severity,
     description: str,
-    scope: str = "program",
 ) -> Callable[[Callable[..., Iterable[Finding]]], Callable[..., Iterable[Finding]]]:
     """Decorator: register ``check`` as a rule and return it unchanged."""
-    if scope not in ("function", "program"):
-        raise ValueError(f"rule scope {scope!r} must be 'function' or 'program'")
 
     def deco(check: Callable[..., Iterable[Finding]]):
         register(Rule(code=code, name=name, severity=severity,
-                      description=description, check=check, scope=scope))
+                      description=description, check=check))
         return check
 
     return deco
@@ -126,7 +112,3 @@ def active_rules(codes: Optional[Sequence[str]] = None) -> List[Rule]:
     if codes is None:
         return [_REGISTRY[c] for c in sorted(_REGISTRY)]
     return [get_rule(c) for c in sorted(set(codes))]
-
-
-def iter_rules() -> Iterator[Rule]:
-    return iter(active_rules())

@@ -34,7 +34,7 @@ and a failed probe never produces a diagnostic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.diagnostics import Severity
 from repro.ir.model import (
@@ -47,7 +47,7 @@ from repro.ir.model import (
     ThreadCall,
     ThreadOp,
 )
-from repro.lint.context import LintContext, Site
+from repro.lint.context import LintContext
 from repro.lint.registry import Finding, rule
 
 _BLOCKING_P2P = (CommOp.SEND, CommOp.RECV)
@@ -69,7 +69,6 @@ _Direction = Tuple[int, int, int]
         "from a loop) serializes the exchange and propagates neighbour "
         "delays; prefer Isend/Irecv + Wait or MPI_Sendrecv."
     ),
-    scope="function",
 )
 def check_blocking_p2p_in_loop(ctx: LintContext) -> Iterator[Finding]:
     for site in ctx.sites_of(CommCall):
@@ -229,7 +228,6 @@ def check_divergent_collective(ctx: LintContext) -> Iterator[Finding]:
         "communication or allocation extend the serialized window — the "
         "Vite case study's root cause."
     ),
-    scope="function",
 )
 def check_serialized_allocator(ctx: LintContext) -> Iterator[Finding]:
     for site in ctx.sites:
@@ -266,7 +264,6 @@ def check_serialized_allocator(ctx: LintContext) -> Iterator[Finding]:
         "runtime trace fills it in, leaving an embedding blind spot "
         "exactly where the time is spent."
     ),
-    scope="function",
 )
 def check_indirect_in_loop(ctx: LintContext) -> Iterator[Finding]:
     for site in ctx.sites_of(Call):
@@ -308,7 +305,6 @@ def _probe_costs(ctx: LintContext, cost, contexts) -> List[float]:
         "(and threads, inside threaded regions), diverges beyond the "
         "jitter floor: load imbalance visible before any run."
     ),
-    scope="function",
 )
 def check_rank_divergent_cost(ctx: LintContext) -> Iterator[Finding]:
     threshold = ctx.config.cost_spread_threshold

@@ -34,9 +34,8 @@ class DeadlockError(RuntimeError):
     """Raised when no unit can make progress but some are blocked.
 
     ``blocked`` carries one dict per permanently blocked unit —
-    ``{"rank", "thread", "blocker", "path"}`` — so callers recording a
-    deadlock (``run_program(..., on_deadlock="record")``) can persist
-    the evidence instead of just the rendered message.
+    ``{"rank", "thread", "blocker", "path"}`` — the structured evidence
+    behind the rendered message.
     """
 
     def __init__(self, message: str, blocked: Optional[List[Dict[str, Any]]] = None):

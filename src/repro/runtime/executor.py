@@ -14,7 +14,7 @@ from repro.ir.model import Program
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
-from repro.runtime.engine import DeadlockError, Engine
+from repro.runtime.engine import Engine
 from repro.runtime.interpreter import Lowering
 from repro.runtime.machine import MachineModel
 from repro.runtime.records import RunResult
@@ -29,7 +29,6 @@ def run_program(
     nthreads: int = 1,
     params: Optional[Dict[str, Any]] = None,
     machine: Optional[MachineModel] = None,
-    on_deadlock: str = "raise",
 ) -> RunResult:
     """Simulate ``program`` on ``nprocs`` ranks and return the run record.
 
@@ -37,12 +36,9 @@ def run_program(
     program models can size their thread teams from it (the modelled apps
     all do), and recorded on the result for reporting.
 
-    ``on_deadlock`` controls what happens when the simulated program
-    deadlocks: ``"raise"`` (the default) propagates the
-    :class:`~repro.runtime.engine.DeadlockError`; ``"record"`` stores the
-    blocked-unit evidence on ``result.deadlock`` and returns the partial
-    run — the events recorded up to the deadlock are still available,
-    which is what the concurrency lint's trace confirmation tier needs.
+    A program that deadlocks raises
+    :class:`~repro.runtime.engine.DeadlockError`, whose ``blocked``
+    list names each permanently blocked unit.
 
     The run is fully deterministic: same program + parameters always
     produce identical results.
@@ -51,8 +47,6 @@ def run_program(
         raise ValueError("nprocs must be >= 1")
     if nthreads < 1:
         raise ValueError("nthreads must be >= 1")
-    if on_deadlock not in ("raise", "record"):
-        raise ValueError("on_deadlock must be 'raise' or 'record'")
     run_params = dict(params or {})
     run_params.setdefault("nthreads", nthreads)
     with _span(
@@ -69,30 +63,11 @@ def run_program(
             for rank, unit in enumerate(Lowering(program, result, tracer).ranks(nthreads)):
                 engine.add_unit(rank, 0, unit)
         with _span("run.engine", category="runtime") as esp:
-            try:
-                result.per_rank_elapsed = engine.run()
-            except DeadlockError as err:
-                if on_deadlock == "raise":
-                    raise
-                result.deadlock = {
-                    "message": str(err),
-                    "blocked": [
-                        {
-                            "rank": b["rank"],
-                            "thread": b["thread"],
-                            "blocker": b["blocker"],
-                            "path": list(b["path"]) if b["path"] else None,
-                        }
-                        for b in err.blocked
-                    ],
-                }
-                _LOG.warning("deadlock recorded for %s: %s", program.name, err)
+            result.per_rank_elapsed = engine.run()
             if esp:
                 esp.set(simulated_elapsed=round(result.elapsed, 6))
         result.comm_events = tracer.comm_events
         result.lock_events = tracer.lock_events
-        result.sync_events = tracer.sync_events
-        result.access_events = tracer.access_events
         result.indirect_targets = tracer.indirect_targets
         if sp:
             sp.set(

@@ -58,7 +58,7 @@ from repro.runtime.engine import (
     SpawnReq,
     WaitReq,
 )
-from repro.runtime.records import AccessEvent, Path, RunResult, SyncEvent, VertexStat
+from repro.runtime.records import Path, RunResult, VertexStat
 from repro.runtime.tracer import Tracer
 
 _COLLECTIVES = frozenset({
@@ -79,8 +79,7 @@ class RequestBook:
     ISEND/IRECV post an engine label ``"<req>#<n>"`` under their user
     label; a Wait takes the labels of the user labels it names (of all,
     if none), grouped by user label.  Taking nothing is a Wait on
-    ``MPI_REQUEST_NULL``: it completes at once.  The PF101 projection
-    (:mod:`repro.lint.concurrency`) keeps its labels in the same book.
+    ``MPI_REQUEST_NULL``: it completes at once.
     """
 
     __slots__ = ("_outstanding", "_n")
@@ -111,13 +110,12 @@ class RequestBook:
 class _Unit:
     """One rank or spawned thread: its clock, stats by context id and requests."""
 
-    __slots__ = ("rank", "thread", "clock", "stats", "book", "children")
+    __slots__ = ("rank", "thread", "clock", "stats", "book")
 
     def __init__(self, rank: int, thread: int, clock: float = 0.0) -> None:
         self.rank, self.thread, self.clock = rank, thread, clock
         self.stats: Dict[int, VertexStat] = {}
         self.book = RequestBook()
-        self.children: List[int] = []
 
 
 def _fn(value):
@@ -192,7 +190,7 @@ class Lowering:
     def _node(self, node: Node, path: Path) -> Lowered:
         cid, first = self._cid(path), self._first
         if isinstance(node, Stmt):
-            return True, self._work(node, path, cid, node.touches)
+            return True, self._work(cid, node.cost)
         if isinstance(node, Loop):
             trips = _fn(node.trips)
             plain, body = self._body(node.body, path)
@@ -235,9 +233,9 @@ class Lowering:
             return False, self._thread(node, path, cid)
         raise TypeError(f"unknown IR node {type(node).__name__}")  # pragma: no cover
 
-    def _work(self, node: Node, path: Path, cid: int, touches=()) -> Callable:
+    def _work(self, cid: int, cost) -> Callable:
         """A statement or opaque call: ``cost`` on the clock and as exclusive time."""
-        first, cost, record_access = self._first, _fn(node.cost), self.tracer.record_access
+        first, cost = self._first, _fn(cost)
 
         def work(u, ctx):
             c = float(cost(ctx))
@@ -245,18 +243,13 @@ class Lowering:
             s = u.stats.get(cid) or first(u, cid)
             s.time += c
             s.count += 1
-            for var, mode in touches:
-                record_access(AccessEvent(
-                    rank=u.rank, thread=u.thread, var=var, mode=mode,
-                    t=u.clock, uid=node.uid, path=path,
-                ))
 
         return work
 
     # -- calls ---------------------------------------------------------------
     def _call(self, node: Call, path: Path, cid: int) -> Lowered:
         first, functions = self._first, self.program.functions
-        external = self._work(node, path, cid)
+        external = self._work(cid, node.cost)
         indirect = node.target is CallTarget.INDIRECT
         if node.target is CallTarget.EXTERNAL or not (
             indirect or callable(node.callee) or node.callee in functions
@@ -355,15 +348,9 @@ class Lowering:
 
     # -- threads ----------------------------------------------------------------
     def _thread(self, node: ThreadCall, path: Path, cid: int) -> Callable:
-        first, record_sync, op = self._first, self.tracer.record_sync, node.op
+        first, op = self._first, node.op
         count_of, hold_of, body = _fn(node.count), _fn(node.hold), []
-        mutex = op in (ThreadOp.MUTEX_LOCK, ThreadOp.MUTEX_UNLOCK)
-        lock = node.lock or ("mutex" if mutex else MALLOC_LOCK)
-
-        def sync(u, kind, t, **kw):
-            record_sync(SyncEvent(
-                kind=kind, rank=u.rank, thread=u.thread, t=t, uid=node.uid, path=path, **kw
-            ))
+        lock = node.lock or ("mutex" if op is ThreadOp.MUTEX_LOCK else MALLOC_LOCK)
 
         def thread(u, ctx):
             t0, count, wait = u.clock, 1, 0.0
@@ -372,39 +359,23 @@ class Lowering:
                 nthreads = max(count, 1)
                 if not body:
                     body.append(self._body(node.body, path))
-                spawned: List[int] = []
 
                 def factory(tid: int, t_start: float) -> Generator:
-                    spawned.append(tid)
                     child_ctx = ctx.with_thread(tid, nthreads)
                     return _run(body[0], _Unit(u.rank, tid, t_start), child_ctx)
 
                 u.clock = (yield SpawnReq(t=t0, path=path, factories=[factory] * count)).t
-                # The engine invokes the factories synchronously while handling
-                # the SpawnReq, so `spawned` is fully populated here.
-                for tid in spawned:
-                    sync(u, "spawn", u.clock, child=tid)
-                u.children.extend(spawned)
             elif op is ThreadOp.JOIN:
                 completion = yield JoinReq(t=t0, path=path)
                 u.clock, wait = completion.t, completion.wait
-                for tid in u.children:
-                    sync(u, "join", u.clock, child=tid)
-                u.children.clear()
             elif op is ThreadOp.MUTEX_UNLOCK:
-                # Lock release is folded into MUTEX_LOCK's hold; an explicit
-                # unlock marks where the critical section ends for the
-                # happens-before checker (the engine itself does not block).
-                sync(u, "release", u.clock, lock=lock)
+                # Lock release is folded into MUTEX_LOCK's hold; the engine
+                # does not block on an explicit unlock.
+                pass
             elif op in (ThreadOp.MUTEX_LOCK, ThreadOp.ALLOC, ThreadOp.REALLOC, ThreadOp.DEALLOC):
                 hold = float(hold_of(ctx))
                 completion = yield LockReq(t=t0, path=path, lock=lock, hold=hold, op=op)
                 u.clock, wait = completion.t, completion.wait
-                sync(u, "acquire", t0 + wait, lock=lock)
-                if op is not ThreadOp.MUTEX_LOCK:
-                    # Allocator calls release the lock on return: record the
-                    # matching release immediately (program-order adjacent).
-                    sync(u, "release", u.clock, lock=lock)
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unhandled thread op {op}")
             s = u.stats.get(cid) or first(u, cid)

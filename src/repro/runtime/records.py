@@ -9,8 +9,6 @@ structure (§3.2).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
@@ -91,47 +89,6 @@ class LockEvent:
 
 
 @dataclass
-class SyncEvent:
-    """One synchronization action inside a process.
-
-    Unlike :class:`LockEvent` (contended acquisitions only, for the
-    parallel-view wait edges), sync events record *every* ordering
-    action — lock acquire/release, thread spawn/join — so a
-    happens-before relation can be reconstructed from the stream.
-    ``seq`` is a process-global record ordinal: within one execution
-    unit, ascending ``seq`` is program order.
-    """
-
-    kind: str  #: "acquire" | "release" | "spawn" | "join"
-    rank: int
-    thread: int
-    t: float
-    lock: str = ""  #: acquire/release only
-    child: int = -1  #: spawn/join only: the child thread id
-    uid: int = -1  #: IR node uid of the originating call
-    path: Optional[Path] = None
-    seq: int = -1
-
-
-@dataclass
-class AccessEvent:
-    """One declared shared-state access (a :class:`Stmt` ``touches`` entry).
-
-    ``mode`` is ``"r"`` or ``"w"``.  ``seq`` orders the event against
-    :class:`SyncEvent`\\ s of the same execution unit.
-    """
-
-    rank: int
-    thread: int
-    var: str
-    mode: str
-    t: float
-    uid: int = -1
-    path: Optional[Path] = None
-    seq: int = -1
-
-
-@dataclass
 class RunResult:
     """Everything a simulated run produced.
 
@@ -148,24 +105,14 @@ class RunResult:
     vertex_stats: Dict[Path, Dict[UnitKey, VertexStat]] = field(default_factory=dict)
     comm_events: List[CommEvent] = field(default_factory=list)
     lock_events: List[LockEvent] = field(default_factory=list)
-    sync_events: List[SyncEvent] = field(default_factory=list)
-    access_events: List[AccessEvent] = field(default_factory=list)
     #: call-site uid -> resolved callee names (runtime fill-in of §3.2)
     indirect_targets: Dict[int, Set[str]] = field(default_factory=dict)
     per_rank_elapsed: Dict[int, float] = field(default_factory=dict)
-    #: set when the run was executed with ``on_deadlock="record"`` and
-    #: deadlocked: ``{"message": str, "blocked": [{"rank", "thread",
-    #: "blocker", "path"}, ...]}``.  ``None`` for completed runs.
-    deadlock: Optional[Dict[str, Any]] = None
 
     @property
     def elapsed(self) -> float:
         """Simulated wall time of the run (slowest rank)."""
         return max(self.per_rank_elapsed.values()) if self.per_rank_elapsed else 0.0
-
-    @property
-    def total_comm_calls(self) -> int:
-        return len(self.comm_events)
 
     def stat(self, path: Path, rank: int, thread: int = 0) -> VertexStat:
         """Accumulator for one (context, rank, thread); creates if absent."""
@@ -182,241 +129,3 @@ class RunResult:
             return 0.0
         return sum(s.time for s in per_unit.values())
 
-
-# ---------------------------------------------------------------------------
-# recorded run traces (``repro run --record-trace`` / ``repro lint --trace``)
-# ---------------------------------------------------------------------------
-TRACE_FORMAT = "repro-run-trace/1"
-
-
-@dataclass
-class RunTrace:
-    """The serializable event record of one simulated run.
-
-    This is the dynamic-confirmation input of the concurrency lint tier
-    (:mod:`repro.lint.concurrency`): the comm/lock/sync/access event
-    streams plus — for runs recorded with ``on_deadlock="record"`` —
-    the structured deadlock report.  The program *model* is not stored;
-    ``program`` names it so a trace is never replayed against the wrong
-    IR (event ``uid``\\ s are only meaningful for the builder that
-    produced them).
-    """
-
-    program: str
-    nprocs: int
-    nthreads: int
-    params: Dict[str, Any] = field(default_factory=dict)
-    comm_events: List[CommEvent] = field(default_factory=list)
-    lock_events: List[LockEvent] = field(default_factory=list)
-    sync_events: List[SyncEvent] = field(default_factory=list)
-    access_events: List[AccessEvent] = field(default_factory=list)
-    deadlock: Optional[Dict[str, Any]] = None
-
-    @property
-    def deadlocked(self) -> bool:
-        return self.deadlock is not None
-
-
-def _path_out(path: Optional[Path]) -> Optional[List[Any]]:
-    return list(path) if path is not None else None
-
-
-def _path_in(path: Optional[List[Any]]) -> Optional[Path]:
-    return tuple(path) if path is not None else None
-
-
-def _jsonable_params(params: Dict[str, Any]) -> Dict[str, Any]:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, (bool, int, float, str)) or v is None:
-            out[k] = v
-    return out
-
-
-def run_trace(result: RunResult) -> RunTrace:
-    """Extract the serializable trace from a run result."""
-    return RunTrace(
-        program=result.program.name,
-        nprocs=result.nprocs,
-        nthreads=result.nthreads,
-        params=_jsonable_params(result.params),
-        comm_events=result.comm_events,
-        lock_events=result.lock_events,
-        sync_events=result.sync_events,
-        access_events=result.access_events,
-        deadlock=result.deadlock,
-    )
-
-
-def trace_to_dict(trace: RunTrace) -> Dict[str, Any]:
-    """JSON-ready dict form of a trace (stable key order via json dump)."""
-    return {
-        "format": TRACE_FORMAT,
-        "program": trace.program,
-        "nprocs": trace.nprocs,
-        "nthreads": trace.nthreads,
-        "params": trace.params,
-        "deadlock": trace.deadlock,
-        "comm_events": [
-            {
-                "op": e.op.value,
-                "nbytes": e.nbytes,
-                "t_complete": e.t_complete,
-                "src_rank": e.src_rank,
-                "dst_rank": e.dst_rank,
-                "src_path": _path_out(e.src_path),
-                "dst_path": _path_out(e.dst_path),
-                "wait_time": e.wait_time,
-                "sender_wait": e.sender_wait,
-                "participants": (
-                    None
-                    if e.participants is None
-                    else [[r, _path_out(p), arr, w] for r, p, arr, w in e.participants]
-                ),
-            }
-            for e in trace.comm_events
-        ],
-        "lock_events": [
-            {
-                "rank": e.rank,
-                "lock": e.lock,
-                "waiter_thread": e.waiter_thread,
-                "waiter_path": _path_out(e.waiter_path),
-                "holder_thread": e.holder_thread,
-                "holder_path": _path_out(e.holder_path),
-                "t_acquire": e.t_acquire,
-                "wait_time": e.wait_time,
-            }
-            for e in trace.lock_events
-        ],
-        "sync_events": [
-            {
-                "kind": e.kind,
-                "rank": e.rank,
-                "thread": e.thread,
-                "t": e.t,
-                "lock": e.lock,
-                "child": e.child,
-                "uid": e.uid,
-                "path": _path_out(e.path),
-                "seq": e.seq,
-            }
-            for e in trace.sync_events
-        ],
-        "access_events": [
-            {
-                "rank": e.rank,
-                "thread": e.thread,
-                "var": e.var,
-                "mode": e.mode,
-                "t": e.t,
-                "uid": e.uid,
-                "path": _path_out(e.path),
-                "seq": e.seq,
-            }
-            for e in trace.access_events
-        ],
-    }
-
-
-def trace_from_dict(payload: Dict[str, Any]) -> RunTrace:
-    """Inverse of :func:`trace_to_dict`; raises ``ValueError`` on bad input."""
-    if not isinstance(payload, dict) or payload.get("format") != TRACE_FORMAT:
-        raise ValueError(
-            f"not a {TRACE_FORMAT} document (format="
-            f"{payload.get('format') if isinstance(payload, dict) else payload!r})"
-        )
-    try:
-        comm = [
-            CommEvent(
-                op=CommOp(e["op"]),
-                nbytes=e["nbytes"],
-                t_complete=e["t_complete"],
-                src_rank=e["src_rank"],
-                dst_rank=e["dst_rank"],
-                src_path=_path_in(e["src_path"]),
-                dst_path=_path_in(e["dst_path"]),
-                wait_time=e["wait_time"],
-                sender_wait=e["sender_wait"],
-                participants=(
-                    None
-                    if e["participants"] is None
-                    else [
-                        (r, _path_in(p), arr, w)
-                        for r, p, arr, w in e["participants"]
-                    ]
-                ),
-            )
-            for e in payload["comm_events"]
-        ]
-        locks = [LockEvent(
-            rank=e["rank"],
-            lock=e["lock"],
-            waiter_thread=e["waiter_thread"],
-            waiter_path=_path_in(e["waiter_path"]),
-            holder_thread=e["holder_thread"],
-            holder_path=_path_in(e["holder_path"]),
-            t_acquire=e["t_acquire"],
-            wait_time=e["wait_time"],
-        ) for e in payload["lock_events"]]
-        syncs = [SyncEvent(
-            kind=e["kind"],
-            rank=e["rank"],
-            thread=e["thread"],
-            t=e["t"],
-            lock=e["lock"],
-            child=e["child"],
-            uid=e["uid"],
-            path=_path_in(e["path"]),
-            seq=e["seq"],
-        ) for e in payload["sync_events"]]
-        accesses = [AccessEvent(
-            rank=e["rank"],
-            thread=e["thread"],
-            var=e["var"],
-            mode=e["mode"],
-            t=e["t"],
-            uid=e["uid"],
-            path=_path_in(e["path"]),
-            seq=e["seq"],
-        ) for e in payload["access_events"]]
-        return RunTrace(
-            program=payload["program"],
-            nprocs=payload["nprocs"],
-            nthreads=payload["nthreads"],
-            params=dict(payload.get("params") or {}),
-            comm_events=comm,
-            lock_events=locks,
-            sync_events=syncs,
-            access_events=accesses,
-            deadlock=payload.get("deadlock"),
-        )
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed {TRACE_FORMAT} document: {err}") from None
-
-
-def save_run_trace(source: Union[RunResult, RunTrace], path: str) -> None:
-    """Write a run's trace as JSON (``repro run --record-trace``)."""
-    trace = run_trace(source) if isinstance(source, RunResult) else source
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_dict(trace), fh, indent=1, sort_keys=True)
-
-
-def load_run_trace(path: str) -> RunTrace:
-    """Read a trace written by :func:`save_run_trace`.
-
-    Raises ``ValueError`` for files that are not (valid) run traces and
-    ``OSError`` for unreadable paths.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path} is not JSON: {err}") from None
-    return trace_from_dict(payload)
-
-
-def trace_digest(trace: RunTrace) -> str:
-    """Stable content digest of a trace (incremental-lint cache key)."""
-    blob = json.dumps(trace_to_dict(trace), sort_keys=True).encode("utf-8")
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()

@@ -11,43 +11,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.runtime.records import AccessEvent, CommEvent, LockEvent, SyncEvent
+from repro.runtime.records import CommEvent, LockEvent
 
 
 class Tracer:
-    """Accumulates dynamic events during a run.
-
-    ``record_sync`` / ``record_access`` stamp a process-global ``seq``
-    on their events: the engine drives units in segments, so the append
-    order across units is a scheduling artifact, but *within* one unit
-    ascending ``seq`` is exactly program order — which is what the
-    happens-before checker (lint PF104) reconstructs per-thread streams
-    from.
-    """
+    """Accumulates dynamic events during a run."""
 
     def __init__(self) -> None:
         self.comm_events: List[CommEvent] = []
         self.lock_events: List[LockEvent] = []
-        self.sync_events: List[SyncEvent] = []
-        self.access_events: List[AccessEvent] = []
         self.indirect_targets: Dict[int, Set[str]] = {}
-        self._seq = 0
 
     def record_comm(self, event: CommEvent) -> None:
         self.comm_events.append(event)
 
     def record_lock(self, event: LockEvent) -> None:
         self.lock_events.append(event)
-
-    def record_sync(self, event: SyncEvent) -> None:
-        event.seq = self._seq
-        self._seq += 1
-        self.sync_events.append(event)
-
-    def record_access(self, event: AccessEvent) -> None:
-        event.seq = self._seq
-        self._seq += 1
-        self.access_events.append(event)
 
     def record_indirect(self, call_uid: int, target: str) -> None:
         self.indirect_targets.setdefault(call_uid, set()).add(target)

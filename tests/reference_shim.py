@@ -74,7 +74,6 @@ from repro.pag.vertex import CallKind, VertexLabel
 from repro.runtime.engine import (
     CollReq,
     Completion,
-    DeadlockError,
     Engine,
     FinishReq,
     JoinReq,
@@ -85,7 +84,7 @@ from repro.runtime.engine import (
     WaitReq,
 )
 from repro.runtime.machine import MachineModel
-from repro.runtime.records import AccessEvent, RunResult, SyncEvent
+from repro.runtime.records import RunResult
 from repro.runtime.tracer import Tracer
 
 
@@ -867,9 +866,6 @@ class UnitInterpreter:
         self._label_counter = itertools.count()
         #: user request label -> outstanding engine labels
         self._outstanding: Dict[str, List[str]] = {}
-        #: thread ids spawned by the most recent CREATE (cleared at JOIN);
-        #: mirrors the engine's children list for spawn/join sync events.
-        self._children: List[int] = []
 
     # ------------------------------------------------------------------
     def run(self) -> Generator:
@@ -904,11 +900,6 @@ class UnitInterpreter:
             cost = float(evaluate(node.cost, ctx))
             self.clock += cost
             self._record(path, cost)
-            for var, mode in node.touches:
-                self.tracer.record_access(AccessEvent(
-                    rank=self.rank, thread=self.thread, var=var, mode=mode,
-                    t=self.clock, uid=node.uid, path=path,
-                ))
         elif isinstance(node, Loop):
             trips = int(evaluate(node.trips, ctx))
             self._record(path, 0.0, count=trips)
@@ -1056,11 +1047,8 @@ class UnitInterpreter:
             count = int(evaluate(node.count, ctx))
             nthreads = max(count, 1)
 
-            spawned: List[int] = []
-
             def make_factory(body: Sequence[Node]):
                 def factory(tid: int, t_start: float) -> Generator:
-                    spawned.append(tid)
                     child = UnitInterpreter(
                         self.program, self.result, self.tracer,
                         self.rank, tid, nthreads, start_clock=t_start,
@@ -1074,51 +1062,20 @@ class UnitInterpreter:
                 t=t0, path=path, factories=[make_factory(node.body) for _ in range(count)]
             )
             self.clock = completion.t
-            # The engine invokes the factories synchronously while handling
-            # the SpawnReq, so `spawned` is fully populated here.
-            for tid in spawned:
-                self.tracer.record_sync(SyncEvent(
-                    kind="spawn", rank=self.rank, thread=self.thread,
-                    t=self.clock, child=tid, uid=node.uid, path=path,
-                ))
-            self._children.extend(spawned)
             self._record(path, self.clock - t0, count=count)
         elif node.op is ThreadOp.JOIN:
             completion = yield JoinReq(t=t0, path=path)
             self.clock = completion.t
-            for tid in self._children:
-                self.tracer.record_sync(SyncEvent(
-                    kind="join", rank=self.rank, thread=self.thread,
-                    t=self.clock, child=tid, uid=node.uid, path=path,
-                ))
-            self._children.clear()
             self._record(path, self.clock - t0, wait=completion.wait)
         elif node.op in (ThreadOp.MUTEX_LOCK, ThreadOp.ALLOC, ThreadOp.REALLOC, ThreadOp.DEALLOC):
             hold = float(evaluate(node.hold, ctx))
             lock = node.lock or (MALLOC_LOCK if node.op is not ThreadOp.MUTEX_LOCK else "mutex")
             completion = yield LockReq(t=t0, path=path, lock=lock, hold=hold, op=node.op)
             self.clock = completion.t
-            self.tracer.record_sync(SyncEvent(
-                kind="acquire", rank=self.rank, thread=self.thread,
-                t=t0 + completion.wait, lock=lock, uid=node.uid, path=path,
-            ))
-            if node.op is not ThreadOp.MUTEX_LOCK:
-                # Allocator calls release the lock on return: record the
-                # matching release immediately (program-order adjacent).
-                self.tracer.record_sync(SyncEvent(
-                    kind="release", rank=self.rank, thread=self.thread,
-                    t=self.clock, lock=lock, uid=node.uid, path=path,
-                ))
             self._record(path, self.clock - t0, wait=completion.wait)
         elif node.op is ThreadOp.MUTEX_UNLOCK:
-            # Lock release is folded into MUTEX_LOCK's hold; an explicit
-            # unlock marks where the critical section ends for the
-            # happens-before checker (the engine itself does not block).
-            lock = node.lock or "mutex"
-            self.tracer.record_sync(SyncEvent(
-                kind="release", rank=self.rank, thread=self.thread,
-                t=self.clock, lock=lock, uid=node.uid, path=path,
-            ))
+            # Lock release is folded into MUTEX_LOCK's hold; the engine
+            # does not block on an explicit unlock.
             self._record(path, 0.0)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unhandled thread op {node.op}")
@@ -1130,7 +1087,6 @@ def run_program(
     nthreads: int = 1,
     params: Optional[Dict[str, Any]] = None,
     machine: Optional[MachineModel] = None,
-    on_deadlock: str = "raise",
 ) -> RunResult:
     """``repro.runtime.run_program`` driving one :class:`UnitInterpreter`
     per rank (spans, metrics and logging left out)."""
@@ -1142,27 +1098,9 @@ def run_program(
     for rank in range(nprocs):
         interp = UnitInterpreter(program, result, tracer, rank=rank, thread=0, nthreads=nthreads)
         engine.add_unit(rank, 0, interp.run())
-    try:
-        result.per_rank_elapsed = engine.run()
-    except DeadlockError as err:
-        if on_deadlock == "raise":
-            raise
-        result.deadlock = {
-            "message": str(err),
-            "blocked": [
-                {
-                    "rank": b["rank"],
-                    "thread": b["thread"],
-                    "blocker": b["blocker"],
-                    "path": list(b["path"]) if b["path"] else None,
-                }
-                for b in err.blocked
-            ],
-        }
+    result.per_rank_elapsed = engine.run()
     result.comm_events = tracer.comm_events
     result.lock_events = tracer.lock_events
-    result.sync_events = tracer.sync_events
-    result.access_events = tracer.access_events
     result.indirect_targets = tracer.indirect_targets
     return result
 

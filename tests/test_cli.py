@@ -32,6 +32,22 @@ def test_run_with_report_and_dot(tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
 
 
+def test_run_prints_the_deadlock_and_its_blocked_units(monkeypatch, capsys):
+    from repro.ir.model import CommCall, CommOp, Function, Program
+
+    ring = Program(name="ring")
+    ring.add_function(Function("main", [
+        CommCall(CommOp.SEND, peer=lambda c: (c.rank + 1) % c.nprocs, nbytes=1 << 20),
+        CommCall(CommOp.RECV, peer=lambda c: (c.rank - 1) % c.nprocs, nbytes=1 << 20),
+    ]))
+    monkeypatch.setattr("repro.cli.registry", lambda *a: {"ring": lambda: ring})
+    assert main(["run", "ring", "--np", "3", "--no-ledger"]) == EXIT_ISSUES
+    assert capsys.readouterr().out == (
+        "ring: deadlock — 3 unit(s) blocked forever: rank 0 thread 0 on MPI_Send to 1, "
+        "rank 1 thread 0 on MPI_Send to 2, rank 2 thread 0 on MPI_Send to 0\n"
+    )
+
+
 def test_pag_stats(capsys):
     assert main(["pag", "stats", "cg", "--np", "4", "--class", "S"]) == 0
     out = capsys.readouterr().out
@@ -177,6 +193,14 @@ def test_lint_unknown_program_usage_exit(capsys):
         main(["lint", "nonexistent"])
     assert exc.value.code == EXIT_USAGE
     assert "unknown program" in capsys.readouterr().err
+
+
+def test_lint_trace_writes_a_chrome_trace_of_the_command(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    assert main(["lint", "zeusmp", "--no-ledger", "--trace", str(trace)]) == EXIT_OK
+    assert "PF006" in capsys.readouterr().out
+    events = json.loads(trace.read_text())["traceEvents"]
+    assert "lint.program" in {e.get("name") for e in events}
 
 
 def test_parser_rejects_bad_paradigm():
@@ -394,7 +418,7 @@ def test_run_save_pag_writes_format3(tmp_path, capsys):
 
 def test_importing_dataflow_does_not_import_lint():
     """Every CLI and serve start imports ``repro.dataflow``; the static
-    analyzer (rule sets, concurrency checker) loads only for ``lint``."""
+    analyzer (its rule set) loads only for ``lint``."""
     import os
     import subprocess
     import sys

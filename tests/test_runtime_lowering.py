@@ -64,17 +64,8 @@ def run_record(run):
              e.holder_path, _f(e.t_acquire), _f(e.wait_time))
             for e in run.lock_events
         ],
-        "sync": [
-            (e.kind, e.rank, e.thread, _f(e.t), e.lock, e.child, e.uid, e.path, e.seq)
-            for e in run.sync_events
-        ],
-        "access": [
-            (e.rank, e.thread, e.var, e.mode, _f(e.t), e.uid, e.path, e.seq)
-            for e in run.access_events
-        ],
         "indirect": {uid: sorted(t) for uid, t in run.indirect_targets.items()},
         "elapsed": [(r, _f(t)) for r, t in run.per_rank_elapsed.items()],
-        "deadlock": run.deadlock,
     }
 
 
@@ -111,10 +102,7 @@ def pv_record(pv):
 
 
 def assert_same_run(program, **kwargs):
-    for mode in ("raise", "record"):
-        got = outcome(run_program, program, on_deadlock=mode, **kwargs)
-        want = outcome(ref.run_program, program, on_deadlock=mode, **kwargs)
-        assert got == want
+    assert outcome(run_program, program, **kwargs) == outcome(ref.run_program, program, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +161,7 @@ def programs(draw):
         if kind == "exchange":
             return draw(st.sampled_from(EXCHANGES))()
         if kind == "stmt":
-            touches = draw(st.lists(
-                st.tuples(st.sampled_from(["x", "y"]), st.sampled_from(["r", "w"])), max_size=2
-            ))
-            return [Stmt("s", cost=cost(), touches=touches)]
+            return [Stmt("s", cost=cost())]
         if kind == "alloc":
             op = draw(st.sampled_from([ThreadOp.ALLOC, ThreadOp.REALLOC, ThreadOp.DEALLOC]))
             return [ThreadCall(op, hold=draw(st.sampled_from([1e-4, lambda c: 1e-5 * c.thread])))]
@@ -244,9 +229,8 @@ def programs(draw):
 def test_lowered_run_equals_per_node_interpreter(program, nprocs, nthreads):
     assert_same_run(program, nprocs=nprocs, nthreads=nthreads)
     try:
-        run = run_program(program, nprocs=nprocs, nthreads=nthreads, on_deadlock="record")
-        traced = run.indirect_targets
-    except (RuntimeError, ValueError, KeyError):  # e.g. a send to a rank >= nprocs
+        traced = run_program(program, nprocs=nprocs, nthreads=nthreads).indirect_targets
+    except (RuntimeError, ValueError, KeyError):  # a deadlock, a send to a rank >= nprocs
         traced = {}
     for targets in (None, traced):
         assert analysis_record(analyze(program, targets)) == analysis_record(
@@ -254,7 +238,7 @@ def test_lowered_run_equals_per_node_interpreter(program, nprocs, nthreads):
         )
 
 
-def test_deadlock_evidence_matches_under_both_modes():
+def test_deadlock_evidence_matches_reference():
     p = Program(name="ring")
     p.add_function(Function("main", [
         CommCall(CommOp.SEND, peer=lambda c: (c.rank + 1) % c.nprocs, nbytes=1 << 20),
