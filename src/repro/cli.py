@@ -5,7 +5,6 @@ packages the same flows for the terminal::
 
     python -m repro list
     python -m repro run cg --np 8 --report
-    python -m repro lint zeusmp --json --fail-on=warning
     python -m repro paradigm communication zeusmp --np 16
     python -m repro paradigm scalability zeusmp --np 8 --np-large 64
     python -m repro paradigm mpi-profiler cg --np 8 --jobs 4
@@ -44,7 +43,7 @@ pipelines on N worker threads via the wavefront scheduler (default:
 (:mod:`repro.cache`; default ``$PERFLOW_CACHE`` / ``$PERFLOW_CACHE_DIR``
 or off), and ``repro cache {stats,clear}`` manages the on-disk tier.
 
-Every ``run``/``paradigm``/``lint`` invocation is appended to the **run
+Every ``run``/``paradigm`` invocation is appended to the **run
 ledger** (:mod:`repro.obs.ledger`) — per-node span rollups, PAG
 fingerprints, wall/CPU time — under ``.perflow/ledger/`` unless
 ``--no-ledger`` (or ``PERFLOW_LEDGER=0``) says otherwise; ``repro obs
@@ -60,9 +59,10 @@ rendering of the relevant PAG fragment.
 
 Exit codes distinguish *why* a command failed: ``EXIT_OK`` (0) on
 success, ``EXIT_ISSUES`` (1) when an analysis ran and found problems
-(``lint`` with diagnostics at/above ``--fail-on``), and ``EXIT_USAGE``
-(2) for usage errors — unknown program/paradigm names, missing required
-options — matching argparse's own exit code for bad flags.
+(a ``run`` that deadlocks, an ``obs regressions`` finding), and
+``EXIT_USAGE`` (2) for usage errors — unknown program/paradigm names,
+missing required options — matching argparse's own exit code for bad
+flags.
 """
 
 from __future__ import annotations
@@ -235,49 +235,6 @@ def cmd_paradigm(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown paradigm {name!r}")
     return 0
-
-
-def _parse_params(pairs: Sequence[str]) -> dict:
-    """Parse ``--param key[=value]`` pairs (bare key means ``True``)."""
-    params = {}
-    for pair in pairs:
-        key, sep, val = pair.partition("=")
-        if not sep:
-            params[key] = True
-            continue
-        low = val.strip().lower()
-        if low in ("true", "false"):
-            params[key] = low == "true"
-            continue
-        try:
-            params[key] = int(val)
-        except ValueError:
-            try:
-                params[key] = float(val)
-            except ValueError:
-                params[key] = val
-    return params
-
-
-def cmd_lint(args) -> int:
-    from repro.lint import LintConfig, Severity, lint_program
-
-    prog = _build(args.program, args.problem_class)
-    try:
-        config = LintConfig(
-            nprocs=args.np, nthreads=args.threads, params=_parse_params(args.param)
-        )
-    except ValueError as err:
-        raise _usage_error(str(err))
-    codes = [c.strip() for c in args.rules.split(",")] if args.rules else None
-    try:
-        report = lint_program(prog, config, codes=codes)
-    except KeyError as err:
-        raise _usage_error(err.args[0] if err.args else str(err))
-    print(report.to_json() if args.json else report.to_text())
-    if args.fail_on != "never" and report.count_at_least(Severity.parse(args.fail_on)):
-        return EXIT_ISSUES
-    return EXIT_OK
 
 
 def cmd_table1(args) -> int:
@@ -747,7 +704,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="write the metrics registry as JSON when the command finishes",
     )
     # Run-ledger flags for the commands whose runs are worth remembering
-    # (run/paradigm/lint); `repro obs {history,show,diff,regressions}`
+    # (run/paradigm); `repro obs {history,show,diff,regressions}`
     # reads what these write.
     ledgerpar = argparse.ArgumentParser(add_help=False)
     ledgroup = ledgerpar.add_mutually_exclusive_group()
@@ -815,33 +772,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--report", action="store_true", help="print a hotspot report")
     p_run.add_argument("--dot", help="write a Graphviz view to this file")
-
-    p_lint = sub.add_parser(
-        "lint",
-        parents=[logpar, obspar, ledgerpar],
-        help="statically lint a program model (no simulated run)",
-    )
-    p_lint.add_argument("program", help="program name (see `repro list`)")
-    p_lint.add_argument("--np", type=int, default=16, help="sample MPI rank count to probe")
-    p_lint.add_argument("--threads", type=int, default=4, help="sample threads per rank")
-    p_lint.add_argument("--class", dest="problem_class", default="W", help="NPB class (S/W/A/B/C)")
-    p_lint.add_argument("--json", action="store_true", help="emit diagnostics as JSON")
-    p_lint.add_argument(
-        "--fail-on",
-        choices=["info", "warning", "error", "never"],
-        default="error",
-        help="exit 1 when a diagnostic at/above this severity is found",
-    )
-    p_lint.add_argument(
-        "--rules", help="comma-separated rule codes to run (default: all)"
-    )
-    p_lint.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY[=VALUE]",
-        help="model parameter passed to probes, e.g. --param optimized",
-    )
 
     p_par = sub.add_parser(
         "paradigm",
@@ -1041,7 +971,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 #: Commands whose invocations land in the run ledger.
-LEDGERED_COMMANDS = ("run", "paradigm", "lint")
+LEDGERED_COMMANDS = ("run", "paradigm")
 
 
 def _ledger_params(args) -> dict:
@@ -1087,7 +1017,6 @@ def _dispatch(args) -> int:
     handlers = {
         "list": cmd_list,
         "run": cmd_run,
-        "lint": cmd_lint,
         "paradigm": cmd_paradigm,
         "pag": cmd_pag,
         "table1": cmd_table1,

@@ -2,8 +2,8 @@
 
 Spans and metrics (:mod:`repro.obs.trace` / :mod:`repro.obs.metrics`)
 die with the process, so "did this pipeline get slower than last week?"
-was unanswerable.  The ledger fixes that: every ``run`` / ``paradigm`` /
-``lint`` CLI invocation appends one structured **run record** — run id,
+was unanswerable.  The ledger fixes that: every ``run`` / ``paradigm``
+CLI invocation appends one structured **run record** — run id,
 command + argv, PAG fingerprint(s), per-node span rollups with in/out
 sizes and cache hit/miss attribution, a metrics snapshot, wall/CPU
 time, interpreter + platform info — as one JSON line under

@@ -72,8 +72,8 @@ def edge_label_problems(pag: PAG) -> List[str]:
     and an inter-thread edge vertices of the same process but differing
     ``thread`` attributes.  Views that carry no ``process``/``thread``
     attributes (the top-down view) vacuously satisfy the check for any
-    edge they also do not carry — so :mod:`repro.lint` and the parallel
-    validator share this helper.
+    edge they also do not carry — so the helper applies to top-down and
+    parallel views alike.
     """
     problems: List[str] = []
     ne = pag.num_edges

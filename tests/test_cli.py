@@ -131,78 +131,6 @@ def test_table2_command(capsys):
     assert "85230" in out  # lammps row
 
 
-def test_lint_clean_program(capsys):
-    assert main(["lint", "cg", "--class", "S"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "no issues found" in out
-
-
-def test_lint_issues_exit_code(capsys):
-    # zeusmp's injected imbalance is a warning; default --fail-on=error passes
-    assert main(["lint", "zeusmp"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PF006" in out
-    assert "bvald.F" in out
-    # ... but --fail-on=warning turns it into the issues exit code
-    assert main(["lint", "zeusmp", "--fail-on", "warning"]) == EXIT_ISSUES
-    capsys.readouterr()
-
-
-def test_lint_fail_on_never(capsys):
-    assert main(["lint", "vite", "--fail-on", "never"]) == EXIT_OK
-    assert "PF004" in capsys.readouterr().out
-
-
-def test_lint_json_output(capsys):
-    assert main(["lint", "lammps", "--json"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["subject"] == "lammps"
-    assert "PF001" in {d["code"] for d in payload["diagnostics"]}
-
-
-def test_lint_param_clears_injected_bug(capsys):
-    assert main(
-        ["lint", "zeusmp", "--param", "optimized", "--fail-on", "warning"]
-    ) == EXIT_OK
-    assert "PF006" not in capsys.readouterr().out
-
-
-def test_lint_rule_selection(capsys):
-    assert main(["lint", "lammps", "--rules", "PF006", "--fail-on", "never"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PF006" in out
-    assert "PF001" not in out
-
-
-def test_lint_unknown_rule_code_usage_exit(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["lint", "cg", "--class", "S", "--rules", "PF999"])
-    assert exc.value.code == EXIT_USAGE
-    assert "no lint rule registered" in capsys.readouterr().err
-
-
-def test_lint_bad_nprocs_usage_exit(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["lint", "cg", "--class", "S", "--np", "1"])
-    assert exc.value.code == EXIT_USAGE
-    assert "nprocs" in capsys.readouterr().err
-
-
-def test_lint_unknown_program_usage_exit(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["lint", "nonexistent"])
-    assert exc.value.code == EXIT_USAGE
-    assert "unknown program" in capsys.readouterr().err
-
-
-def test_lint_trace_writes_a_chrome_trace_of_the_command(tmp_path, capsys):
-    trace = tmp_path / "t.json"
-    assert main(["lint", "zeusmp", "--no-ledger", "--trace", str(trace)]) == EXIT_OK
-    assert "PF006" in capsys.readouterr().out
-    events = json.loads(trace.read_text())["traceEvents"]
-    assert "lint.program" in {e.get("name") for e in events}
-
-
 def test_parser_rejects_bad_paradigm():
     parser = make_parser()
     with pytest.raises(SystemExit):
@@ -415,26 +343,3 @@ def test_run_save_pag_writes_format3(tmp_path, capsys):
     assert out.exists() and detect_format(out) == 3
     assert load_pag(out, mmap=True).num_vertices == 321
 
-
-def test_importing_dataflow_does_not_import_lint():
-    """Every CLI and serve start imports ``repro.dataflow``; the static
-    analyzer (its rule set) loads only for ``lint``."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys, repro.dataflow; "
-        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

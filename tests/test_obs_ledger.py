@@ -252,7 +252,7 @@ def test_find_regressions_five_clean_reruns_no_false_positive():
 
 
 # ----------------------------------------------------------------------
-# CLI: ledger writes on run/paradigm/lint
+# CLI: ledger writes on run/paradigm
 # ----------------------------------------------------------------------
 def _ledger_from_env():
     return Ledger(os.environ["PERFLOW_LEDGER_DIR"])  # pinned by conftest
@@ -291,12 +291,6 @@ def test_cli_garbage_ledger_env_is_usage_error(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "cg", "--np", "2", "--class", "S"])
     assert exc.value.code == EXIT_USAGE
-
-
-def test_cli_lint_is_ledgered(capsys):
-    main(["lint", "cg", "--fail-on", "never"])
-    recs = _ledger_from_env().records()
-    assert len(recs) == 1 and recs[0]["command"] == "lint"
 
 
 def test_cli_obs_history_show_diff(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.dataflow import PerFlowGraph, PipelineError, SetKind, signature
 from repro.dataflow.signatures import PassSignature, make_signature, signature_of
-from repro.lint import Severity
+from repro.diagnostics import Severity
 from repro.pag.sets import EdgeSet, VertexSet
 
 

@@ -5,7 +5,12 @@ import pytest
 from repro.pag.edge import EdgeLabel
 from repro.pag.graph import PAG
 from repro.pag.sets import VertexSet
-from repro.pag.validate import ValidationError, validate_parallel, validate_top_down
+from repro.pag.validate import (
+    ValidationError,
+    edge_label_problems,
+    validate_parallel,
+    validate_top_down,
+)
 from repro.pag.views import build_parallel_view, build_top_down_view
 from repro.passes.community import community_scope
 from repro.pag.vertex import VertexLabel
@@ -38,6 +43,7 @@ def test_all_apps_top_down_validate():
         run = run_program(prog, nprocs=4, nthreads=2)
         td, _ = build_top_down_view(prog, run)
         validate_top_down(td)
+        assert edge_label_problems(td) == []
 
 
 def test_validate_rejects_non_tree():
@@ -61,9 +67,10 @@ def test_validate_rejects_comm_edge_in_top_down(built_views):
 
 def test_validate_rejects_missing_root():
     g = PAG()
-    g.add_vertex(VertexLabel.LOOP, "l", properties={"debug-info": "x:1"})
-    with pytest.raises(ValidationError, match="expected function"):
+    g.add_vertex(VertexLabel.LOOP, "l")  # and no debug-info property
+    with pytest.raises(ValidationError, match="expected function") as exc:
         validate_top_down(g)
+    assert "vertex 0 (l) missing debug info" in exc.value.problems
 
 
 def test_validate_parallel_wrong_count(built_views):
