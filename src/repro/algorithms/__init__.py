@@ -16,6 +16,7 @@ from repro.algorithms.traversal import (
     bfs,
     descendants,
     dfs_preorder,
+    id_increasing,
     topological_order,
 )
 from repro.algorithms.lca import lowest_common_ancestor
@@ -28,6 +29,7 @@ __all__ = [
     "bfs",
     "dfs_preorder",
     "topological_order",
+    "id_increasing",
     "ancestors",
     "descendants",
     "lowest_common_ancestor",

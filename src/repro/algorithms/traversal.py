@@ -118,18 +118,29 @@ def dfs_preorder(
         stack.extend(reversed([n for n in nxt if n not in seen]))
 
 
+def id_increasing(e: Edge) -> bool:
+    """Edge filter keeping the edges from a lower to a higher vertex id,
+    under which every graph is acyclic.  Traversals recognise it and
+    evaluate it over the endpoint arrays, without edge handles."""
+    return e.src_id < e.dst_id
+
+
 def _forward_star(
     pag: PAG, edge_ok: Optional[EdgePredicate]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The out-adjacency restricted to edges passing ``edge_ok``, as
     ``(ptr, eids, dsts)``: vertex ``v``'s surviving out-edges are
     ``eids[ptr[v]:ptr[v + 1]]`` (ascending) and lead to the same slice
-    of ``dsts``.  ``edge_ok`` sees each edge once, in edge-id order."""
+    of ``dsts``.  ``edge_ok`` sees each edge once, in edge-id order,
+    unless it is :func:`id_increasing`, which is read off the arrays."""
     ptr, eids, _, _ = pag._csr()
-    if edge_ok is not None:
+    if edge_ok is id_increasing:
+        ok = _np_view(pag._e_src, np.int64) < _np_view(pag._e_dst, np.int64)
+    elif edge_ok is not None:
         ok = np.fromiter(
             (bool(edge_ok(e)) for e in pag.edges()), bool, count=pag.num_edges
         )
+    if edge_ok is not None:
         eids = eids[ok[eids]]
         ptr = _csr_ptr(_np_view(pag._e_src, np.int64)[eids], pag.num_vertices)
     return ptr, eids, _np_view(pag._e_dst, np.int64)[eids]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.algorithms.critical_path import default_vertex_weight
 from repro.dataflow.api import PerFlow
 from repro.pag.graph import PAG
 from repro.pag.sets import EdgeSet, VertexSet
@@ -36,7 +37,7 @@ def critical_path_paradigm(
     vertices, edges, weight = pflow.critical_path(pv.vs)
     summary = []
     for v in vertices:
-        t = max(0.0, float(v["time"] or 0.0) - float(v["wait"] or 0.0))
+        t = default_vertex_weight(v)
         if t > 0:
             summary.append((v.name, v["process"], v["thread"], t))
     return CriticalPathResult(vertices, edges, weight, summary)

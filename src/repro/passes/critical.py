@@ -11,6 +11,8 @@ from typing import Tuple
 
 from repro.dataflow.signatures import SetKind, signature
 from repro.algorithms.critical_path import critical_path, default_vertex_weight
+from repro.algorithms.traversal import id_increasing
+from repro.obs.trace import span as _span
 from repro.pag.sets import EdgeSet, VertexSet
 
 
@@ -34,12 +36,20 @@ def critical_path_analysis(
     pag = V.pag
     if pag is None:
         return VertexSet([]), EdgeSet([]), 0.0
-    try:
-        vertices, edges, weight = critical_path(pag, vertex_weight=vertex_weight)
-    except ValueError:
-        vertices, edges, weight = critical_path(
-            pag,
-            vertex_weight=vertex_weight,
-            edge_ok=lambda e: e.src_id < e.dst_id,
-        )
+    with _span(
+        "passes.critical_path",
+        category="passes",
+        vertices=pag.num_vertices,
+        edges=pag.num_edges,
+    ) as sp:
+        try:
+            vertices, edges, weight = critical_path(pag, vertex_weight=vertex_weight)
+            cyclic = False
+        except ValueError:
+            vertices, edges, weight = critical_path(
+                pag, vertex_weight=vertex_weight, edge_ok=id_increasing
+            )
+            cyclic = True
+        if sp:
+            sp.set(cyclic_fallback=cyclic)
     return VertexSet(vertices), EdgeSet(edges), weight

@@ -12,6 +12,9 @@ a bit-equal weight, the same ``ValueError``.
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -22,11 +25,15 @@ from repro.algorithms import (
     critical_path,
     descendants,
     dfs_preorder,
+    id_increasing,
     topological_order,
 )
+from repro.apps import registry
+from repro.dataflow.api import PerFlow
 from repro.pag.edge import EdgeLabel
 from repro.pag.graph import PAG
 from repro.pag.vertex import VertexLabel
+from repro.passes import critical_path_analysis
 
 from tests import reference_shim as ref
 
@@ -219,6 +226,111 @@ def test_callables_see_each_element_once_and_only_surviving_edges():
     with pytest.raises(ValueError, match="cycle"):
         critical_path(g, vertex_weight)
     assert seen["vw"] == []
+
+
+# ---------------------------------------------------------------- chains
+@st.composite
+def chain_graphs(draw, times=TIMES):
+    """2–6 id-contiguous runs of up to 15 vertices, the shape of a
+    parallel view's flows, plus sparse cross edges — forward, backward
+    (cycles), parallel to a run edge, self-loops — in a drawn edge order."""
+    runs = draw(st.lists(st.integers(min_value=1, max_value=15), min_size=2, max_size=6))
+    n = sum(runs)
+    g = PAG("chains")
+    for i in range(n):
+        props = {}
+        for key, pool in (("time", times), ("wait", WAITS)):
+            value = draw(st.sampled_from(pool))
+            if value is not None:
+                props[key] = value
+        g.add_vertex(VertexLabel.INSTRUCTION, f"v{i}", properties=props)
+    heads = [sum(runs[:k]) for k in range(len(runs))]
+    pairs = [(v, v + 1) for h, r in zip(heads, runs) for v in range(h, h + r - 1)]
+    vid = st.integers(min_value=0, max_value=n - 1)
+    pairs += draw(st.lists(st.tuples(vid, vid), max_size=4))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    for a, b in draw(st.permutations(pairs)):
+        props = {"keep": draw(st.booleans())}
+        w = draw(st.sampled_from(EDGE_W))
+        if w is not None:
+            props["w"] = w
+        g.add_edge(a, b, EdgeLabel.INTRA_PROCEDURAL, properties=props)
+    return g
+
+
+CP = importlib.import_module("repro.algorithms.critical_path")
+#: 1 sends every chain without a negative or NaN weight down the cumsum
+#: sweep; the default sends runs of up to 15 vertices down the Python one
+chain_sweeps = st.sampled_from([1, CP._SHORT_CHAIN])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=chain_graphs(), filt=edge_filters, short_chain=chain_sweeps)
+def test_critical_path_on_chains_default_weights_match_reference(g, filt, short_chain):
+    edge_ok = EDGE_FILTERS[filt]
+    with mock.patch.object(CP, "_SHORT_CHAIN", short_chain):
+        got = outcome(lambda: critical_path(g, edge_ok=edge_ok))
+    want = outcome(lambda: ref.critical_path(g, edge_ok=edge_ok))
+    assert path_ids(got) == path_ids(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=chain_graphs(times=TIMES_SPILLING), short_chain=chain_sweeps)
+def test_critical_path_on_chains_spilled_columns(g, short_chain):
+    with mock.patch.object(CP, "_SHORT_CHAIN", short_chain):
+        got = outcome(lambda: critical_path(g))
+    assert path_ids(got) == path_ids(outcome(lambda: ref.critical_path(g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=chain_graphs(times=TIMES_SPILLING),
+    filt=edge_filters,
+    with_edge_weight=st.booleans(),
+    int_weights=st.booleans(),
+    short_chain=chain_sweeps,
+)
+def test_critical_path_on_chains_custom_callables_match_reference(
+    g, filt, with_edge_weight, int_weights, short_chain
+):
+    edge_ok = EDGE_FILTERS[filt]
+    if int_weights:  # ints stay ints until they meet a float
+        vertex_weight = lambda v: int((v["time"] or 0) * 4)  # noqa: E731
+    else:
+        vertex_weight = lambda v: (v["time"] or 0.0) - (v["wait"] or 0.0)  # noqa: E731
+    edge_weight = (lambda e: e["w"] or 0.0) if with_edge_weight else None
+    with mock.patch.object(CP, "_SHORT_CHAIN", short_chain):
+        got = outcome(lambda: critical_path(g, vertex_weight, edge_weight, edge_ok))
+    want = outcome(lambda: ref.critical_path(g, vertex_weight, edge_weight, edge_ok))
+    assert path_ids(got) == path_ids(want)
+
+
+def test_id_increasing_is_read_off_the_arrays():
+    g = _weighted([1.0, 1.0, 1.0], [(0, 1), (1, 2), (2, 0), (1, 1)])
+    with mock.patch.object(PAG, "edges", side_effect=AssertionError("handles")):
+        got = path_ids(critical_path(g, edge_ok=id_increasing))
+    assert got == path_ids(ref.critical_path(g, edge_ok=EDGE_FILTERS["id-increasing"]))
+    assert topological_order(g, id_increasing) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------- all apps
+@pytest.mark.parametrize("app", sorted(registry("S")))
+def test_critical_path_analysis_matches_reference_on_every_app(app):
+    """The pass on each app's parallel view at 8 ranks (Vite with 3
+    threads, one flow per thread) against the per-handle sweep, which
+    takes the same id-increasing fallback on a cyclic view."""
+    threads = 3 if app == "vite" else 1
+    pflow = PerFlow()
+    pag = pflow.run(bin=registry("S")[app](), nprocs=8, nthreads=threads)
+    pv = pflow.parallel_view(pag, expand_threads=threads > 1)
+    vertices, edges, weight = critical_path_analysis(pv.vs)
+    try:
+        want = ref.critical_path(pv)
+    except ValueError:
+        want = ref.critical_path(pv, edge_ok=EDGE_FILTERS["id-increasing"])
+    assert path_ids((list(vertices), list(edges), weight)) == path_ids(want)
+    assert len(vertices) > 1
 
 
 # ---------------------------------------------------------------- bfs family
