@@ -3,9 +3,10 @@
 
 Starts the server as an operator would (``python -m repro serve``),
 drives concurrent load — including two byte-identical requests that
-must collapse onto one execution — then sends SIGTERM and checks for a
-clean drain (exit code 0) and, with ``--backend process``, that no
-shared-memory segments leaked.
+must collapse onto one execution — sends SIGUSR2 mid-load and checks
+that the server dumped a live crash report listing its recent spans,
+then sends SIGTERM and checks for a clean drain (exit code 0) and, with
+``--backend process``, that no shared-memory segments leaked.
 
 Usage::
 
@@ -25,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, _SRC)
@@ -51,6 +52,19 @@ def _smoke_pag_file(workdir: str) -> str:
     return path
 
 
+def _sigusr2_report(crash_dir: str) -> dict:
+    """The crash report SIGUSR2 made the server write (waits up to 10 s)."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if os.path.isdir(crash_dir):
+            dumps = [n for n in os.listdir(crash_dir) if n.startswith("crash-sigusr2-")]
+            if dumps:
+                with open(os.path.join(crash_dir, dumps[0]), encoding="utf-8") as fh:
+                    return json.load(fh)
+        time.sleep(0.05)
+    _fail(f"SIGUSR2 wrote no crash-sigusr2-*.json under {crash_dir}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--backend", default="thread", choices=["thread", "process"])
@@ -61,6 +75,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as workdir:
         pag_path = _smoke_pag_file(workdir)
+        crash_dir = os.path.join(workdir, "crash")
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -84,6 +99,7 @@ def main(argv=None) -> int:
             env={
                 **os.environ,
                 "PYTHONPATH": _SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                "PERFLOW_CRASH_DIR": crash_dir,
             },
         )
         try:
@@ -115,9 +131,15 @@ def main(argv=None) -> int:
                 {"pipeline": "hotspot", "params": {"top": 3}, "pag_path": pag_path},
             ]
             with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
-                results = list(
-                    pool.map(lambda p: analyze(host, port, p, timeout=60.0), payloads)
-                )
+                futures = [pool.submit(analyze, host, port, p, timeout=60.0) for p in payloads]
+                # Mid-load, once one request is served (its spans are in
+                # the server's flight recorder): a live hang dump.
+                next(as_completed(futures))
+                proc.send_signal(signal.SIGUSR2)
+                results = [f.result() for f in futures]
+            report = _sigusr2_report(crash_dir)
+            if report.get("reason") != "sigusr2" or not report.get("spans"):
+                _fail(f"SIGUSR2 report lists no spans: {json.dumps(report)[:2000]}")
             collapsed_seen = 0
             for payload, (status, events) in zip(payloads, results):
                 if status != 200:

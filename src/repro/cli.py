@@ -44,15 +44,17 @@ pipelines on N worker threads via the wavefront scheduler (default:
 or off), and ``repro cache {stats,clear}`` manages the on-disk tier.
 
 Every ``run``/``paradigm`` invocation is appended to the **run
-ledger** (:mod:`repro.obs.ledger`) — per-node span rollups, PAG
-fingerprints, wall/CPU time — under ``.perflow/ledger/`` unless
-``--no-ledger`` (or ``PERFLOW_LEDGER=0``) says otherwise; ``repro obs
+ledger** (:mod:`repro.obs.ledger`) — per-node span rollups, wall/CPU
+time — under ``.perflow/ledger/`` unless ``--no-ledger`` (or
+``PERFLOW_LEDGER=0``) says otherwise; ``repro obs
 {history,show,diff,regressions}`` analyzes the accumulated records, and
 ``obs regressions`` exits ``EXIT_ISSUES`` when a node breaches its
-noise-aware baseline.  A bounded **flight recorder**
-(:mod:`repro.obs.flight`) runs for every invocation: unhandled crashes
-and SIGUSR2 dump the recent span/log ring plus a metrics snapshot as a
-crash report under ``$PERFLOW_CRASH_DIR`` (default ``.perflow/``).
+noise-aware baseline.  Every invocation records its spans into one
+recorder — bounded to the newest spans (the **flight recorder**,
+:mod:`repro.obs.flight`) unless ``--trace`` or the ledger needs them
+all: unhandled crashes and SIGUSR2 dump them, with the open spans and a
+metrics snapshot, as a crash report under ``$PERFLOW_CRASH_DIR``
+(default ``.perflow/``).
 
 Output is plain text; ``--dot FILE`` additionally writes a Graphviz
 rendering of the relevant PAG fragment.
@@ -435,12 +437,11 @@ def cmd_obs_analyze(args) -> int:
 
         try:
             with open(args.trace_file, "r", encoding="utf-8") as fh:
-                doc = json_mod.load(fh)
+                rec = obs_trace.SpanRecorder.from_chrome_trace(json_mod.load(fh))
         except FileNotFoundError as err:
             raise _usage_error(f"no such trace file: {err.filename}")
         except ValueError as err:
             raise _usage_error(f"not a repro trace: {err}")
-        rec = obs_trace.SpanRecorder.from_chrome_trace(doc)
         if not rec.spans:
             raise _usage_error(f"no spans in {args.trace_file!r}")
         print(rec.to_tree(min_ms=args.min_ms))
@@ -984,9 +985,7 @@ def _ledger_params(args) -> dict:
     return params
 
 
-def _append_ledger_record(
-    args, ledger_dir, recorder, exit_code, wall_s, cpu_s, fingerprints
-) -> None:
+def _append_ledger_record(args, ledger_dir, recorder, exit_code, wall_s, cpu_s) -> None:
     """Append this invocation to the run ledger (never raises)."""
     from repro.obs import ledger as obs_ledger
 
@@ -1002,7 +1001,6 @@ def _append_ledger_record(
             wall_s=wall_s,
             cpu_s=cpu_s,
             exit_code=exit_code,
-            pag_fingerprints=fingerprints,
         )
         obs_ledger.Ledger(ledger_dir).append(record)
         log.info("ledger: recorded %s under %s", record["run_id"], ledger_dir)
@@ -1010,8 +1008,23 @@ def _append_ledger_record(
         log.warning("ledger append failed: %s", err)
 
 
-def _dispatch(args) -> int:
-    """Run the selected command with tracing/metrics/ledger plumbing."""
+def _resolve_ledger_dir(args) -> Optional[str]:
+    """The ledger directory for a ledgered command, else None."""
+    if args.command not in LEDGERED_COMMANDS:
+        return None
+    from repro.obs import ledger as obs_ledger
+
+    try:
+        return obs_ledger.resolve_ledger(
+            getattr(args, "ledger", None), getattr(args, "ledger_dir", None)
+        )
+    except ValueError as err:
+        raise _usage_error(str(err))
+
+
+def _dispatch(args, recorder, ledger_dir: Optional[str]) -> int:
+    """Run the selected command, then write its trace, metrics and
+    ledger record from ``recorder``."""
     import time
 
     handlers = {
@@ -1027,35 +1040,12 @@ def _dispatch(args) -> int:
     }
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)
-
-    ledger_dir = None
-    if args.command in LEDGERED_COMMANDS:
-        from repro.obs import ledger as obs_ledger
-
-        try:
-            ledger_dir = obs_ledger.resolve_ledger(
-                getattr(args, "ledger", None), getattr(args, "ledger_dir", None)
-            )
-        except ValueError as err:
-            raise _usage_error(str(err))
-
-    # The ledger needs span rollups, so a ledgered command gets a full
-    # recorder even without --trace (one-shot CLI runs can afford it;
-    # the flight ring covers the always-on case).
-    recorder = obs_trace.enable() if (trace_path or ledger_dir) else None
     rc: Optional[int] = None
-    fingerprints: Sequence[str] = ()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     try:
         try:
-            if ledger_dir:
-                from repro.obs import ledger as obs_ledger
-
-                with obs_ledger.collect_fingerprints() as fingerprints:
-                    rc = handlers[args.command](args)
-            else:
-                rc = handlers[args.command](args)
+            rc = handlers[args.command](args)
             return rc
         except PAGFormatError as err:
             # Corrupt/truncated PAG files are a usage problem, not a crash.
@@ -1065,11 +1055,9 @@ def _dispatch(args) -> int:
             # escape as tracebacks (run/paradigm/pag); report them cleanly.
             raise _usage_error(str(err))
     finally:
-        if recorder is not None:
-            obs_trace.disable()
-            if trace_path:
-                recorder.save(trace_path)
-                print(f"wrote trace: {trace_path}", file=sys.stderr)
+        if trace_path:
+            recorder.save(trace_path)
+            print(f"wrote trace: {trace_path}", file=sys.stderr)
         if metrics_path:
             obs_metrics.registry.save(metrics_path)
             print(f"wrote metrics: {metrics_path}", file=sys.stderr)
@@ -1081,7 +1069,6 @@ def _dispatch(args) -> int:
                 rc,
                 time.perf_counter() - wall0,
                 time.process_time() - cpu0,
-                fingerprints,
             )
 
 
@@ -1118,25 +1105,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{args.command} needs a program (positional or --app); "
                 "see `repro list`"
             )
-    # Always-on flight recorder for the invocation: a bounded ring of
-    # recent span/log events, dumped on unhandled crashes and SIGUSR2.
+    ledger_dir = _resolve_ledger_dir(args)
+    # One recorder per invocation.  A --trace file and a ledger record
+    # need every span; otherwise it is the flight recorder, the newest
+    # spans only.  Either way a crash or SIGUSR2 dumps it.
     from repro.obs import flight as obs_flight
 
-    obs_flight.enable()
+    full = getattr(args, "trace", None) or ledger_dir
+    recorder = obs_flight.enable(None if full else obs_flight.DEFAULT_CAPACITY)
     obs_flight.install_signal_dump()
     try:
-        return _dispatch(args)
+        return _dispatch(args, recorder, ledger_dir)
     except (SystemExit, KeyboardInterrupt):
         # Usage errors and Ctrl-C are not crashes; no report.
         raise
     except BaseException as exc:
-        fl = obs_flight.get()
-        if fl is not None:
-            try:
-                path = fl.dump_crash_report(reason="crash", exc=exc)
-                print(f"wrote crash report: {path}", file=sys.stderr)
-            except OSError:
-                pass
+        try:
+            path = obs_flight.dump_crash_report(recorder, reason="crash", exc=exc)
+            print(f"wrote crash report: {path}", file=sys.stderr)
+        except OSError:
+            pass
         raise
     finally:
         obs_flight.disable()

@@ -136,11 +136,6 @@ class PerFlow:
         pag, static_result = build_top_down_view(bin, run)
         pag.metadata["dynamic_overhead_pct"] = dynamic_overhead_percent(run, self.sampling_hz)
         self._contexts[id(pag)] = RunContext(bin, run, static_result, pag)
-        # Report the PAG's fingerprint to the run ledger when the CLI
-        # has a collection scope open (no-op otherwise).
-        from repro.obs import ledger as _ledger
-
-        _ledger.note_pag(pag)
         return pag
 
     def context(self, pag: PAG) -> RunContext:

@@ -225,6 +225,7 @@ def _worker_init(payload: Tuple["PerFlowGraph", Dict[str, PAG]]) -> None:
 def _flatten_spans(rec: Any) -> List[Dict[str, Any]]:
     """A recorder's span forest as a flat, picklable, preorder list."""
     out: List[Dict[str, Any]] = []
+    roots, children = rec.tree()
 
     def emit(sp: Any, parent_idx: Optional[int]) -> None:
         idx = len(out)
@@ -238,10 +239,10 @@ def _flatten_spans(rec: Any) -> List[Dict[str, Any]]:
                 "parent": parent_idx,
             }
         )
-        for child in sp.children:
+        for child in children.get(sp, ()):
             emit(child, idx)
 
-    for root in rec.roots:
+    for root in roots:
         emit(root, None)
     return out
 

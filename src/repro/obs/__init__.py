@@ -1,26 +1,32 @@
 """``repro.obs`` — observability for PerFlow's own execution.
 
 PerFlow's premise is that performance analysis should be automated and
-graph-shaped; this package applies that premise to PerFlow itself.
-Three small, dependency-free layers:
+graph-shaped; this package applies that premise to PerFlow itself.  It
+records one thing, the **span**, and everything else reads spans:
 
 * :mod:`repro.obs.trace` — span tracing.  Library code wraps its phases
   in ``with obs.span("pv.flows", flows=n):`` blocks; when tracing is
   disabled (the default) a span costs one global read and returns a
-  shared no-op object, and when enabled the recorder captures a
-  monotonic start/end, thread id, nesting, and free-form args.
-  Recorders export Chrome trace-event JSON (loadable in Perfetto /
-  ``chrome://tracing``) and a pretty console tree.
+  shared no-op object, and when a :class:`SpanRecorder` is installed it
+  captures a monotonic start/end, thread id, parent, and free-form
+  args.  Recorders export Chrome trace-event JSON (loadable in
+  Perfetto / ``chrome://tracing``) and a pretty console tree.
+* :mod:`repro.obs.flight` — the flight recorder: a recorder bounded to
+  its newest spans, installed by every CLI invocation, which a crash
+  or SIGUSR2 dumps as a crash report; ``repro.*`` warnings land in it
+  as ``log`` spans.
+* :mod:`repro.obs.ledger` — the run ledger: one record per
+  ``run``/``paradigm`` invocation, rolled up from the run's spans, with
+  noise-aware regression detection over the history.
+* :mod:`repro.obs.selfpag` — a recorded trace turned into a PAG, so the
+  existing hotspot/imbalance passes run on PerFlow's own execution
+  (``repro obs analyze trace.json``).
 * :mod:`repro.obs.metrics` — a process-global registry of counters,
-  gauges, and histograms with JSON export (columnar fast/slow path
-  hits, serialized bytes, fixpoint non-convergence, …).
+  gauges, and histograms with JSON export (serialized bytes, fixpoint
+  non-convergence, …).
 * :mod:`repro.obs.log` — the ``logging.getLogger("repro.…")`` hierarchy
   so library code never prints to stdout directly; the CLI's
   ``--verbose``/``-q`` flags configure it.
-
-Closing the loop, :mod:`repro.obs.selfpag` converts a recorded trace
-into a PAG so the existing hotspot/imbalance passes run on PerFlow's
-own execution (``repro obs analyze trace.json``).
 
 Typical use::
 
@@ -37,7 +43,6 @@ Typical use::
 from __future__ import annotations
 
 from repro.obs import flight, ledger, log, metrics, trace
-from repro.obs.flight import FlightRecorder
 from repro.obs.ledger import Ledger, build_run_record
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, registry
@@ -55,7 +60,6 @@ from repro.obs.trace import (
     set_recorder,
     span,
     timed_span,
-    traced,
 )
 
 __all__ = [
@@ -64,7 +68,6 @@ __all__ = [
     "log",
     "metrics",
     "trace",
-    "FlightRecorder",
     "Ledger",
     "build_run_record",
     "configure_logging",
@@ -84,5 +87,4 @@ __all__ = [
     "set_recorder",
     "span",
     "timed_span",
-    "traced",
 ]

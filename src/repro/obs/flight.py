@@ -1,33 +1,29 @@
-"""Always-on flight recorder: the last N span/log events, cheaply.
+"""The flight recorder: a bounded span recorder, and what dumps it.
 
-The full :class:`~repro.obs.trace.SpanRecorder` keeps every span and is
-opt-in (``--trace``); when a run hangs or crashes with tracing off, the
-evidence is gone.  The flight recorder is the production answer: a
-**preallocated bounded ring buffer** of recent span begin/end and log
-events that is cheap enough to leave on for every CLI invocation
-(budget: the same <2% guard as disabled tracing, enforced in
-``benchmarks/test_obs_overhead.py``).  Old events are overwritten in
-place — memory use is fixed at ``capacity`` slots forever.
+The flight recorder is a :class:`~repro.obs.trace.SpanRecorder` capped
+at its last :data:`DEFAULT_CAPACITY` finished spans — the same spans a
+``--trace`` file holds, in a ring cheap enough to leave on for every
+CLI invocation (budget: the same <2% guard as disabled tracing,
+enforced in ``benchmarks/test_obs_overhead.py``).  :func:`enable`
+installs it as *the* process recorder; ``capacity=None`` installs the
+unbounded ``--trace`` recorder instead, with the same dumps.  ``repro.*``
+warnings and errors are recorded into whichever recorder is installed
+as zero-duration spans of category ``log``, so they show up in crash
+reports and ``--trace`` files alike.
 
-Integration is a single hook: :func:`enable` installs the ring via
-:func:`repro.obs.trace.set_flight`.  When only the flight recorder is
-on, ``span()`` returns a falsy ``_FlightSpan`` that taps begin/end into
-the ring; when a full recorder is *also* on, real :class:`Span` objects
-tap the same ring from ``__enter__``/``__exit__`` — one source of
-truth, no double-wrapping.  ``logging`` records on the ``repro.*``
-hierarchy are mirrored into the ring by a handler (WARNING and up by
-default), so the crash report shows what the library said last.
+This module holds what turns that recorder into a post-mortem:
 
-Two dump triggers, both producing the same crash-report JSON
-(:meth:`FlightRecorder.crash_report`):
-
-* **unhandled CLI exception** — ``repro.cli.main`` wraps dispatch and
-  writes ``crash-*.json`` under ``$PERFLOW_CRASH_DIR`` (default
-  ``.perflow/``) before re-raising;
-* **SIGUSR2** — :func:`install_signal_dump` registers a handler for
-  live hang diagnosis: ``kill -USR2 <pid>`` snapshots the ring, the
-  per-thread active-span stacks, and the metrics registry without
-  stopping the process.
+* :func:`crash_report` — the report document (schema 2): the last
+  :data:`DEFAULT_CAPACITY` finished spans, each thread's open spans
+  ("what it was doing"), the metrics snapshot and the exception, with
+  one wall/monotonic anchor pair for the whole report;
+* :func:`dump_crash_report` — the atomic write under
+  ``$PERFLOW_CRASH_DIR`` (default ``.perflow/``); ``repro.cli.main``
+  calls it on an unhandled exception;
+* :func:`install_signal_dump` — ``kill -USR2 <pid>`` dumps a live
+  report without stopping the process.  The handler runs between two
+  bytecodes of the main thread, possibly while that thread holds the
+  recorder's write lock; building a report never takes it.
 """
 
 from __future__ import annotations
@@ -37,20 +33,19 @@ import logging
 import os
 import signal
 import sys
-import threading
 import time
 import traceback as _traceback
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.obs import trace as _trace
+from repro.obs.trace import Span, SpanRecorder
 
 __all__ = [
-    "FlightRecorder",
     "enable",
     "disable",
-    "enabled",
-    "get",
     "crash_dir",
+    "crash_report",
+    "dump_crash_report",
     "install_signal_dump",
     "uninstall_signal_dump",
     "ENV_CRASH_DIR",
@@ -60,239 +55,27 @@ __all__ = [
 #: Environment override for where crash reports land.
 ENV_CRASH_DIR = "PERFLOW_CRASH_DIR"
 
-#: Default ring capacity (events, not spans — a span is two events).
+#: Finished spans a bounded recorder keeps, and a crash report lists.
 DEFAULT_CAPACITY = 2048
 
-#: Event kinds stored in the ring.
-KIND_BEGIN = "B"
-KIND_END = "E"
-KIND_LOG = "L"
-
-# One ring slot: (seq, wall_time, mono_time, tid, kind, name, detail).
-# ``wall_time`` (time.time) orients the reader in calendar time;
-# ``mono_time`` (time.perf_counter) is what durations are derived from,
-# so an NTP step mid-run cannot produce negative or wildly wrong span
-# durations in a crash report.
-_Event = Tuple[int, float, float, int, str, str, Optional[str]]
+#: Crash-report schema version.
+SCHEMA = 2
 
 
-class FlightRecorder:
-    """A fixed-capacity ring of recent span begin/end and log events.
-
-    All mutation happens under one lock: a slot write is a tuple store
-    plus a counter increment, and the per-thread active-span stacks are
-    maintained in the same critical section so a crash report's
-    "active spans" view is consistent with its event tail.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"flight capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: List[Optional[_Event]] = [None] * capacity
-        self._n = 0  # total events ever written
-        self._stacks: Dict[int, List[str]] = {}
-        self._lock = threading.Lock()
-
-    # -- recording (called from repro.obs.trace span enter/exit) -----------
-    def begin(self, name: str, tid: int) -> None:
-        with self._lock:
-            self._ring[self._n % self.capacity] = (
-                self._n,
-                time.time(),
-                time.perf_counter(),
-                tid,
-                KIND_BEGIN,
-                name,
-                None,
-            )
-            self._n += 1
-            self._stacks.setdefault(tid, []).append(name)
-
-    def end(self, name: str, tid: int) -> None:
-        with self._lock:
-            self._ring[self._n % self.capacity] = (
-                self._n,
-                time.time(),
-                time.perf_counter(),
-                tid,
-                KIND_END,
-                name,
-                None,
-            )
-            self._n += 1
-            stack = self._stacks.get(tid)
-            if stack:
-                if stack[-1] == name:
-                    stack.pop()
-                elif name in stack:  # unbalanced exit; drop the match
-                    stack.remove(name)
-
-    def log(self, name: str, message: str, tid: Optional[int] = None) -> None:
-        """Record a log line (logger name + rendered message)."""
-        if tid is None:
-            tid = threading.get_ident()
-        with self._lock:
-            self._ring[self._n % self.capacity] = (
-                self._n,
-                time.time(),
-                time.perf_counter(),
-                tid,
-                KIND_LOG,
-                name,
-                message,
-            )
-            self._n += 1
-
-    # -- inspection ---------------------------------------------------------
-    def __len__(self) -> int:
-        return min(self._n, self.capacity)
-
-    @property
-    def total(self) -> int:
-        """Events ever written (>= len() once the ring has wrapped)."""
-        return self._n
-
-    @property
-    def dropped(self) -> int:
-        """Events overwritten by ring wrap-around."""
-        return max(0, self._n - self.capacity)
-
-    def events(self) -> List[Dict[str, Any]]:
-        """The retained events, oldest first, as JSON-safe dicts.
-
-        END events whose matching BEGIN is still in the retained window
-        additionally carry ``dur`` — seconds derived from the monotonic
-        stamps (never the wall clock) and clamped at >= 0, so a stepped
-        system clock cannot yield a negative span duration.
-        """
-        with self._lock:
-            n = self._n
-            if n <= self.capacity:
-                raw = [e for e in self._ring[:n]]
-            else:
-                cut = n % self.capacity
-                raw = self._ring[cut:] + self._ring[:cut]
-        out: List[Dict[str, Any]] = []
-        # Per-thread stacks of (name, mono) for BEGINs seen in-window.
-        open_spans: Dict[int, List[Tuple[str, float]]] = {}
-        for ev in raw:
-            if ev is None:  # pragma: no cover - defensive
-                continue
-            seq, t, mono, tid, kind, name, detail = ev
-            rec: Dict[str, Any] = {
-                "seq": seq,
-                "t": round(t, 6),
-                "mono": round(mono, 6),
-                "tid": tid,
-                "kind": kind,
-                "name": name,
-            }
-            if kind == KIND_BEGIN:
-                open_spans.setdefault(tid, []).append((name, mono))
-            elif kind == KIND_END:
-                stack = open_spans.get(tid)
-                if stack and stack[-1][0] == name:
-                    rec["dur"] = round(max(0.0, mono - stack.pop()[1]), 6)
-                elif stack and any(n_ == name for n_, _ in stack):
-                    # unbalanced exit: match the innermost same-named begin
-                    for i in range(len(stack) - 1, -1, -1):
-                        if stack[i][0] == name:
-                            rec["dur"] = round(max(0.0, mono - stack[i][1]), 6)
-                            del stack[i]
-                            break
-            if detail is not None:
-                rec["detail"] = detail
-            out.append(rec)
-        return out
-
-    def active_spans(self) -> Dict[str, List[str]]:
-        """Open span names per thread id (outermost first)."""
-        with self._lock:
-            return {
-                str(tid): list(stack)
-                for tid, stack in sorted(self._stacks.items())
-                if stack
-            }
-
-    # -- crash reporting -----------------------------------------------------
-    def crash_report(
-        self, reason: str, exc: Optional[BaseException] = None
-    ) -> Dict[str, Any]:
-        """The post-mortem document: ring tail + active spans + metrics."""
-        import platform
-
-        from repro.obs.metrics import registry as _metrics_registry
-
-        exc_doc: Optional[Dict[str, Any]] = None
-        if exc is not None:
-            exc_doc = {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": "".join(
-                    _traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-            }
-        return {
-            "schema": 1,
-            "reason": reason,
-            "time": time.time(),
-            "pid": os.getpid(),
-            "argv": list(sys.argv),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "exception": exc_doc,
-            "capacity": self.capacity,
-            "events_total": self.total,
-            "events_dropped": self.dropped,
-            "events": self.events(),
-            "active_spans": self.active_spans(),
-            "metrics": _metrics_registry.to_dict(),
-        }
-
-    def dump_crash_report(
-        self,
-        directory: Union[str, "os.PathLike[str]", None] = None,
-        reason: str = "crash",
-        exc: Optional[BaseException] = None,
-    ) -> str:
-        """Write the crash report atomically; returns the file path.
-
-        ``directory`` defaults to :func:`crash_dir`.  The write goes
-        through a temp file + ``os.replace`` so a reader never sees a
-        torn report, and the filename embeds pid + nanosecond time so
-        concurrent processes never collide.
-        """
-        root = os.fspath(directory) if directory is not None else crash_dir()
-        os.makedirs(root, exist_ok=True)
-        fname = f"crash-{reason}-{os.getpid()}-{time.time_ns()}.json"
-        path = os.path.join(root, fname)
-        doc = json.dumps(self.crash_report(reason, exc), indent=1, sort_keys=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        os.replace(tmp, path)
-        return path
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FlightRecorder(capacity={self.capacity}, total={self._n})"
-
-
-class _FlightLogHandler(logging.Handler):
-    """Mirrors ``repro.*`` log records into the flight ring."""
-
-    def __init__(self, flight: FlightRecorder, level: int = logging.WARNING):
-        super().__init__(level=level)
-        self._flight = flight
+class _LogHandler(logging.Handler):
+    """Records ``repro.*`` log records as ``log`` spans in the installed
+    recorder."""
 
     def emit(self, record: logging.LogRecord) -> None:
-        try:
-            self._flight.log(record.name, record.getMessage())
-        except Exception:  # pragma: no cover - never break the caller
-            pass
+        rec = _trace.get_recorder()
+        if isinstance(rec, SpanRecorder):
+            try:
+                rec.log(record.name, record.getMessage(), record.levelname)
+            except Exception:  # pragma: no cover - never break the caller
+                pass
 
 
-_log_handler: Optional[_FlightLogHandler] = None
+_log_handler: Optional[_LogHandler] = None
 _prev_sigusr2: Any = None
 _signal_installed = False
 
@@ -302,55 +85,119 @@ def crash_dir() -> str:
     return os.environ.get(ENV_CRASH_DIR) or ".perflow"
 
 
-def enable(
-    capacity: int = DEFAULT_CAPACITY,
-    logs: bool = True,
-    log_level: int = logging.WARNING,
-) -> FlightRecorder:
-    """Install (and return) a flight recorder.
-
-    ``logs=True`` also attaches a handler on the ``repro`` logger so
-    warnings/errors land in the ring alongside span events.  Re-enabling
-    replaces any existing ring (the old one stops receiving events).
-    """
+def enable(capacity: Optional[int] = DEFAULT_CAPACITY) -> SpanRecorder:
+    """Install (and return) the process recorder, keeping the newest
+    ``capacity`` finished spans (None: all of them), and record
+    ``repro.*`` warnings into it."""
     global _log_handler
-    fl = FlightRecorder(capacity)
-    if logs:
-        handler = _FlightLogHandler(fl, level=log_level)
-        logger = logging.getLogger("repro")
-        if _log_handler is not None:
-            logger.removeHandler(_log_handler)
-        logger.addHandler(handler)
-        _log_handler = handler
-    _trace.set_flight(fl)
-    return fl
+    rec = _trace.enable(SpanRecorder(capacity))
+    if _log_handler is None:
+        _log_handler = _LogHandler(level=logging.WARNING)
+        logging.getLogger("repro").addHandler(_log_handler)
+    return rec
 
 
-def disable() -> Optional[FlightRecorder]:
-    """Remove the flight recorder (and its log handler); returns it."""
+def disable() -> Union[SpanRecorder, _trace.NullRecorder]:
+    """Uninstall the recorder, the log handler and the SIGUSR2 dump;
+    returns the recorder."""
     global _log_handler
-    fl = _trace.get_flight()
-    _trace.set_flight(None)
     if _log_handler is not None:
         logging.getLogger("repro").removeHandler(_log_handler)
         _log_handler = None
     uninstall_signal_dump()
-    return fl
+    return _trace.disable()
 
 
-def enabled() -> bool:
-    return _trace.get_flight() is not None
+def _span_doc(sp: Span, now: float) -> Dict[str, Any]:
+    end = sp.t_end if sp.t_end else now  # open spans: elapsed so far
+    doc: Dict[str, Any] = {
+        "name": sp.name,
+        "cat": sp.category or "repro",
+        "tid": sp.tid,
+        "start": round(sp.t_start, 6),
+        "dur": round(max(0.0, end - sp.t_start), 6),
+    }
+    if sp.args:
+        doc["args"] = _trace._json_args(sp.args)
+    return doc
 
 
-def get() -> Optional[FlightRecorder]:
-    """The installed flight recorder, or None."""
-    return _trace.get_flight()
+def crash_report(
+    recorder: SpanRecorder, reason: str, exc: Optional[BaseException] = None
+) -> Dict[str, Any]:
+    """The post-mortem document for ``recorder`` (schema 2).
+
+    ``spans`` are the last :data:`DEFAULT_CAPACITY` finished spans in
+    finish order and ``open_spans`` each thread's open stack, outermost
+    first.  ``start`` is a ``perf_counter`` reading: its wall-clock time
+    is ``anchor.wall + start - anchor.mono``.  ``dur`` comes from the
+    monotonic clock only, so a stepped system clock cannot make it
+    negative.  Takes no lock (see the module docstring).
+    """
+    import platform
+
+    from repro.obs.metrics import registry as _metrics_registry
+
+    done = list(recorder._done)[-DEFAULT_CAPACITY:]
+    open_spans = recorder.open_spans()
+    mono = time.perf_counter()
+    exc_doc: Optional[Dict[str, Any]] = None
+    if exc is not None:
+        exc_doc = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": "".join(
+                _traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+        }
+    return {
+        "schema": SCHEMA,
+        "reason": reason,
+        "anchor": {"wall": time.time(), "mono": round(mono, 6)},
+        "pid": os.getpid(),
+        "argv": list(sys.argv),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "exception": exc_doc,
+        "capacity": recorder.capacity,
+        "spans_total": recorder.total,
+        "spans": [_span_doc(sp, mono) for sp in done],
+        "open_spans": {
+            str(tid): [_span_doc(sp, mono) for sp in stack]
+            for tid, stack in sorted(open_spans.items())
+        },
+        "metrics": _metrics_registry.to_dict(),
+    }
+
+
+def dump_crash_report(
+    recorder: SpanRecorder,
+    directory: Union[str, "os.PathLike[str]", None] = None,
+    reason: str = "crash",
+    exc: Optional[BaseException] = None,
+) -> str:
+    """Write ``recorder``'s crash report atomically; returns the path.
+
+    ``directory`` defaults to :func:`crash_dir`.  The write goes
+    through a temp file + ``os.replace`` so a reader never sees a
+    torn report, and the filename embeds pid + nanosecond time so
+    concurrent processes never collide.
+    """
+    root = os.fspath(directory) if directory is not None else crash_dir()
+    os.makedirs(root, exist_ok=True)
+    path = os.path.join(root, f"crash-{reason}-{os.getpid()}-{time.time_ns()}.json")
+    doc = json.dumps(crash_report(recorder, reason, exc), indent=1, sort_keys=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(doc)
+    os.replace(tmp, path)
+    return path
 
 
 def install_signal_dump(
     directory: Union[str, "os.PathLike[str]", None] = None,
 ) -> bool:
-    """Dump a crash report on SIGUSR2 (live hang diagnosis).
+    """Dump the installed recorder's crash report on SIGUSR2.
 
     Returns True when the handler was installed; False on platforms
     without SIGUSR2 (Windows) or off the main thread, where Python
@@ -362,10 +209,10 @@ def install_signal_dump(
         return False
 
     def _on_sigusr2(signum: int, frame: Any) -> None:
-        fl = _trace.get_flight()
-        if fl is not None:
+        rec = _trace.get_recorder()
+        if isinstance(rec, SpanRecorder):
             try:
-                fl.dump_crash_report(directory, reason="sigusr2")
+                dump_crash_report(rec, directory, reason="sigusr2")
             except OSError:  # pragma: no cover - unwritable dump dir
                 pass
 

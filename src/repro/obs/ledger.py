@@ -4,9 +4,9 @@ Spans and metrics (:mod:`repro.obs.trace` / :mod:`repro.obs.metrics`)
 die with the process, so "did this pipeline get slower than last week?"
 was unanswerable.  The ledger fixes that: every ``run`` / ``paradigm``
 CLI invocation appends one structured **run record** — run id,
-command + argv, PAG fingerprint(s), per-node span rollups with in/out
-sizes and cache hit/miss attribution, a metrics snapshot, wall/CPU
-time, interpreter + platform info — as one JSON line under
+command + argv, per-node span rollups with in/out sizes and cache
+hit/miss attribution, a metrics snapshot, wall/CPU time, interpreter +
+platform info — as one JSON line under
 ``.perflow/ledger/`` (override: ``$PERFLOW_LEDGER_DIR``; disable:
 ``--no-ledger`` or ``PERFLOW_LEDGER=0``).
 
@@ -31,11 +31,12 @@ Analysis happens over accumulated records:
   deviation × 1.4826 ≈ one robust sigma), and an absolute floor —
   three gates so jitter on sub-millisecond nodes never false-positives.
 
-PAG fingerprints reach the record through a module-level collector:
-the CLI wraps dispatch in :func:`collect_fingerprints`, and
-:meth:`PerFlow.run <repro.dataflow.api.PerFlow.run>` calls
-:func:`note_pag` on every PAG it builds — a no-op (one global read)
-outside a collection scope.
+A record is built from the run's spans and metrics alone.  PAG
+fingerprints are only what the caller passes in: ``repro serve`` keys a
+record on the fingerprint of the PAG the request brought, while a CLI
+``run`` / ``paradigm`` record has none — every PAG it analyzes is
+simulated from a built-in app whose inputs are already in the
+identity, and the simulator is deterministic.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ import json
 import os
 import time
 import uuid
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ENV_LEDGER",
@@ -57,8 +57,6 @@ __all__ = [
     "rollup_spans",
     "diff_records",
     "find_regressions",
-    "collect_fingerprints",
-    "note_pag",
 ]
 
 #: ``PERFLOW_LEDGER=0`` disables ledger writes process-wide.
@@ -104,42 +102,6 @@ def resolve_ledger(
     if not enabled:
         return None
     return directory or os.environ.get(ENV_LEDGER_DIR) or DEFAULT_DIR
-
-
-# ----------------------------------------------------------------------
-# PAG fingerprint collection (CLI dispatch scope)
-# ----------------------------------------------------------------------
-_collector: Optional[List[str]] = None
-
-
-@contextmanager
-def collect_fingerprints() -> Iterator[List[str]]:
-    """Collect the fingerprints of every PAG built inside the scope."""
-    global _collector
-    prev = _collector
-    collected: List[str] = []
-    _collector = collected
-    try:
-        yield collected
-    finally:
-        _collector = prev
-
-
-def note_pag(pag: Any) -> None:
-    """Report a freshly built PAG to the active collection scope.
-
-    One global read when no scope is active; fingerprinting failures
-    are swallowed — telemetry must never break an analysis.
-    """
-    col = _collector
-    if col is None:
-        return
-    try:
-        fp = pag.fingerprint()
-    except Exception:
-        return
-    if fp not in col:
-        col.append(fp)
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
-from repro.obs.trace import SpanRecorder, Span
+from repro.obs.trace import Span, SpanRecorder
 from repro.pag.edge import EdgeLabel
 from repro.pag.graph import PAG
 from repro.pag.sets import VertexSet
@@ -57,108 +57,57 @@ def _pag_shell(name: str) -> PAG:
 
 
 def trace_to_pag(source: TraceSource, name: str = "repro-trace") -> PAG:
-    """Build the self-PAG from a recorder, trace document, or file."""
+    """Build the self-PAG from a recorder, trace document, or file.
+
+    Every source is read as a trace document by
+    :meth:`SpanRecorder.from_chrome_trace` — a live recorder is exported
+    first — so a run and the ``--trace`` file it wrote give the same
+    PAG.
+    """
     if isinstance(source, SpanRecorder):
-        return _from_recorder(source, name)
-    if isinstance(source, (str, Path)):
+        source = source.to_chrome_trace(metrics={})
+    elif isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return _from_chrome(doc, name)
-    return _from_chrome(source, name)
+            source = json.load(fh)
+    return _from_recorder(SpanRecorder.from_chrome_trace(source), name)
+
+
+def _dur_us(sp: Span) -> float:
+    """The span's duration as the trace document stores it (µs, 3
+    decimals): exact for a span read back from a document."""
+    return round((sp.t_end - sp.t_start) * 1e6, 3)
 
 
 def _from_recorder(rec: SpanRecorder, name: str) -> PAG:
+    """One vertex per span, preorder, track by track in ``(pid, tid)``
+    order; ``process`` numbers pids in that order."""
     pag = _pag_shell(name)
     root = pag.add_vertex(VertexLabel.FUNCTION, "trace", properties={"time": 0.0})
-    tid_map: Dict[int, int] = {}
+    roots, children = rec.tree()
+    roots.sort(key=lambda sp: str((sp.pid, sp.tid)))  # stable: start order within a track
+    pid_map: Dict[Any, int] = {}
 
     def add(sp: Span, parent_id: int) -> None:
-        inclusive = max(sp.t_end - sp.t_start, 0.0)
-        exclusive = inclusive - sum(
-            max(c.t_end - c.t_start, 0.0) for c in sp.children
-        )
+        dur = _dur_us(sp)
         props: Dict[str, Any] = {
-            "time": max(exclusive, 0.0),
-            "total_time": inclusive,
-            "thread": tid_map.setdefault(sp.tid, len(tid_map)),
-            "process": 0,
+            "total_time": dur / 1e6,
+            "thread": sp.tid,
+            "process": pid_map.setdefault(sp.pid, len(pid_map)),
             "debug-info": sp.category or "repro",
             "count": 1,
         }
         _copy_args(props, sp.args)
         v = pag.add_vertex(VertexLabel.FUNCTION, sp.name, properties=props)
         pag.add_edge(parent_id, v.id, EdgeLabel.INTRA_PROCEDURAL)
-        for child in sp.children:
+        children_us = 0.0
+        for child in children.get(sp, ()):
+            children_us += _dur_us(child)
             add(child, v.id)
+        v["time"] = max(dur / 1e6 - children_us / 1e6, 0.0)
 
-    for top in rec.roots:
+    for top in roots:
         add(top, root.id)
     return pag
-
-
-def _from_chrome(doc: Dict[str, Any], name: str) -> PAG:
-    """Rebuild nesting from complete events by interval containment.
-
-    Events are grouped per (pid, tid) and replayed in start order with
-    an open-span stack — the inverse of what
-    :meth:`SpanRecorder.to_chrome_trace` wrote, and equally valid for
-    traces produced by other Chrome-trace emitters.
-    """
-    if isinstance(doc, list):
-        events = doc
-    elif "traceEvents" in doc:
-        events = doc["traceEvents"]
-    else:
-        raise ValueError(
-            "not a Chrome trace-event document (no 'traceEvents' key)"
-        )
-    spans = [
-        ev
-        for ev in events
-        if ev.get("ph") == "X" and isinstance(ev.get("ts"), (int, float))
-    ]
-    pag = _pag_shell(name)
-    root = pag.add_vertex(VertexLabel.FUNCTION, "trace", properties={"time": 0.0})
-
-    by_unit: Dict[Tuple[Any, Any], List[Dict[str, Any]]] = {}
-    for ev in spans:
-        by_unit.setdefault((ev.get("pid", 0), ev.get("tid", 0)), []).append(ev)
-
-    pid_map: Dict[Any, int] = {}
-    for (pid, tid), unit_events in sorted(by_unit.items(), key=lambda kv: str(kv[0])):
-        process = pid_map.setdefault(pid, len(pid_map))
-        # start ascending; ties: longer (outer) span first
-        unit_events.sort(key=lambda ev: (ev["ts"], -float(ev.get("dur", 0.0))))
-        # stack of (vertex_id, end_ts, children_dur_accumulator)
-        stack: List[List[Any]] = []
-        for ev in unit_events:
-            ts = float(ev["ts"])
-            dur = float(ev.get("dur", 0.0))
-            while stack and ts >= stack[-1][1] - 1e-9:
-                _finish(pag, stack.pop())
-            props: Dict[str, Any] = {
-                "total_time": dur / 1e6,
-                "thread": tid,
-                "process": process,
-                "debug-info": ev.get("cat", "repro"),
-                "count": 1,
-            }
-            _copy_args(props, ev.get("args") or {})
-            v = pag.add_vertex(VertexLabel.FUNCTION, ev.get("name", "?"), properties=props)
-            parent_id = stack[-1][0] if stack else root.id
-            if stack:
-                stack[-1][2] += dur
-            pag.add_edge(parent_id, v.id, EdgeLabel.INTRA_PROCEDURAL)
-            stack.append([v.id, ts + dur, 0.0])
-        while stack:
-            _finish(pag, stack.pop())
-    return pag
-
-
-def _finish(pag: PAG, frame: List[Any]) -> None:
-    vid, _end, children_dur = frame
-    v = pag.vertex(vid)
-    v["time"] = max(float(v["total_time"]) - children_dur / 1e6, 0.0)
 
 
 @dataclass

@@ -4,17 +4,24 @@ A **span** is one timed region of PerFlow's execution — a pipeline
 node, a parallel-view construction phase, a simulated-run stage — with
 a name, a category, a monotonic start/end, the recording thread, and
 free-form ``args`` (set cardinalities, fixpoint iteration counts, byte
-counts).  Spans nest: the recorder keeps a per-thread stack, so a
-``node:hotspot`` span recorded while ``pipeline:lammps-loop`` is open
-becomes its child.
+counts).  The span is the only thing :mod:`repro.obs` records: a ledger
+record is a rollup of a run's spans, a crash report is the tail of
+them, and a ``repro.*`` warning is a zero-duration span of category
+``log``.
+
+Spans nest: a span records its parent when it starts — the innermost
+open span on its thread, or an explicit ``parent=`` for work fanned
+out to other threads — and the tree is derived from those links when
+it is read.
 
 The module-level :func:`span` helper is what library code calls.  It is
 engineered so that **disabled tracing is effectively free**: when no
 recorder is installed it performs one global read, one identity check,
 and returns a shared no-op span object — no allocation, no clock read,
 no kwargs dict is ever inspected.  The overhead guard in
-``benchmarks/test_obs_overhead.py`` holds this path to <2% of the
-LAMMPS parallel-view paradigm.
+``benchmarks/test_obs_overhead.py`` holds this path, and the bounded
+recorder every CLI process installs, to <2% of the LAMMPS
+parallel-view paradigm.
 
 Export formats:
 
@@ -29,12 +36,12 @@ Export formats:
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
@@ -43,7 +50,6 @@ __all__ = [
     "NULL_SPAN",
     "span",
     "timed_span",
-    "traced",
     "current_span",
     "enable",
     "disable",
@@ -51,8 +57,6 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "scoped_recorder",
-    "get_flight",
-    "set_flight",
 ]
 
 
@@ -61,7 +65,9 @@ class Span:
 
     Use as a context manager; inside the block, :meth:`set` attaches
     args (``sp.set(out_size=len(result))``).  ``duration`` is valid
-    after exit (and live-reads while open).
+    after exit (and live-reads while open).  ``pid`` is 0 for spans
+    recorded in this process and the trace's pid for spans read back by
+    :meth:`SpanRecorder.from_chrome_trace`.
     """
 
     __slots__ = (
@@ -71,7 +77,7 @@ class Span:
         "t_start",
         "t_end",
         "tid",
-        "children",
+        "pid",
         "_recorder",
         "_parent",
     )
@@ -90,7 +96,7 @@ class Span:
         self.t_start = 0.0
         self.t_end = 0.0
         self.tid = 0
-        self.children: List["Span"] = []
+        self.pid = 0
         self._recorder = recorder
         self._parent = parent
 
@@ -114,22 +120,24 @@ class Span:
         end = self.t_end if self.t_end else time.perf_counter()
         return end - self.t_start if self.t_start else 0.0
 
+    @property
+    def children(self) -> List["Span"]:
+        """The recorder's finished spans whose parent is this one, in
+        start order (derived on read; see :meth:`SpanRecorder.tree`)."""
+        if self._recorder is None:
+            return []
+        return self._recorder.tree()[1].get(self, [])
+
     # -- context manager ---------------------------------------------------
     def __enter__(self) -> "Span":
+        self.tid = threading.get_ident()
         if self._recorder is not None:
             self._recorder._push(self)
-        self.tid = threading.get_ident()
-        fl = _flight
-        if fl is not None:
-            fl.begin(self.name, self.tid)
         self.t_start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.t_end = time.perf_counter()
-        fl = _flight
-        if fl is not None:
-            fl.end(self.name, self.tid)
         if self._recorder is not None:
             self._recorder._pop(self)
 
@@ -170,81 +178,36 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _FlightSpan:
-    """Falsy span recorded only into the flight-recorder ring.
-
-    Returned by :func:`span` when no full recorder is installed but a
-    flight recorder (:mod:`repro.obs.flight`) is — the always-on path.
-    Deliberately minimal: no args dict, no parent bookkeeping, no
-    per-span clock reads beyond what the ring itself stamps, so the
-    always-on overhead stays inside the <2% benchmark guard.
-    """
-
-    __slots__ = ("name", "_fl", "_tid")
-
-    def __init__(self, name: str, fl: Any):
-        self.name = name
-        self._fl = fl
-
-    def set(self, **args: Any) -> "_FlightSpan":
-        return self
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        pass
-
-    def __bool__(self) -> bool:
-        return False
-
-    @property
-    def duration(self) -> float:
-        return 0.0
-
-    def __enter__(self) -> "_FlightSpan":
-        self._tid = threading.get_ident()
-        self._fl.begin(self.name, self._tid)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._fl.end(self.name, self._tid)
-
-
-class _TimedSpan(Span):
-    """A span that times itself but records nowhere.
-
-    Returned by :func:`timed_span` when tracing is disabled, for call
-    sites that *consume* the measured duration (e.g. static analysis
-    reporting its own cost) rather than merely contributing it to a
-    trace.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, name: str):
-        super().__init__(None, name, None, None)
-
-
-class _ThreadState(threading.local):
-    def __init__(self) -> None:
-        self.stack: List[Span] = []
+def _start(sp: Span) -> float:
+    return sp.t_start
 
 
 class SpanRecorder:
-    """Accumulates spans with per-thread nesting.
+    """Finished spans — all of them, or only the newest ``capacity``.
 
-    Thread-safe: each thread nests into its own stack; the flat
-    ``spans`` list (start order) and every ``children`` mutation are
-    guarded by one lock.  Spans started on worker threads would
-    normally become per-thread roots; callers that fan work out (the
-    wavefront scheduler) pass an explicit ``parent=`` so the worker's
-    span still nests under the submitting thread's open span.
+    Finished spans go into one deque with ``maxlen=capacity``: that is
+    the ring a bounded recorder is (the flight recorder,
+    :mod:`repro.obs.flight`), and ``capacity=None`` keeps everything
+    (the ``--trace`` recorder).  No span holds a child list; the
+    nesting is derived from parent links on read (:meth:`tree`), so a
+    root held open across any number of children pins nothing.
+
+    Open spans sit in per-thread stacks in a plain dict keyed by thread
+    id, so another thread — or a crash / SIGUSR2 dump — can list what
+    each thread is doing; only the owning thread mutates its stack.
+    Writers append under ``_lock``.  Readers never take it: copying the
+    deque or the dict is one C-level call under the GIL, so a dump
+    from a signal handler that interrupted a writer cannot deadlock.
     """
 
-    def __init__(self) -> None:
-        #: All recorded spans in start order (across threads).
-        self.spans: List[Span] = []
-        #: Spans with no parent (per-thread roots), in start order.
-        self.roots: List[Span] = []
-        self._local = _ThreadState()
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"recorder capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        #: Spans ever finished (exceeds ``len()`` once a bounded ring wraps).
+        self.total = 0
+        self._done: Deque[Span] = deque(maxlen=capacity)
+        self._open: Dict[int, List[Span]] = {}
         self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
@@ -264,28 +227,46 @@ class SpanRecorder:
         return Span(self, name, category, args, parent=parent)
 
     def _push(self, sp: Span) -> None:
-        stack = self._local.stack
-        with self._lock:
-            self.spans.append(sp)
-            if sp._parent is not None:
-                sp._parent.children.append(sp)
-            elif stack:
-                stack[-1].children.append(sp)
-            else:
-                self.roots.append(sp)
+        stack = self._open.get(sp.tid)
+        if stack is None:
+            self._open[sp.tid] = [sp]
+            return
+        if sp._parent is None:
+            sp._parent = stack[-1]
         stack.append(sp)
 
     def _pop(self, sp: Span) -> None:
-        stack = self._local.stack
-        if stack and stack[-1] is sp:
-            stack.pop()
-        elif sp in stack:  # pragma: no cover - unbalanced exit
-            stack.remove(sp)
+        stack = self._open.get(sp.tid)
+        if stack:
+            if stack[-1] is sp:
+                stack.pop()
+            elif sp in stack:  # unbalanced exit: drop the match, not the top
+                stack.remove(sp)
+            if not stack:
+                del self._open[sp.tid]
+        self._finish(sp)
+
+    def _finish(self, sp: Span) -> None:
+        with self._lock:
+            self._done.append(sp)
+            self.total += 1
 
     def current(self) -> Optional[Span]:
         """The innermost open span on the calling thread, if any."""
-        stack = self._local.stack
+        stack = self._open.get(threading.get_ident())
         return stack[-1] if stack else None
+
+    def log(self, name: str, message: str, level: str = "WARNING") -> Span:
+        """Record a log line as a zero-duration span of category ``log``,
+        nested under the calling thread's innermost open span."""
+        sp = Span(self, name, "log", {"level": level, "message": message})
+        sp.tid = threading.get_ident()
+        stack = self._open.get(sp.tid)
+        if stack:
+            sp._parent = stack[-1]
+        sp.t_start = sp.t_end = time.perf_counter()
+        self._finish(sp)
+        return sp
 
     def record_completed(
         self,
@@ -306,31 +287,52 @@ class SpanRecorder:
         ``t_end`` are ``perf_counter`` readings; on platforms where
         that clock is system-wide (``CLOCK_MONOTONIC`` on Linux) they
         line up with the parent's own spans in the exported trace.
-        Never touches the thread-local nesting stack, so it is safe to
-        call while other spans are open.
+        Never touches the open-span stacks, so it is safe to call while
+        other spans are open.
         """
-        sp = Span(None, name, category, args, parent=parent)
+        sp = Span(self, name, category, args, parent=parent)
         sp.t_start = t_start
         sp.t_end = t_end
         sp.tid = tid
-        with self._lock:
-            self.spans.append(sp)
-            if parent is not None:
-                parent.children.append(sp)
-            else:
-                self.roots.append(sp)
+        self._finish(sp)
         return sp
 
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._done)
+
+    @property
+    def spans(self) -> List[Span]:
+        """The retained finished spans, in start order."""
+        return sorted(self._done, key=_start)
 
     def find(self, name: str) -> List[Span]:
-        """All spans with exactly this name, in start order."""
+        """All retained spans with exactly this name, in start order."""
         return [s for s in self.spans if s.name == name]
 
-    def iter_spans(self) -> Iterator[Span]:
-        return iter(self.spans)
+    def open_spans(self) -> Dict[int, List[Span]]:
+        """Open spans per thread id, outermost first (a copy)."""
+        return {tid: list(stack) for tid, stack in list(self._open.items()) if stack}
+
+    def tree(self) -> Tuple[List[Span], Dict[Span, List[Span]]]:
+        """``(roots, children)`` of the retained spans, both in start
+        order.  A span whose parent is not retained — still open, or
+        pushed out of a bounded ring — is a root."""
+        spans = self.spans
+        kept = set(spans)
+        roots: List[Span] = []
+        children: Dict[Span, List[Span]] = {}
+        for sp in spans:
+            parent = sp._parent
+            if parent is not None and parent in kept:
+                children.setdefault(parent, []).append(sp)
+            else:
+                roots.append(sp)
+        return roots, children
+
+    @property
+    def roots(self) -> List[Span]:
+        return self.tree()[0]
 
     # -- export ------------------------------------------------------------
     def to_chrome_trace(
@@ -364,9 +366,10 @@ class SpanRecorder:
                 "args": {"name": process_name},
             }
         ]
-        t0 = min((s.t_start for s in self.spans), default=0.0)
+        spans = self.spans
+        t0 = spans[0].t_start if spans else 0.0
         tid_map: Dict[int, int] = {}
-        for s in self.spans:
+        for s in spans:
             tid = tid_map.setdefault(s.tid, len(tid_map))
             event: Dict[str, Any] = {
                 "name": s.name,
@@ -408,48 +411,51 @@ class SpanRecorder:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     @classmethod
-    def from_chrome_trace(cls, doc: Dict[str, Any]) -> "SpanRecorder":
+    def from_chrome_trace(cls, doc: Any) -> "SpanRecorder":
         """Rebuild a recorder from a Chrome trace-event document.
 
-        The lossy inverse of :meth:`to_chrome_trace`: timestamps come
-        back as seconds re-based at the export origin, thread ids are
-        the compacted export ids, and nesting is recovered by interval
-        containment per ``(pid, tid)`` track — the same reconstruction
-        :mod:`repro.obs.selfpag` uses.  This is what lets
-        ``repro obs analyze --tree trace.json`` render a saved trace.
+        The one reader of trace documents (``repro obs analyze`` and
+        :mod:`repro.obs.selfpag` both use it), and the lossy inverse of
+        :meth:`to_chrome_trace`: timestamps come back as seconds
+        re-based at the export origin, ``tid`` / ``pid`` are the
+        document's, and nesting is recovered by interval containment
+        per ``(pid, tid)`` track — which holds for traces from other
+        Chrome-trace emitters too.  ``doc`` is the document or its
+        bare event list; anything else raises ``ValueError``.
         """
+        events = doc.get("traceEvents") if isinstance(doc, dict) else doc
+        if not isinstance(events, list):
+            raise ValueError("not a Chrome trace-event document (no 'traceEvents' key)")
+        tracks: Dict[Tuple[Any, Any], List[Dict[str, Any]]] = {}
+        for ev in events:
+            if ev.get("ph") == "X" and isinstance(ev.get("ts"), (int, float)):
+                tracks.setdefault((ev.get("pid", 0), ev.get("tid", 0)), []).append(ev)
         rec = cls()
-        by_track: Dict[Any, List[Dict[str, Any]]] = {}
-        for ev in doc.get("traceEvents", []):
-            if ev.get("ph") == "X":
-                by_track.setdefault((ev.get("pid"), ev.get("tid")), []).append(ev)
-        for track in sorted(by_track, key=repr):
-            # Sort by (start, -duration): an enclosing span precedes the
-            # children it contains, so a stack of open spans rebuilds
-            # the nesting.
+        for pid, tid in sorted(tracks, key=str):
+            # Start ascending, an enclosing span before the children it
+            # contains (longer first on a tie): a stack of open spans
+            # rebuilds the nesting.
             evs = sorted(
-                by_track[track],
-                key=lambda e: (float(e.get("ts", 0.0)), -float(e.get("dur", 0.0))),
+                tracks[(pid, tid)], key=lambda e: (e["ts"], -float(e.get("dur", 0.0)))
             )
-            stack: List[Span] = []
+            stack: List[Tuple[Span, float]] = []  # (span, end in µs)
             for ev in evs:
-                t0 = float(ev.get("ts", 0.0)) / 1e6
-                dur = float(ev.get("dur", 0.0)) / 1e6
-                sp = Span(None, str(ev.get("name", "?")), ev.get("cat"), ev.get("args"))
-                sp.t_start = t0
-                sp.t_end = t0 + dur
-                sp.tid = track[1] if isinstance(track[1], int) else 0
-                while stack and sp.t_start >= stack[-1].t_end - 1e-12:
+                ts = float(ev["ts"])
+                dur = float(ev.get("dur", 0.0))
+                while stack and ts >= stack[-1][1] - 1e-9:
                     stack.pop()
-                rec.spans.append(sp)
-                if stack:
-                    sp._parent = stack[-1]
-                    stack[-1].children.append(sp)
-                else:
-                    rec.roots.append(sp)
-                stack.append(sp)
-        rec.spans.sort(key=lambda s: s.t_start)
-        rec.roots.sort(key=lambda s: s.t_start)
+                sp = Span(
+                    rec,
+                    str(ev.get("name", "?")),
+                    ev.get("cat"),
+                    ev.get("args"),
+                    parent=stack[-1][0] if stack else None,
+                )
+                sp.t_start = ts / 1e6
+                sp.t_end = sp.t_start + dur / 1e6
+                sp.tid, sp.pid = tid, pid
+                rec._finish(sp)
+                stack.append((sp, ts + dur))
         return rec
 
     def save(self, path: Union[str, "os.PathLike[str]"]) -> int:
@@ -465,6 +471,7 @@ class SpanRecorder:
         ``min_ms`` hides spans shorter than the threshold (their
         children are hidden with them).
         """
+        roots, children = self.tree()
         lines: List[str] = []
 
         def render(sp: Span, depth: int) -> None:
@@ -475,10 +482,10 @@ class SpanRecorder:
             if sp.args:
                 args = "  " + " ".join(f"{k}={v}" for k, v in sp.args.items())
             lines.append(f"{'  ' * depth}{ms:9.3f} ms  {sp.name}{args}")
-            for child in sp.children:
+            for child in children.get(sp, ()):
                 render(child, depth + 1)
 
-        for root in self.roots:
+        for root in roots:
             render(root, 0)
         return "\n".join(lines)
 
@@ -516,28 +523,6 @@ class NullRecorder:
 _NULL_RECORDER = NullRecorder()
 _recorder: Union[SpanRecorder, NullRecorder] = _NULL_RECORDER
 
-#: The installed flight recorder (:class:`repro.obs.flight.FlightRecorder`)
-#: or None.  It lives here — not in the flight module — so the
-#: :func:`span` fast path can consult it with one module-global read,
-#: and so :class:`Span` can tap begin/end events into the ring even
-#: when a full recorder is also active (one source of truth, no
-#: double-wrapping).
-_flight: Optional[Any] = None
-
-
-def set_flight(flight: Optional[Any]) -> None:
-    """Install (or with None, remove) the process flight recorder.
-
-    Called by :func:`repro.obs.flight.enable` / ``disable``; not meant
-    for direct use.
-    """
-    global _flight
-    _flight = flight
-
-
-def get_flight() -> Optional[Any]:
-    return _flight
-
 
 # ----------------------------------------------------------------------
 # module-level API (what library code calls)
@@ -561,10 +546,7 @@ def span(
     """
     rec = _recorder
     if rec is _NULL_RECORDER:
-        fl = _flight
-        if fl is None:
-            return NULL_SPAN
-        return _FlightSpan(name, fl)
+        return NULL_SPAN
     if parent is not None and not isinstance(parent, Span):
         parent = None  # NULL_SPAN / foreign objects: thread-local nesting
     return rec.span(name, category, parent=parent, **args)
@@ -580,7 +562,7 @@ def timed_span(name: str, category: Optional[str] = None, **args: Any) -> Span:
     """
     rec = _recorder
     if rec is _NULL_RECORDER:
-        return _TimedSpan(name)
+        return Span(None, name, category, args)
     return rec.span(name, category, **args)
 
 
@@ -600,7 +582,8 @@ def set_recorder(recorder: Union[SpanRecorder, NullRecorder, None]) -> None:
 
 
 def enable(recorder: Optional[SpanRecorder] = None) -> SpanRecorder:
-    """Install (and return) a recorder; a fresh one if none is given."""
+    """Install (and return) a recorder; a fresh unbounded one if none
+    is given."""
     rec = recorder if recorder is not None else SpanRecorder()
     set_recorder(rec)
     return rec
@@ -638,36 +621,3 @@ class scoped_recorder:
 
     def __exit__(self, *exc: Any) -> None:
         set_recorder(self._prev)
-
-
-def traced(
-    name_or_fn: Union[str, Callable, None] = None,
-    category: Optional[str] = None,
-) -> Callable:
-    """Decorator form: wrap every call of ``fn`` in a span.
-
-    ``@traced``, ``@traced("custom.name")`` and
-    ``@traced(category="runtime")`` all work.  The disabled-mode cost
-    is one global read plus a no-op context manager.
-    """
-
-    def decorate(fn: Callable, span_name: Optional[str] = None) -> Callable:
-        label = span_name or getattr(fn, "__qualname__", fn.__name__)
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            rec = _recorder
-            if rec is _NULL_RECORDER:
-                fl = _flight
-                if fl is None:
-                    return fn(*args, **kwargs)
-                with _FlightSpan(label, fl):
-                    return fn(*args, **kwargs)
-            with rec.span(label, category):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    if callable(name_or_fn):
-        return decorate(name_or_fn)
-    return lambda fn: decorate(fn, name_or_fn)

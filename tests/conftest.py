@@ -179,15 +179,15 @@ def make_structured_program() -> Program:
 def _isolate_obs_state(tmp_path, monkeypatch):
     """Reset process-global observability and cache state around every test.
 
-    The metrics registry, the installed trace recorder, the flight
-    recorder, and the default pass-result cache are process globals;
-    without this fixture a test that enables tracing, bumps counters,
-    or populates the cache bleeds into whichever test runs next.  Each
-    test starts from a clean registry, the disabled null recorder, no
-    flight ring, and an empty default cache, and anything it installs
-    or accumulates is torn down afterwards.  The cache reset also makes
-    the suite rerunnable under ``PERFLOW_CACHE=1`` without cross-test
-    hits.
+    The metrics registry, the installed span recorder (with the flight
+    recorder's log handler), and the default pass-result cache are
+    process globals; without this fixture a test that enables tracing,
+    bumps counters, or populates the cache bleeds into whichever test
+    runs next.  Each test starts from a clean registry, the disabled
+    null recorder, no log handler, and an empty default cache, and
+    anything it installs or accumulates is torn down afterwards.  The
+    cache reset also makes the suite rerunnable under
+    ``PERFLOW_CACHE=1`` without cross-test hits.
 
     The run ledger and crash-report dirs are pointed into ``tmp_path``:
     both are on by default in the CLI, and a test invoking ``main()``
@@ -205,7 +205,6 @@ def _isolate_obs_state(tmp_path, monkeypatch):
 
     from repro.cache import reset_default_cache
     from repro.obs import flight as _obs_flight
-    from repro.obs import ledger as _obs_ledger
 
     saved_ledger = _os.environ.pop("PERFLOW_LEDGER", None)
     monkeypatch.setenv("PERFLOW_LEDGER_DIR", str(tmp_path / "obs-ledger"))
@@ -213,13 +212,11 @@ def _isolate_obs_state(tmp_path, monkeypatch):
     _obs_trace.set_recorder(None)
     _obs_flight.disable()
     _obs_metrics.registry.reset()
-    _obs_ledger._collector = None
     reset_default_cache()
     yield
     _obs_trace.set_recorder(None)
     _obs_flight.disable()
     _obs_metrics.registry.reset()
-    _obs_ledger._collector = None
     reset_default_cache()
     _os.environ.pop("PERFLOW_LEDGER", None)
     if saved_ledger is not None:

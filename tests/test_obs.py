@@ -18,7 +18,6 @@ from repro.obs.trace import (
     scoped_recorder,
     span,
     timed_span,
-    traced,
 )
 
 
@@ -115,32 +114,6 @@ def test_scoped_recorder_restores_previous():
     assert obs_trace.get_recorder() is outer
     assert [s.name for s in rec.spans] == ["inside"]
     assert len(outer.spans) == 0
-
-
-def test_traced_decorator_forms():
-    @traced
-    def plain():
-        return 1
-
-    @traced("custom.name")
-    def named():
-        return 2
-
-    @traced(category="runtime")
-    def categorized():
-        return 3
-
-    # Disabled: decorators are pass-through.
-    assert (plain(), named(), categorized()) == (1, 2, 3)
-    rec = obs_trace.enable()
-    plain()
-    named()
-    categorized()
-    names = [s.name for s in rec.spans]
-    assert "custom.name" in names
-    assert any("plain" in n for n in names)
-    assert rec.find("custom.name")[0].category is None
-    assert [s.category for s in rec.spans if "categorized" in s.name] == ["runtime"]
 
 
 # ----------------------------------------------------------------------
