@@ -23,6 +23,7 @@ from repro.paradigms import scalability_analysis_paradigm
 from repro.paradigms import scalability as scalability_module
 
 from benchmarks.conftest import print_table
+from tests.conftest import code_lines
 
 PAPER_SPEEDUP = 72.57
 PAPER_SPEEDUP_OPT = 77.71
@@ -125,22 +126,17 @@ def test_listing7_effort_claim(benchmark):
 
     def count():
         # The paper's 27 lines cover the user-defined backtracking pass
-        # plus the paradigm body (Listing 7); count both, minus comments
-        # and docstrings.
-        total = []
-        for fn in (
-            scalability_module._user_backtracking,
-            scalability_module.scalability_analysis_paradigm,
-        ):
-            src = inspect.getsource(fn)
-            body = src.split('"""')[-1] if '"""' in src else src
-            total.extend(
-                ln for ln in body.splitlines()
-                if ln.strip() and not ln.strip().startswith("#")
+        # plus the paradigm body (Listing 7): both whole functions,
+        # signatures included, minus comments and docstrings.
+        return sum(
+            code_lines(inspect.getsource(fn))
+            for fn in (
+                scalability_module._user_backtracking,
+                scalability_module.scalability_analysis_paradigm,
             )
-        return total
+        )
 
-    code_lines = benchmark.pedantic(count, rounds=1, iterations=1)
+    n_lines = benchmark.pedantic(count, rounds=1, iterations=1)
     from repro.tools import SCALANA_SOURCE_LINES
 
     print_table(
@@ -148,9 +144,9 @@ def test_listing7_effort_claim(benchmark):
         ["tool", "lines of code"],
         [
             ["PerFlow paradigm (paper)", 27],
-            ["PerFlow paradigm (ours)", len(code_lines)],
+            ["PerFlow paradigm (ours)", n_lines],
             ["ScalAna", SCALANA_SOURCE_LINES],
         ],
     )
-    assert len(code_lines) <= 45
-    assert SCALANA_SOURCE_LINES / len(code_lines) > 100
+    assert n_lines <= 45
+    assert SCALANA_SOURCE_LINES / n_lines > 100

@@ -33,7 +33,7 @@ from repro.dataflow.graph import PerFlowGraph
 from repro.obs import metrics as obs_metrics
 from repro.pag.formats import pag_to_dict
 from repro.pag.sets import VertexSet
-from repro.serve import PipelineSpec, register_pipeline, unregister_pipeline
+from repro.serve import PIPELINES
 from repro.serve.client import ServerThread, analyze
 from repro.serve.server import ServerConfig
 from tests.conftest import make_ring_program
@@ -73,14 +73,6 @@ def _build_bench(params: Dict[str, Any]) -> PerFlowGraph:
 
 @pytest.fixture(scope="module")
 def bench_server(tmp_path_factory):
-    register_pipeline(
-        PipelineSpec(
-            name="bench_slow",
-            description="slow pass for the load benchmark",
-            build=_build_bench,
-            defaults={"salt": 0},
-        )
-    )
     cache_dir = tmp_path_factory.mktemp("serve-load-cache")
     # thread backend pinned: EXECUTIONS is module state the forked
     # process backend could not report back
@@ -89,14 +81,13 @@ def bench_server(tmp_path_factory):
         backend="thread",
         max_concurrent=CLIENTS,
         max_queue=CLIENTS * 4,
-        cache_dir=str(cache_dir),
+        cache=str(cache_dir),
         ledger=False,
     )
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(PIPELINES, "bench_slow", (_build_bench, {"salt": 0}))
         with ServerThread(config) as st:
             yield st
-    finally:
-        unregister_pipeline("bench_slow")
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """CI smoke test for ``repro serve``: real process, real sockets.
 
-Starts the server as an operator would (``python -m repro serve``),
+Starts the server as an operator would (``python -m repro serve``) on
+an MPI run's PAG (NPB CG, class S, 4 ranks, per-rank vectors kept),
 drives concurrent load — including two byte-identical requests that
-must collapse onto one execution — sends SIGUSR2 mid-load and checks
+must collapse onto one execution — checks every response's rows
+against the same pipeline run in-process (and the ``mpi_profiler`` rows
+against the MPI profiler paradigm's), sends SIGUSR2 mid-load and checks
 that the server dumped a live crash report listing its recent spans,
 then sends SIGTERM and checks for a clean drain (exit code 0) and, with
 ``--backend process``, that no shared-memory segments leaked.
@@ -32,8 +35,10 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 sys.path.insert(0, _SRC)
 
 from repro.dataflow.api import PerFlow  # noqa: E402
-from repro.pag.formats import save_pag  # noqa: E402
+from repro.pag.formats import load_pag, save_pag  # noqa: E402
+from repro.paradigms import mpi_profiler_paradigm  # noqa: E402
 from repro.serve.client import analyze, http_request, wait_ready  # noqa: E402
+from repro.serve.pipelines import build_graph  # noqa: E402
 
 _ANNOUNCE = re.compile(r"serving on ([\d.]+):(\d+)")
 
@@ -43,13 +48,36 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - py39-safe comment type
     sys.exit(1)
 
 
-def _smoke_pag_file(workdir: str) -> str:
-    from repro.apps import microbench  # local import: needs sys.path set up
+#: Rows each smoke request must return on the CG PAG.
+_EXPECTED_ROWS = {"hotspot": 10, "mpi_profiler": 12, "imbalance": 3}
 
-    pag = PerFlow().run(bin=microbench.build(), nprocs=4)
+
+def _smoke_pag_file(workdir: str) -> str:
+    from repro.apps import registry  # local import: needs sys.path set up
+
+    pag = PerFlow().run(bin=registry("S")["cg"](), nprocs=4)
     path = os.path.join(workdir, "smoke.pag")
-    save_pag(pag, path, format=3)
+    save_pag(pag, path, include_per_rank=True, format=3)
     return path
+
+
+def _check_rows(payload: dict, rows: list, pag) -> None:
+    """A response's rows are the in-process pipeline's, and the
+    ``mpi_profiler`` rows are the paradigm's in wire fields."""
+    name, params = payload["pipeline"], payload.get("params", {})
+    want = json.loads(json.dumps(build_graph(name, params).run(V=pag.vs)["result"]))
+    if rows != want:
+        _fail(f"{name} {params}: served rows differ from in-process rows")
+    if not params and len(rows) != _EXPECTED_ROWS[name]:
+        _fail(f"{name}: {len(rows)} rows, expected {_EXPECTED_ROWS[name]}")
+    if name == "mpi_profiler":
+        paradigm = [
+            {"name": r.name, "site": r.site, "time": r.time, "app_pct": r.app_pct,
+             "count": r.count, "bytes": r.total_bytes}
+            for r in mpi_profiler_paradigm(PerFlow(), pag, top=20)
+        ]
+        if rows != paradigm:
+            _fail("mpi_profiler rows differ from mpi_profiler_paradigm's")
 
 
 def _sigusr2_report(crash_dir: str) -> dict:
@@ -147,6 +175,7 @@ def main(argv=None) -> int:
                 last = events[-1]
                 if last.get("event") != "result":
                     _fail(f"{payload['pipeline']}: no result event: {last}")
+                _check_rows(payload, last["result"], load_pag(pag_path))
                 collapsed_seen += 1 if last.get("collapsed") else 0
             if collapsed_seen != 1:
                 _fail(

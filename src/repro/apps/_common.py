@@ -110,20 +110,6 @@ def halo_exchange(
     return nodes
 
 
-def ring_shift(nbytes, tag: int = 0, line: int = 0) -> List[Node]:
-    """Deadlock-free ring shift: send to rank+1, receive from rank-1."""
-    return [
-        CommCall(
-            CommOp.SENDRECV,
-            peer=lambda ctx: (ctx.rank + 1) % ctx.nprocs,
-            source=lambda ctx: (ctx.rank - 1) % ctx.nprocs,
-            nbytes=nbytes,
-            tag=tag,
-            line=line,
-        )
-    ]
-
-
 def hypercube_exchange(rounds: int, nbytes, tag_base: int = 100, line: int = 0) -> List[Node]:
     """Recursive-doubling exchange: round i pairs rank with rank XOR 2^i.
 

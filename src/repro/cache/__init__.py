@@ -33,7 +33,7 @@ This package makes that skip sound:
   bytes}`` metrics and a ``cache_hit`` span tag.
 
 Enable per run (``graph.run(cache=True)``), per facade
-(``PerFlow(cache=True)`` / ``PerFlow(cache_dir=...)``), per process
+(``PerFlow(cache=True)`` / ``PerFlow(cache="<dir>")``), per process
 (``PERFLOW_CACHE=1``, disk tier via ``PERFLOW_CACHE_DIR``), or from
 the CLI (``--cache`` / ``--no-cache`` / ``--cache-dir``; ``repro cache
 stats`` / ``repro cache clear``).  See ``docs/CACHING.md``.

@@ -83,10 +83,6 @@ class CacheSession:
         self._keys[nid] = key
         return key
 
-    def key_of(self, node_id: int) -> Optional[str]:
-        """The memoized key of an already-probed node (None = uncacheable)."""
-        return self._keys.get(node_id)
-
     # -- probe / store -----------------------------------------------------
     def probe(self, node: Any, args: List[Any]) -> Tuple[bool, Any]:
         """Look the node up; ``(True, value)`` on a hit.

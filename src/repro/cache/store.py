@@ -505,18 +505,13 @@ def _env_enabled() -> bool:
     )
 
 
-def resolve_cache(spec: Any = None, cache_dir: Any = None) -> Optional[PassCache]:
+def resolve_cache(spec: Any = None) -> Optional[PassCache]:
     """Resolve a cache request to a :class:`PassCache` or ``None``.
 
     ``None`` consults ``PERFLOW_CACHE``; ``False`` disables; ``True``
     uses the process default; a path enables a disk-backed cache at
-    that directory; a :class:`PassCache` is used as-is.  ``cache_dir``
-    (the ``--cache-dir`` of ``PerFlow`` / ``ServerConfig``) implies an
-    enabled disk-backed cache rooted there and overrides ``spec``
-    unless caching is explicitly disabled with ``False``.
+    that directory; a :class:`PassCache` is used as-is.
     """
-    if cache_dir is not None and spec is not False:
-        spec = cache_dir
     if spec is None:
         spec = _env_enabled()
     if spec is False:

@@ -88,6 +88,9 @@ EXIT_ISSUES = 1
 #: Usage error (unknown program/paradigm, missing option); argparse's code.
 EXIT_USAGE = 2
 
+#: `repro paradigm`'s names, in `repro list`'s order.
+PARADIGMS = ("mpi-profiler", "communication", "scalability", "critical-path", "contention")
+
 
 def _usage_error(message: str) -> "SystemExit":
     print(f"repro: error: {message}", file=sys.stderr)
@@ -111,7 +114,6 @@ def _pflow_for(args) -> PerFlow:
         jobs=args.jobs,
         backend=args.backend,
         cache=args.cache,
-        cache_dir=args.cache_dir,
     )
 
 
@@ -119,7 +121,7 @@ def cmd_list(_args) -> int:
     print("modelled programs (repro.apps):")
     for name in sorted(registry()):
         print(f"  {name}")
-    print("\nparadigms: mpi-profiler, communication, scalability, critical-path, contention")
+    print(f"\nparadigms: {', '.join(PARADIGMS)}")
     return 0
 
 
@@ -648,7 +650,6 @@ def cmd_serve(args) -> int:
         jobs=args.jobs,
         backend=args.backend,
         cache=args.cache,
-        cache_dir=args.cache_dir,
         max_concurrent=args.max_concurrent,
         max_queue=args.max_queue,
         drain_timeout=args.drain_timeout,
@@ -706,8 +707,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     # Run-ledger flags for the commands whose runs are worth remembering
     # (run/paradigm); `repro obs {history,show,diff,regressions}`
-    # reads what these write.
-    ledgerpar = argparse.ArgumentParser(add_help=False)
+    # reads what these write, from the same --ledger-dir.
+    ledpar = argparse.ArgumentParser(add_help=False)
+    ledpar.add_argument(
+        "--ledger-dir", metavar="DIR", default=None,
+        help="run-ledger directory (default: $PERFLOW_LEDGER_DIR or "
+             ".perflow/ledger)",
+    )
+    ledgerpar = argparse.ArgumentParser(add_help=False, parents=[ledpar])
     ledgroup = ledgerpar.add_mutually_exclusive_group()
     ledgroup.add_argument(
         "--ledger", dest="ledger", action="store_const", const=True, default=None,
@@ -716,11 +723,6 @@ def make_parser() -> argparse.ArgumentParser:
     ledgroup.add_argument(
         "--no-ledger", dest="ledger", action="store_const", const=False,
         help="skip the run ledger for this invocation",
-    )
-    ledgerpar.add_argument(
-        "--ledger-dir", metavar="DIR", default=None,
-        help="run-ledger directory (default: $PERFLOW_LEDGER_DIR or "
-             ".perflow/ledger)",
     )
     # Executor flags for every command that runs PerFlowGraphs
     # (run/paradigm/pag stats/serve).
@@ -784,7 +786,7 @@ def make_parser() -> argparse.ArgumentParser:
         # Accept underscore spellings too (mpi_profiler == mpi-profiler);
         # argparse applies `type` before validating against `choices`.
         type=lambda s: s.replace("_", "-"),
-        choices=["mpi-profiler", "communication", "scalability", "critical-path", "contention"],
+        choices=PARADIGMS,
     )
     common(p_par)
     p_par.add_argument("--np-large", type=int, help="large-scale rank count (scalability)")
@@ -892,13 +894,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="observability: trace self-analysis and the run ledger",
     )
     obs_sub = p_obs.add_subparsers(dest="action", required=True)
-
-    ledpar = argparse.ArgumentParser(add_help=False)
-    ledpar.add_argument(
-        "--ledger-dir", metavar="DIR", default=None,
-        help="run-ledger directory (default: $PERFLOW_LEDGER_DIR or "
-             ".perflow/ledger)",
-    )
 
     p_an = obs_sub.add_parser(
         "analyze",
@@ -1093,6 +1088,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 resolve(value)
             except ValueError as err:
                 raise _usage_error(str(err))
+        # A directory names the cache; only --no-cache overrules it.
+        if args.cache_dir and args.cache is not False:
+            args.cache = args.cache_dir
     if hasattr(args, "app"):
         if args.app and args.program and args.app != args.program:
             raise _usage_error(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
@@ -95,7 +96,6 @@ class PerFlow:
         machine: Optional[MachineModel] = None,
         jobs: Optional[int] = None,
         cache: Any = None,
-        cache_dir: Any = None,
         backend: Optional[str] = None,
     ) -> None:
         self.sampling_hz = sampling_hz
@@ -105,13 +105,12 @@ class PerFlow:
         #: → serial / ``"thread"`` / disabled).
         self.jobs = jobs
         self.backend = backend
-        if cache_dir is not None:
-            # A directory settles the cache here (nothing is left for
-            # PERFLOW_CACHE to say): one disk-backed cache shared by
-            # this facade's graphs, or False.
+        if isinstance(cache, (str, Path)):
+            # A directory is opened once: this facade's graphs share one
+            # disk-backed PassCache.
             from repro.cache import resolve_cache
 
-            cache = resolve_cache(cache, cache_dir) or False
+            cache = resolve_cache(cache)
         self.cache = cache
         self._contexts: Dict[int, RunContext] = {}
 

@@ -21,10 +21,9 @@ Pipelines are *type-checked before execution*: passes carry
 :class:`~repro.dataflow.signatures.PassSignature` declarations
 (via the ``@signature`` decorator or ``add_pass(signature=...)``), and
 :meth:`PerFlowGraph.check` validates arity and set kinds along every
-edge, reporting wiring errors as ``PF8##``
-:class:`~repro.diagnostics.Diagnostic` objects.  :meth:`run`
-checks first and raises :class:`PipelineError` instead of letting a
-mis-wired pass die mid-run with a bare ``TypeError``.
+edge, reporting wiring errors as ``PF8##`` :class:`Diagnostic` records.
+:meth:`run` checks first and raises :class:`PipelineError` instead of
+letting a mis-wired pass die mid-run with a bare ``TypeError``.
 """
 
 from __future__ import annotations
@@ -39,13 +38,26 @@ from repro.dataflow.signatures import (
     make_signature,
     signature_of,
 )
-from repro.diagnostics import Diagnostic, Severity
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
 from repro.pag.sets import EdgeSet, VertexSet
 
 _LOG = get_logger("dataflow.graph")
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """One wiring error found by :meth:`PerFlowGraph.check`."""
+
+    code: str  #: rule code, "PF80#"
+    message: str
+    node: str  #: the offending node (or unknown binding)
+    graph: str  #: the PerFlowGraph's name
+
+    def format(self) -> str:
+        where = f" [{self.graph}]" if self.graph else ""
+        return f"{self.code} error: {self.message}{where}"
 
 
 class PipelineError(TypeError):
@@ -289,23 +301,13 @@ class PerFlowGraph:
 
         def emit(code: str, message: str, node: _Node) -> None:
             diags.append(
-                Diagnostic(
-                    code=code,
-                    severity=Severity.ERROR,
-                    message=message,
-                    function=self.name,
-                    node=f"{node.name} (node {node.node_id})",
-                )
+                Diagnostic(code, message, f"{node.name} (node {node.node_id})", self.name)
             )
 
         for bname in sorted(set(bindings) - set(self._input_names)):
             diags.append(
                 Diagnostic(
-                    code="PF804",
-                    severity=Severity.ERROR,
-                    message=f"binding {bname!r} names no declared input",
-                    function=self.name,
-                    node=bname,
+                    "PF804", f"binding {bname!r} names no declared input", bname, self.name
                 )
             )
 

@@ -375,6 +375,11 @@ class _ElementSet(Generic[T]):
             return 0.0
         return float(self._numeric_column(metric).sum())
 
+    def max(self, metric: str) -> float:
+        if len(self._ids) == 0:
+            return 0.0
+        return float(self._numeric_column(metric).max())
+
     def _prop_mask(self, key: str, want: Any) -> np.ndarray:
         """Vectorized ``el[key] == want`` over typed columns where possible."""
         ids = self._ids

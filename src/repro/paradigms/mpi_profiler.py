@@ -70,12 +70,13 @@ def build_mpi_profiler_graph(
 def mpi_profiler_paradigm(pflow: PerFlow, pag: PAG, top: int = 20) -> List[MPIProfileRow]:
     """Statistical MPI profile of a run, hottest sites first.
 
-    ``app_pct`` is the site's share of total aggregate time (the root
-    vertex's inclusive time across ranks) — the quantity mpiP reports as
-    "% of total time" and that case study A quotes for mpi_allreduce_
-    (0.06% at 16 ranks vs 7.93% at 2,048).
+    ``app_pct`` is the site's share of total aggregate time (the largest
+    inclusive time across ranks: the root's) — the quantity mpiP reports
+    as "% of total time" and that case study A quotes for mpi_allreduce_
+    (0.06% at 16 ranks vs 7.93% at 2,048).  ``repro serve``'s
+    ``mpi_profiler`` pipeline returns these rows with this denominator.
     """
-    total = float(pag.vertex(0)["time"] or 0.0)
+    total = pag.vs.max("time")
     g = build_mpi_profiler_graph(pflow, total, top=top)
     return g.run(V=pag.vs)["profile_rows"]
 

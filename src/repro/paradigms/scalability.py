@@ -148,22 +148,15 @@ def scalability_analysis_paradigm(
     caps the materialized parallel view for backtracking (the paper
     plots partial views for the same reason).
     """
-    g = build_scalability_graph(
-        pflow,
-        pag_large,
-        top=top,
-        imbalance_threshold=imbalance_threshold,
-        max_ranks=max_ranks,
-    )
+    g = build_scalability_graph(pflow, pag_large, top, imbalance_threshold, max_ranks)
     out = g.run(V1=pag_large.vs, V2=pag_small.vs)
-    V_diff = out["differential"]
-    V_hot = out["hotspot"]
-    V_imb = out["imbalance"]
-    V_union = out["union"]
     V_bt, E_bt = out["backtracking"]
     roots = [v for v in V_bt if v["backtrack_root"]]
     # Walks that merely stopped AT a collective are weaker evidence than
     # walks that reached actual code; surface the latter first.
     roots.sort(key=lambda v: v["name"] in pflow.COLL_COMM)
     report = pflow.report([V_bt, E_bt], attrs=list(attrs), title="scalability analysis")
-    return ScalabilityResult(V_diff, V_hot, V_imb, V_union, V_bt, E_bt, roots, report)
+    return ScalabilityResult(
+        out["differential"], out["hotspot"], out["imbalance"], out["union"],
+        V_bt, E_bt, roots, report,
+    )

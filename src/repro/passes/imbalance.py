@@ -13,6 +13,10 @@ processes (or threads).  Two input shapes are handled:
   flows — and outlier instances are returned directly (column
   ``imbalance``: instance time over group mean), which is what
   Fig. 10/12 draw boxes around.
+
+A non-empty top-down input in which no vertex carries a per-rank vector
+(a PAG saved without ``include_per_rank=True``) fits neither shape and
+raises :class:`MissingPerRankError`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ import numpy as np
 
 from repro.dataflow.signatures import signature
 from repro.pag.sets import VertexSet
+
+
+class MissingPerRankError(ValueError):
+    """A top-down input to :func:`imbalance_analysis` has no
+    ``time_per_rank`` vectors."""
 
 
 def _most_severe_first(V: VertexSet, flagged: List[tuple]) -> VertexSet:
@@ -103,4 +112,10 @@ def imbalance_analysis(
     )
     if has_vectors:
         return _per_rank_mode(V, threshold, outlier_factor, min_time_fraction)
+    if len(V) and V.pag.metadata.get("view") == "top-down":
+        raise MissingPerRankError(
+            "imbalance_analysis needs the 'time_per_rank' column on a top-down "
+            "view, and no input vertex carries it (save the PAG with "
+            "include_per_rank=True)"
+        )
     return _instance_mode(V, threshold, outlier_factor)

@@ -9,14 +9,7 @@ content-addressed result cache across every client.  See
 ``docs/SERVING.md``.
 """
 
-from repro.serve.pipelines import (
-    PipelineSpec,
-    build_graph,
-    get_pipeline,
-    pipeline_names,
-    register_pipeline,
-    unregister_pipeline,
-)
+from repro.serve.pipelines import PIPELINES, build_graph
 from repro.serve.protocol import (
     MAX_BODY_BYTES,
     AnalyzeRequest,
@@ -31,15 +24,11 @@ __all__ = [
     "AdmissionController",
     "AnalyzeRequest",
     "MAX_BODY_BYTES",
-    "PipelineSpec",
+    "PIPELINES",
     "ProtocolError",
     "ReproServer",
     "ServerConfig",
     "SingleFlight",
     "build_graph",
-    "get_pipeline",
     "parse_analyze_request",
-    "pipeline_names",
-    "register_pipeline",
-    "unregister_pipeline",
 ]

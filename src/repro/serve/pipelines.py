@@ -1,6 +1,7 @@
 """Named analysis pipelines the server can run on an uploaded PAG.
 
-A :class:`PipelineSpec` maps a wire name to a builder producing a
+:data:`PIPELINES` maps a wire name to ``(build, defaults)``: ``build``
+takes the merged parameters and returns a
 :class:`~repro.dataflow.graph.PerFlowGraph` with one declared input
 ``V`` (the PAG's full vertex set) and a final pass named ``result``
 whose output is plain JSON-safe data (lists of dicts) — streamable to
@@ -13,65 +14,22 @@ same params, and the same PAG fingerprint produce identical cache keys
 — across threads, processes, and server restarts.  That identity is
 also what the single-flight tier collapses on.
 
-``register_pipeline`` is open: tests (and deployments embedding the
-server) can add their own specs.
+The table is a plain dict: tests (and deployments embedding the server)
+add their own entries to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.dataflow.graph import PerFlowGraph
 from repro.pag.sets import VertexSet
+from repro.paradigms.mpi_profiler import _profile_rows
 from repro.passes.filters import comm_filter
 from repro.passes.hotspot import hotspot_detection
 from repro.passes.imbalance import imbalance_analysis
 
-__all__ = [
-    "PipelineSpec",
-    "register_pipeline",
-    "unregister_pipeline",
-    "get_pipeline",
-    "pipeline_names",
-    "build_graph",
-]
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """One servable pipeline: wire name, defaults, graph builder."""
-
-    name: str
-    description: str
-    build: Callable[[Dict[str, Any]], PerFlowGraph]
-    defaults: Dict[str, Any] = field(default_factory=dict)
-
-
-_REGISTRY: Dict[str, PipelineSpec] = {}
-
-
-def register_pipeline(spec: PipelineSpec) -> None:
-    _REGISTRY[spec.name] = spec
-
-
-def unregister_pipeline(name: str) -> None:
-    _REGISTRY.pop(name, None)
-
-
-def get_pipeline(name: str) -> PipelineSpec:
-    """The registered spec; raises :class:`KeyError` with alternatives."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown pipeline {name!r}; available: "
-            f"{', '.join(pipeline_names())}"
-        )
-
-
-def pipeline_names() -> List[str]:
-    return sorted(_REGISTRY)
+__all__ = ["PIPELINES", "build_graph"]
 
 
 def build_graph(name: str, params: Dict[str, Any]) -> PerFlowGraph:
@@ -80,16 +38,19 @@ def build_graph(name: str, params: Dict[str, Any]) -> PerFlowGraph:
     Raises :class:`KeyError` for an unknown pipeline and
     :class:`ValueError` for parameter names the pipeline doesn't take.
     """
-    spec = get_pipeline(name)
-    unknown = sorted(set(params) - set(spec.defaults))
+    try:
+        build, defaults = PIPELINES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown pipeline {name!r}; available: {', '.join(sorted(PIPELINES))}"
+        )
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(
             f"pipeline {name!r} takes no param(s) {', '.join(unknown)}; "
-            f"accepted: {', '.join(sorted(spec.defaults)) or '(none)'}"
+            f"accepted: {', '.join(sorted(defaults)) or '(none)'}"
         )
-    merged = dict(spec.defaults)
-    merged.update(params)
-    return spec.build(merged)
+    return build({**defaults, **params})
 
 
 # ----------------------------------------------------------------------
@@ -109,26 +70,19 @@ def _vertex_rows(V: VertexSet) -> List[Dict[str, Any]]:
     return rows
 
 
-def _profile_rows(V_hot: VertexSet, V_all: VertexSet) -> List[Dict[str, Any]]:
-    times = [float(t or 0.0) for t in V_all.values("time")]
-    total = max(times) if times else 0.0  # root inclusive time
-    rows: List[Dict[str, Any]] = []
-    for v in V_hot:
-        t = float(v["time"] or 0.0)
-        if t <= 0.0:
-            continue
-        info = v["comm-info"] or {}
-        rows.append(
-            {
-                "name": v.name,
-                "site": str(v["debug-info"]),
-                "time": t,
-                "app_pct": 100.0 * t / total if total > 0 else 0.0,
-                "count": int(v["count"] or 0),
-                "bytes": float(info.get("bytes", 0.0)),
-            }
-        )
-    return rows
+def _mpi_profile_rows(V_hot: VertexSet, V: VertexSet) -> List[Dict[str, Any]]:
+    """The MPI profiler paradigm's rows in wire fields."""
+    return [
+        {
+            "name": r.name,
+            "site": r.site,
+            "time": r.time,
+            "app_pct": r.app_pct,
+            "count": r.count,
+            "bytes": r.total_bytes,
+        }
+        for r in _profile_rows(V_hot, V.max("time"))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +119,7 @@ def _build_mpi_profiler(params: Dict[str, Any]) -> PerFlowGraph:
         signature=((VertexSet,), (VertexSet,)),
     )
     g.add_pass(
-        _profile_rows,
+        _mpi_profile_rows,
         V_hot,
         V,
         name="result",
@@ -200,27 +154,9 @@ def _build_imbalance(params: Dict[str, Any]) -> PerFlowGraph:
     return g
 
 
-register_pipeline(
-    PipelineSpec(
-        name="hotspot",
-        description="rank vertices by a metric, return the top N",
-        build=_build_hotspot,
-        defaults={"metric": "time", "top": 10},
-    )
-)
-register_pipeline(
-    PipelineSpec(
-        name="mpi_profiler",
-        description="mpiP-style per-call-site communication profile",
-        build=_build_mpi_profiler,
-        defaults={"top": 20},
-    )
-)
-register_pipeline(
-    PipelineSpec(
-        name="imbalance",
-        description="vertices with imbalanced per-process behaviour",
-        build=_build_imbalance,
-        defaults={"threshold": 1.2, "top": 10},
-    )
-)
+#: Wire name → ``(build, defaults)``; :func:`build_graph` reads it.
+PIPELINES: Dict[str, Tuple[Callable[[Dict[str, Any]], PerFlowGraph], Dict[str, Any]]] = {
+    "hotspot": (_build_hotspot, {"metric": "time", "top": 10}),
+    "mpi_profiler": (_build_mpi_profiler, {"top": 20}),
+    "imbalance": (_build_imbalance, {"threshold": 1.2, "top": 10}),
+}

@@ -92,7 +92,6 @@ class ServerConfig:
     jobs: Optional[int] = None
     backend: Optional[str] = None
     cache: Any = None
-    cache_dir: Optional[str] = None
     max_concurrent: int = 4
     max_queue: int = 16
     drain_timeout: float = 10.0
@@ -130,7 +129,7 @@ class ReproServer:
         # One shared PassCache for every request: this is the
         # multi-tenant tier (MemoryLRU is thread-safe; the disk tier is
         # multi-process safe).
-        self.cache = resolve_cache(self.config.cache, self.config.cache_dir)
+        self.cache = resolve_cache(self.config.cache)
 
         from repro.obs import ledger as _ledger
 
@@ -315,7 +314,7 @@ class ReproServer:
             "admitted": self._admission.admitted,
             "backend": self.backend,
             "jobs": self.jobs,
-            "pipelines": _pipelines.pipeline_names(),
+            "pipelines": sorted(_pipelines.PIPELINES),
         }
 
     # -- the analyze endpoint -----------------------------------------------

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import io
+import textwrap
+import tokenize
+
 import pytest
 
 from repro.obs import metrics as _obs_metrics
@@ -173,6 +178,29 @@ def make_structured_program() -> Program:
         )
     )
     return p
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that are not blank, comments, imports or
+    docstrings: the measure of the paper's "lines of code" claims."""
+    source = textwrap.dedent(source)
+    skip = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            skip.update(range(doc.lineno, doc.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in (
+            tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+            tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
+        ):
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - skip)
 
 
 @pytest.fixture(autouse=True)

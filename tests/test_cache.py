@@ -604,7 +604,7 @@ def test_perflow_facade_cache_dir(tmp_path):
     from repro.dataflow.api import PerFlow
     from repro.paradigms.mpi_profiler import mpi_profiler_paradigm
 
-    pflow = PerFlow(cache_dir=tmp_path / "pf")
+    pflow = PerFlow(cache=tmp_path / "pf")
     pag = pflow.run(bin=npb.build_cg("S", iterations=2), nprocs=4)
     rows1 = mpi_profiler_paradigm(pflow, pag, top=5)
     assert _counter("dataflow.cache.misses") == 3
@@ -615,22 +615,31 @@ def test_perflow_facade_cache_dir(tmp_path):
 
 
 @pytest.mark.parametrize("spec", [None, True, False])
-def test_cache_dir_rule_is_the_same_at_every_entry_point(tmp_path, spec):
-    """An explicit ``cache=False`` beats ``cache_dir``; otherwise the
-    directory implies a disk-backed cache — for ``resolve_cache``, the
-    ``PerFlow`` facade (``repro run``) and ``ServerConfig`` (``repro
-    serve``, which used to build the disk cache despite ``--no-cache``)."""
+def test_cache_dir_rule_is_the_same_at_every_entry_point(tmp_path, spec, monkeypatch):
+    """``--no-cache`` beats ``--cache-dir``; otherwise the directory is
+    the cache — for every command that runs graphs, whether it reaches
+    ``resolve_cache``, the ``PerFlow`` facade (``repro run``) or
+    ``ServerConfig`` (``repro serve``, which used to build the disk
+    cache despite ``--no-cache``)."""
+    from repro import cli
     from repro.dataflow.api import PerFlow
     from repro.serve.server import ReproServer, ServerConfig
 
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args, *_: seen.append(args.cache) or 0)
     root = tmp_path / "pf"
-    server = ReproServer(ServerConfig(cache=spec, cache_dir=str(root)))
+    flag = {None: [], True: ["--cache"], False: ["--no-cache"]}[spec]
+    for command in (
+        ["run", "cg", "--no-ledger"],
+        ["paradigm", "mpi-profiler", "cg", "--no-ledger"],
+        ["pag", "stats", "cg"],
+        ["serve"],
+    ):
+        cli.main(command + flag + ["--cache-dir", str(root)])
+    assert seen == [False if spec is False else str(root)] * 4
+    server = ReproServer(ServerConfig(cache=seen[0]))
     server._pool.shutdown(wait=True)
-    resolved = [
-        resolve_cache(spec, cache_dir=root),
-        PerFlow(cache=spec, cache_dir=root).cache or None,
-        server.cache,
-    ]
+    resolved = [resolve_cache(seen[0]), PerFlow(cache=seen[0]).cache or None, server.cache]
     if spec is False:
         assert resolved == [None, None, None]
     else:

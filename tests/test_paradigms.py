@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.conftest import code_lines
 from repro.apps import microbench, npb, vite, zeusmp
 from repro.dataflow.api import PerFlow
 from repro.paradigms import (
@@ -72,15 +73,32 @@ def test_scalability_paradigm_loc_claim():
 
     from repro.paradigms import scalability as mod
 
-    src = inspect.getsource(mod.scalability_analysis_paradigm)
-    code_lines = [
-        ln
-        for ln in src.splitlines()
-        if ln.strip() and not ln.strip().startswith(("#", '"""', "'''"))
-    ]
-    # exclude the docstring block
-    body = inspect.getsource(mod.scalability_analysis_paradigm)
-    assert len(code_lines) < 45
+    assert code_lines(inspect.getsource(mod.scalability_analysis_paradigm)) < 45
+
+
+#: Whole-module line counts (``code_lines``): pinned so they can only fall.
+PARADIGM_MODULE_LINES = {
+    "scalability": 105,
+    "mpi_profiler": 60,
+    "lammps_loop": 60,
+    "vite_branching": 40,
+    "differential": 37,
+    "critical_path": 20,
+    "communication": 13,
+}
+
+
+def test_paradigm_module_line_counts_only_fall():
+    import importlib
+    import inspect
+
+    counts = {
+        name: code_lines(inspect.getsource(importlib.import_module(f"repro.paradigms.{name}")))
+        for name in PARADIGM_MODULE_LINES
+    }
+    print("\nparadigm module lines:", counts)
+    for name, pinned in PARADIGM_MODULE_LINES.items():
+        assert counts[name] <= pinned, (name, counts[name])
 
 
 def test_paradigms_take_no_execution_options():

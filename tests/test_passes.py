@@ -117,6 +117,26 @@ def test_imbalance_instance_mode():
     assert out[0]["process"] == 2
 
 
+@pytest.mark.parametrize("fmt", [2, 3])
+def test_imbalance_names_the_missing_per_rank_column(tmp_path, fmt):
+    """A top-down PAG saved without per-rank vectors is an error, not an
+    empty answer; empty and parallel-view inputs are unchanged."""
+    from repro.apps import registry
+    from repro.dataflow.api import PerFlow
+    from repro.pag.formats import load_pag, save_pag
+    from repro.passes.imbalance import MissingPerRankError
+
+    pflow = PerFlow()
+    pag = pflow.run(bin=registry("S")["cg"](), nprocs=4)
+    for per_rank in (True, False):
+        save_pag(pag, tmp_path / f"{per_rank}.pag", include_per_rank=per_rank, format=fmt)
+    assert len(imbalance_analysis(load_pag(tmp_path / "True.pag").vs)) == 3
+    with pytest.raises(MissingPerRankError, match="'time_per_rank'"):
+        imbalance_analysis(load_pag(tmp_path / "False.pag").vs)
+    assert len(imbalance_analysis(VertexSet([]))) == 0
+    assert len(imbalance_analysis(pflow.parallel_view(pag).vs)) == 4
+
+
 # -------------------------------------------------------------- breakdown
 def test_breakdown_message_size_imbalance():
     g = metric_pag([4.0])

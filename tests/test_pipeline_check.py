@@ -9,7 +9,6 @@ import pytest
 
 from repro.dataflow import PerFlowGraph, PipelineError, SetKind, signature
 from repro.dataflow.signatures import PassSignature, make_signature, signature_of
-from repro.diagnostics import Severity
 from repro.pag.sets import EdgeSet, VertexSet
 
 
@@ -45,7 +44,8 @@ def test_pf801_edgeset_into_vertexset_input():
     g.add_pass(keep_vertices, s.out(1), name="consume")  # out(1) is the EdgeSet
     diags = g.check()
     assert [d.code for d in diags] == ["PF801"]
-    assert diags[0].severity is Severity.ERROR
+    assert diags[0].format().startswith("PF801 error: ")
+    assert (diags[0].graph, diags[0].node) == ("wrong-kind", "consume (node 2)")
     assert "expects a VertexSet but is fed a EdgeSet" in diags[0].message
 
 

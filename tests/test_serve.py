@@ -17,14 +17,7 @@ from repro.obs import metrics as obs_metrics
 from repro.pag.formats import pag_to_dict, save_pag
 from repro.pag.sets import EdgeSet, VertexSet
 from repro.passes.hotspot import hotspot_detection
-from repro.serve import (
-    PipelineSpec,
-    ProtocolError,
-    ServerConfig,
-    parse_analyze_request,
-    register_pipeline,
-    unregister_pipeline,
-)
+from repro.serve import PIPELINES, ProtocolError, ServerConfig, parse_analyze_request
 from repro.serve.client import ServerThread, analyze, http_request
 from repro.serve.pipelines import build_graph
 
@@ -96,24 +89,18 @@ def _build_badwire(params):
 
 
 @pytest.fixture()
-def test_pipelines():
+def test_pipelines(monkeypatch):
     BLOCK_EVENT.clear()
     FAIL_EVENT.clear()
     del BLOCK_EXECUTIONS[:]
     del FAIL_EXECUTIONS[:]
     FAIL_REMAINING["n"] = 0
-    register_pipeline(
-        PipelineSpec("block", "blocks until released", _build_block, {"salt": 0})
-    )
-    register_pipeline(
-        PipelineSpec("failonce", "fails the first execution", _build_failonce, {})
-    )
-    register_pipeline(PipelineSpec("badwire", "fails check()", _build_badwire, {}))
+    monkeypatch.setitem(PIPELINES, "block", (_build_block, {"salt": 0}))
+    monkeypatch.setitem(PIPELINES, "failonce", (_build_failonce, {}))
+    monkeypatch.setitem(PIPELINES, "badwire", (_build_badwire, {}))
     yield
     BLOCK_EVENT.set()
     FAIL_EVENT.set()
-    for name in ("block", "failonce", "badwire"):
-        unregister_pipeline(name)
 
 
 @pytest.fixture(scope="module")
