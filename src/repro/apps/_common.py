@@ -14,16 +14,7 @@ import math
 from typing import Callable, List, Tuple
 
 from repro.ir.context import ExecContext
-from repro.ir.model import (
-    Branch,
-    Call,
-    CommCall,
-    CommOp,
-    Function,
-    Node,
-    Program,
-    Stmt,
-)
+from repro.ir.model import Branch, CommCall, CommOp, Node, Padding, Program
 from repro.ir.static_analysis import analyze
 
 
@@ -138,41 +129,16 @@ def hypercube_exchange(rounds: int, nbytes, tag_base: int = 100, line: int = 0) 
 # structure padding
 # ---------------------------------------------------------------------------
 def pad_to_target(program: Program, target_vertices: int, source_file: str = "") -> Program:
-    """Grow the top-down view to ``target_vertices`` (Table 2 calibration).
-
-    Adds an always-false branch to ``main`` containing filler functions
-    (8 statements each) plus loose statements for the remainder — the
-    code a real binary of that size would contain but that the modelled
-    run never enters.  Idempotent when the target is already met.
-    """
-    if "__phase_0" in program.functions:
+    """Grow the top-down view to ``target_vertices`` (Table 2 calibration)
+    with a :class:`~repro.ir.model.Padding` in ``main``.  Idempotent when
+    the target is already met."""
+    if any(isinstance(node, Padding) for node in program.entry_function.body):
         return program  # already padded
-    current = analyze(program).pag.num_vertices
-    deficit = target_vertices - current
+    deficit = target_vertices - analyze(program).pag.num_vertices
     if deficit <= 1:
         return program
-    sf = source_file or program.entry_function.source_file
-    body: List[Node] = []
-    remaining = deficit - 1  # the branch vertex itself
-    idx = 0
-    while remaining >= 10:
-        fname = f"__phase_{idx}"
-        program.add_function(
-            Function(
-                fname,
-                [Stmt(f"{fname}_s{j}", cost=0.0, line=1000 + idx * 16 + j) for j in range(8)],
-                source_file=sf,
-                line=1000 + idx * 16,
-            )
-        )
-        body.append(Call(fname, line=900 + idx))
-        remaining -= 10
-        idx += 1
-    for j in range(remaining):
-        body.append(Stmt(f"__pad_s{j}", cost=0.0, line=990))
-    branch = Branch(condition=lambda ctx: False, then_body=body, name="init_once", line=899)
-    program.register_nodes([branch])
-    program.entry_function.body.append(branch)
+    fillers, loose = divmod(deficit - 1, Padding.WIDTH)  # the branch is one vertex
+    program.pad(Padding(fillers, loose, source_file or program.entry_function.source_file))
     return program
 
 

@@ -43,7 +43,6 @@ from repro.cache.fingerprint import combine_digests, fingerprint_pag
 from repro.cache.keys import Uncacheable, node_key, pass_identity, value_digest
 from repro.cache.session import CacheSession
 from repro.cache.store import (
-    ENV_CACHE,
     ENV_CACHE_DIR,
     CachedValue,
     CacheMiss,
@@ -55,8 +54,8 @@ from repro.cache.store import (
     default_cache_dir,
     encode_value,
     reset_default_cache,
-    resolve_cache,
 )
+from repro.dataflow.scheduler import ENV_CACHE, resolve_cache
 
 __all__ = [
     "fingerprint_pag",

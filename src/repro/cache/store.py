@@ -27,9 +27,10 @@ Tiers:
   oldest-mtime-first when the directory exceeds its byte cap.  Hits
   refresh mtime, making eviction LRU-ish across processes.
 
-:func:`resolve_cache` maps every user-facing spelling (``True``/
-``False``/``None``/path/:class:`PassCache`) plus the ``PERFLOW_CACHE``
-environment variable to a :class:`PassCache` or ``None``.
+:func:`~repro.dataflow.scheduler.resolve_cache` (re-exported by
+:mod:`repro.cache`) maps every user-facing spelling (``True``/
+``False``/``None``/path/:class:`PassCache`) plus ``PERFLOW_CACHE`` to
+a :class:`PassCache` or ``None``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.pag.sets import EdgeSet, VertexSet
 from repro.pag.vertex import Vertex
 
 __all__ = [
-    "ENV_CACHE",
     "ENV_CACHE_DIR",
     "CacheMiss",
     "CachedValue",
@@ -67,11 +67,8 @@ __all__ = [
     "default_cache",
     "default_cache_dir",
     "reset_default_cache",
-    "resolve_cache",
 ]
 
-#: Enable the cache process-wide (1/true/yes/on; 0/false/no/off/empty).
-ENV_CACHE = "PERFLOW_CACHE"
 #: Directory of the on-disk tier; unset = memory-only default cache.
 ENV_CACHE_DIR = "PERFLOW_CACHE_DIR"
 
@@ -491,38 +488,3 @@ def reset_default_cache() -> None:
     """Forget the process-wide cache (tests; env-var changes)."""
     global _DEFAULT
     _DEFAULT = None
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get(ENV_CACHE, "").strip().lower()
-    if raw in ("", "0", "false", "no", "off"):
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    raise ValueError(
-        f"{ENV_CACHE} must be a boolean flag "
-        f"(1/true/yes/on or 0/false/no/off), got {raw!r}"
-    )
-
-
-def resolve_cache(spec: Any = None) -> Optional[PassCache]:
-    """Resolve a cache request to a :class:`PassCache` or ``None``.
-
-    ``None`` consults ``PERFLOW_CACHE``; ``False`` disables; ``True``
-    uses the process default; a path enables a disk-backed cache at
-    that directory; a :class:`PassCache` is used as-is.
-    """
-    if spec is None:
-        spec = _env_enabled()
-    if spec is False:
-        return None
-    if spec is True:
-        return default_cache()
-    if isinstance(spec, PassCache):
-        return spec
-    if isinstance(spec, (str, Path)):
-        return PassCache(disk=DiskStore(Path(spec).expanduser()))
-    raise TypeError(
-        "cache must be None, a bool, a directory path, or a PassCache, "
-        f"got {spec!r}"
-    )

@@ -79,7 +79,6 @@ from repro.dataflow.api import PerFlow
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.pag.formats import PAGFormatError
 
 #: Command succeeded.
 EXIT_OK = 0
@@ -1042,8 +1041,12 @@ def _dispatch(args, recorder, ledger_dir: Optional[str]) -> int:
         try:
             rc = handlers[args.command](args)
             return rc
-        except PAGFormatError as err:
+        except ValueError as err:
             # Corrupt/truncated PAG files are a usage problem, not a crash.
+            # Only a command that loaded the codecs can have raised one.
+            formats = sys.modules.get("repro.pag.formats.base")
+            if formats is None or not isinstance(err, formats.PAGFormatError):
+                raise
             raise _usage_error(str(err))
         except OSError as err:
             # Unreadable input files / unwritable output paths used to
@@ -1076,8 +1079,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Resolve the executor flags (and the PERFLOW_* defaults behind
         # them) up front: a bad value is a usage error, not a mid-run
         # traceback.
-        from repro.cache import resolve_cache
-        from repro.dataflow.scheduler import resolve_backend, resolve_jobs
+        from repro.dataflow.scheduler import resolve_backend, resolve_cache, resolve_jobs
 
         for resolve, value in (
             (resolve_jobs, args.jobs),

@@ -11,7 +11,8 @@
 * :mod:`~repro.dataflow.procpool` — the process executor behind
   ``run(jobs=N, backend="process")``: forked workers that inherit the
   graph and the run's PAGs copy-on-write, for CPU-bound pipelines the
-  GIL would serialize.
+  GIL would serialize.  Loaded by the first such run, never at import;
+  its failure types (``WorkerCrashed``, …) are imported from it.
 * :mod:`~repro.dataflow.lowlevel` — the low-level API surface of
   §4.3.1: graph operations, graph algorithms, set operations, and the
   constants (``MPI``, ``LOOP``, ``COMM``, ``COLL_COMM``, …) the paper's
@@ -22,11 +23,6 @@
 """
 
 from repro.dataflow.graph import PerFlowGraph, PipelineError
-from repro.dataflow.procpool import (
-    NotTransferable,
-    ProcPoolError,
-    WorkerCrashed,
-)
 from repro.dataflow.scheduler import (
     BACKENDS,
     ENV_BACKEND,
@@ -60,7 +56,4 @@ __all__ = [
     "BACKENDS",
     "resolve_jobs",
     "resolve_backend",
-    "ProcPoolError",
-    "WorkerCrashed",
-    "NotTransferable",
 ]

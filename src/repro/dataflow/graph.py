@@ -446,14 +446,13 @@ class PerFlowGraph:
         and hits/misses land on the ``dataflow.cache.*`` counters.
         Nodes added with ``cacheable=False`` always execute.
         """
-        from repro.cache import CacheSession, resolve_cache
-        from repro.dataflow.procpool import ProcessExecutor
         from repro.dataflow.scheduler import (
             InlineExecutor,
             ThreadExecutor,
             WavefrontState,
             drive,
             resolve_backend,
+            resolve_cache,
             resolve_jobs,
         )
 
@@ -468,7 +467,11 @@ class PerFlowGraph:
             backend if backend is not None else self.default_backend
         )
         cache_obj = resolve_cache(cache if cache is not None else self.default_cache)
-        session = CacheSession(cache_obj) if cache_obj is not None else None
+        session = None
+        if cache_obj is not None:
+            from repro.cache.session import CacheSession
+
+            session = CacheSession(cache_obj)
         with _span(
             f"pipeline:{self.name}",
             category="dataflow",
@@ -490,6 +493,8 @@ class PerFlowGraph:
             if njobs == 1 or len(self._nodes) <= 1:
                 executor = InlineExecutor(state)
             elif backend_name == "process":
+                from repro.dataflow.procpool import ProcessExecutor
+
                 executor = ProcessExecutor(state, njobs)
             else:
                 executor = ThreadExecutor(state, njobs)

@@ -47,6 +47,7 @@ import heapq
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
@@ -54,14 +55,17 @@ from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cache.store import PassCache
     from repro.dataflow.graph import PerFlowGraph
 
 __all__ = [
     "ENV_JOBS",
     "ENV_BACKEND",
+    "ENV_CACHE",
     "BACKENDS",
     "resolve_jobs",
     "resolve_backend",
+    "resolve_cache",
     "WavefrontState",
     "InlineExecutor",
     "ThreadExecutor",
@@ -73,6 +77,10 @@ ENV_JOBS = "PERFLOW_JOBS"
 
 #: Environment variable supplying the default execution backend.
 ENV_BACKEND = "PERFLOW_BACKEND"
+
+#: Environment variable enabling the pass-result cache by default
+#: (1/true/yes/on; 0/false/no/off/empty).
+ENV_CACHE = "PERFLOW_CACHE"
 
 #: Supported worker-pool flavors for ``PerFlowGraph.run(backend=…)``.
 BACKENDS = ("thread", "process")
@@ -131,6 +139,40 @@ def resolve_backend(backend: Any = None) -> str:
             return name
     raise ValueError(
         f"{source} must be one of {', '.join(BACKENDS)}, got {backend!r}"
+    )
+
+
+def resolve_cache(spec: Any = None) -> Optional["PassCache"]:
+    """Resolve a cache request to a :class:`~repro.cache.store.PassCache`
+    or ``None``.
+
+    ``None`` consults ``PERFLOW_CACHE`` (a malformed flag raises
+    ``ValueError``, like :func:`resolve_jobs`); ``False`` disables;
+    ``True`` uses the process default; a path enables a disk-backed
+    cache at that directory; a ``PassCache`` is used as-is.  The cache
+    store is imported only when a cache is asked for.
+    """
+    if spec is None:
+        raw = os.environ.get(ENV_CACHE, "").strip().lower()
+        if raw not in ("", "0", "false", "no", "off", "1", "true", "yes", "on"):
+            raise ValueError(
+                f"{ENV_CACHE} must be a boolean flag "
+                f"(1/true/yes/on or 0/false/no/off), got {raw!r}"
+            )
+        spec = raw in ("1", "true", "yes", "on")
+    if spec is False:
+        return None
+    from repro.cache.store import DiskStore, PassCache, default_cache
+
+    if spec is True:
+        return default_cache()
+    if isinstance(spec, PassCache):
+        return spec
+    if isinstance(spec, (str, Path)):
+        return PassCache(disk=DiskStore(Path(spec).expanduser()))
+    raise TypeError(
+        "cache must be None, a bool, a directory path, or a PassCache, "
+        f"got {spec!r}"
     )
 
 

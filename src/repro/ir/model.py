@@ -153,6 +153,59 @@ class Branch(Node):
         return list(self.then_body) + list(self.else_body)
 
 
+class Padding(Branch):
+    """Code a binary contains but the run never enters (Table 2 calibration).
+
+    An always-false branch whose arm is two numbers, not nodes:
+    ``fillers`` calls to functions ``__phase_<k>`` (in ``source_file``)
+    of ``STMTS`` statements each, then ``loose`` statements
+    ``__pad_s<j>``.  Static analysis expands it block-wise into the
+    vertices, uids and paths that code built node by node has; the uid
+    and line layout of that code is kept here only.
+    """
+
+    STMTS = 8  #: statements per filler function
+    WIDTH = STMTS + 2  #: top-down vertices per filler: call, function, statements
+    LINE_BASE = 1000  #: line of ``__phase_0``; filler ``k`` is ``16 k`` lines on
+    CALL_LINE = LINE_BASE - 100  #: line of filler ``k``'s call is ``CALL_LINE + k``
+    LOOSE_LINE = LINE_BASE - 10
+
+    __slots__ = ("fillers", "loose", "source_file")
+
+    def __init__(self, fillers: int, loose: int, source_file: str):
+        super().__init__(lambda ctx: False, (), name="init_once", line=self.CALL_LINE - 1)
+        self.fillers, self.loose, self.source_file = fillers, loose, source_file
+
+    @property
+    def hidden_nodes(self) -> int:
+        """IR nodes the per-node form holds besides the branch."""
+        return self.fillers * (self.STMTS + 1) + self.loose
+
+    def take_uids(self, first: int) -> int:
+        """Number from ``first`` as the per-node form was: each filler's
+        statements last first, the branch, its arm last first.  Returns
+        the next free uid."""
+        self.uid = first + self.fillers * self.STMTS
+        return first + self.hidden_nodes + 1
+
+    def call_uids(self) -> range:
+        """Uid of filler ``k``'s call, for ``k = 0, 1, …``."""
+        return range(self.uid + self.loose + self.fillers, self.uid + self.loose, -1)
+
+    def stmt_uids(self, j: int) -> range:
+        """Uid of statement ``j`` of filler ``k``, for ``k = 0, 1, …``."""
+        start = self.uid - (self.fillers - 1) * self.STMTS - 1 - j
+        return range(start, start + self.fillers * self.STMTS, self.STMTS)
+
+    def loose_uids(self) -> range:
+        return range(self.uid + self.loose, self.uid, -1)
+
+    def stmt_lines(self, j: int) -> range:
+        """Line of statement ``j`` of filler ``k`` (statement 0 shares its
+        function's line), for ``k = 0, 1, …``."""
+        return range(self.LINE_BASE + j, self.LINE_BASE + j + 16 * self.fillers, 16)
+
+
 class Call(Node):
     """A call site.
 
@@ -283,23 +336,23 @@ class Program:
         if func.name in self.functions:
             raise ValueError(f"duplicate function {func.name!r}")
         self.functions[func.name] = func
-        stack: List[Node] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if node.uid == -1:
-                node.uid = next(self._uid_counter)
-            stack.extend(node.children())
+        self.register_nodes(func.body)
         return func
 
     def register_nodes(self, nodes: Sequence[Node]) -> None:
-        """Assign uids to nodes attached to an existing function's body
-        after registration (used by structure padding)."""
+        """Assign uids to ``nodes`` and their descendants, last child
+        first; a node that has one keeps it."""
         stack: List[Node] = list(nodes)
         while stack:
             node = stack.pop()
             if node.uid == -1:
                 node.uid = next(self._uid_counter)
             stack.extend(node.children())
+
+    def pad(self, padding: Padding) -> None:
+        """Append ``padding`` to ``main`` with the per-node form's uids."""
+        self._uid_counter = itertools.count(padding.take_uids(next(self._uid_counter)))
+        self.entry_function.body.append(padding)
 
     def function(self, name: str) -> Function:
         try:
@@ -318,6 +371,6 @@ class Program:
             stack: List[Node] = list(func.body)
             while stack:
                 node = stack.pop()
-                total += 1
+                total += 1 + (node.hidden_nodes if isinstance(node, Padding) else 0)
                 stack.extend(node.children())
         return total

@@ -23,9 +23,13 @@ longest-prefix fallback instead of a graph search.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.ir.model import (
     Branch,
@@ -34,6 +38,7 @@ from repro.ir.model import (
     CommCall,
     Loop,
     Node,
+    Padding,
     Program,
     Stmt,
     ThreadCall,
@@ -211,10 +216,13 @@ class _Expander:
                     npath, _BRANCH, node.name or "branch", parent, _INTRA, NO_KIND,
                     node.line, source_file,
                 )
-                self.expand_body(
-                    list(node.then_body) + list(node.else_body),
-                    npath, bv, source_file, call_chain, loop_prefix,
-                )
+                if isinstance(node, Padding):
+                    self.expand_padding(node, npath, bv, source_file)
+                else:
+                    self.expand_body(
+                        list(node.then_body) + list(node.else_body),
+                        npath, bv, source_file, call_chain, loop_prefix,
+                    )
             elif isinstance(node, CommCall):
                 add(npath, _CALL, node.name, parent, _INTRA, _COMM, node.line, source_file)
             elif isinstance(node, ThreadCall):
@@ -223,6 +231,54 @@ class _Expander:
                     self.expand_body(node.body, npath, tv, source_file, call_chain, loop_prefix)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown IR node type {type(node).__name__}")
+
+    def expand_padding(self, pad: Padding, path: Path, parent: int, source_file: str) -> None:
+        """Append ``pad``'s arm block-wise, as expanding it node by node
+        would: per filler its call, the inlined function and its
+        statements, then the loose statements (uids and lines from
+        ``pad``)."""
+        n, m, r, width = pad.fillers, pad.STMTS, pad.loose, pad.WIDTH
+        pag = self.pag
+        rows, first = n * width, len(pag._v_label)
+        count = rows + r
+        fnames = [f"__phase_{k}" for k in range(n)]
+        call_paths = list(map(operator.add, repeat(path), zip(pad.call_uids())))
+        fn_paths = list(map(operator.add, call_paths, zip(map("f:".__add__, fnames))))
+        names, debug, paths = [None] * count, [None] * count, [None] * count
+        names[0:rows:width] = names[1:rows:width] = fnames
+        outer, inner = (f"{sf}:" if sf else "line:" for sf in (source_file, pad.source_file))
+        debug[0:rows:width] = [f"{outer}{pad.CALL_LINE + k}" for k in range(n)]
+        paths[0:rows:width], paths[1:rows:width] = call_paths, fn_paths
+        vids = np.arange(first, first + count, dtype=np.int64)
+        src = np.full(count, parent, dtype=np.int64)  # the tree edge into each vertex
+        src[1:rows:width] = vids[0:rows:width]
+        for j in range(m):
+            col = slice(2 + j, rows, width)
+            src[col] = vids[1:rows:width]
+            names[col] = list(map(operator.add, fnames, repeat(f"_s{j}")))
+            debug[col] = [f"{inner}{line}" for line in pad.stmt_lines(j)]
+            paths[col] = list(map(operator.add, fn_paths, zip(pad.stmt_uids(j))))
+        debug[1:rows:width] = [f"{inner}{line}" for line in pad.stmt_lines(0)]
+        names[rows:] = [f"__pad_s{j}" for j in range(r)]
+        debug[rows:] = [f"{outer}{pad.LOOSE_LINE}"] * r
+        paths[rows:] = list(map(operator.add, repeat(path), zip(pad.loose_uids())))
+        interleaved = [None] * (2 * count)
+        interleaved[0::2], interleaved[1::2] = names, debug
+        sids = np.fromiter(map(pag.strings.intern, interleaved), np.int64, 2 * count)
+        # label, call kind, parent-edge label: a filler's ``width`` rows, then a loose one
+        row = np.array(
+            [(_CALL, _USER, _INTRA), (_FUNCTION, NO_KIND, _INTER)]
+            + [(_INSTRUCTION, NO_KIND, _INTRA)] * (m + 1), np.int8,
+        )
+        codes = row[np.r_[np.tile(np.arange(width), n), np.full(r, width)]].T.copy()
+        pag._v_label.frombytes(codes[0].tobytes())
+        pag._v_kind.frombytes(codes[1].tobytes())
+        pag._v_name.frombytes(sids[0::2].tobytes())
+        self.debug.sids.frombytes(sids[1::2].tobytes())
+        pag._e_src.frombytes(src.tobytes())
+        pag._e_dst.frombytes(vids.tobytes())
+        pag._e_label.frombytes(codes[2].tobytes())
+        self.path_to_vertex.update(zip(paths, range(first, first + count)))
 
     def _expand_call(
         self,

@@ -47,7 +47,7 @@ the ``pag.columns.materialized`` metric (attachments on
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,10 +133,6 @@ class StringTable:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._strings)
-
-    def matching_ids(self, predicate: Callable[[str], bool]) -> "set[int]":
-        """Ids of all interned strings satisfying ``predicate``."""
-        return {i for i, s in enumerate(self._strings) if predicate(s)}
 
     @property
     def nbytes(self) -> int:

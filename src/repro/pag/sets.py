@@ -36,6 +36,7 @@ Equality compares ids only.
 from __future__ import annotations
 
 import fnmatch
+import re
 from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, TypeVar
 
 import numpy as np
@@ -59,6 +60,8 @@ IN_EDGE = "in"
 OUT_EDGE = "out"
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+#: A name pattern without these is a literal: ``fnmatchcase`` then means ``==``.
+_GLOB_CHARS = frozenset("*?[")
 
 
 def _stable_unique(a: np.ndarray) -> np.ndarray:
@@ -453,9 +456,11 @@ class VertexSet(_ElementSet[Vertex]):
         ``V.select(name="MPI_*")`` keeps communication vertices and
         ``V.select(name="istream::read")`` keeps IO vertices.
 
-        Runs vectorized: label/kind compare code arrays, the name glob
-        is matched once per *distinct* interned string, and typed
-        property columns compare in bulk.
+        ``name`` has ``fnmatch.fnmatchcase`` semantics.  Runs
+        vectorized: label/kind compare code arrays; a literal name is one
+        string-table lookup and a glob is matched once per *distinct*
+        name among the vertices still selected; typed property columns
+        compare in bulk.
         """
         pag = self._pag
         ids = self._ids
@@ -467,13 +472,18 @@ class VertexSet(_ElementSet[Vertex]):
         if call_kind is not None:
             mask &= _np_view(pag._v_kind, np.int8)[ids] == CALLKIND_CODE[call_kind]
         if name is not None:
-            lookup = np.zeros(max(len(pag.strings), 1), dtype=bool)
-            match = pag.strings.matching_ids(
-                lambda s: fnmatch.fnmatchcase(s, name)
-            )
-            if match:
-                lookup[list(match)] = True
-            mask &= lookup[_np_view(pag._v_name, np.int64)[ids]]
+            sids = _np_view(pag._v_name, np.int64)[ids]
+            if _GLOB_CHARS.isdisjoint(name):  # a literal matches itself only
+                sid = pag.strings.find(name)
+                mask &= (sids == sid) if sid is not None else False
+            else:
+                lookup = np.zeros(len(pag.strings), dtype=bool)
+                lookup[sids[mask]] = True
+                distinct = np.flatnonzero(lookup)
+                values = map(pag.strings.value, distinct.tolist())
+                hits = map(bool, map(re.compile(fnmatch.translate(name)).match, values))
+                lookup[distinct] = np.fromiter(hits, dtype=bool, count=len(distinct))
+                mask &= lookup[sids]
         for key, want in props.items():
             if not mask.any():
                 break

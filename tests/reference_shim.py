@@ -30,9 +30,10 @@ The last part is the run -> PAG substrate as it was before lowering,
 for ``test_runtime_lowering.py``: the per-node interpreter (one
 generator per IR node visit, ``evaluate`` on every attribute) with its
 ``run_program``, the static expander that called ``add_vertex`` /
-``add_edge`` per vertex, the parallel view that wrote per-unit data one
-vertex handle at a time and added one edge per event, and column
-padding that grew one list element per row.
+``add_edge`` per vertex, the Table 2 structure padding built node by
+node (one ``Function`` per filler), the parallel view that wrote
+per-unit data one vertex handle at a time and added one edge per event,
+and column padding that grew one list element per row.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.ir.model import (
     CallTarget,
     CommCall,
     CommOp,
+    Function,
     Loop,
     Program,
     Stmt,
@@ -1290,6 +1292,42 @@ def analyze(program: Any, indirect_targets: Optional[Dict[int, Set[str]]] = None
     return StaticAnalysisResult(
         pag=exp.pag, path_to_vertex=exp.path_to_vertex, unresolved_calls=exp.unresolved
     )
+
+
+def pad_to_target(program: Any, target_vertices: int, source_file: str = "") -> Any:
+    """``repro.apps._common.pad_to_target`` as it built the padding node
+    by node: one registered ``Function`` of 8 ``Stmt`` per filler, one
+    ``Call`` per filler and one ``Stmt`` per loose statement in an
+    always-false ``Branch``."""
+    if "__phase_0" in program.functions:
+        return program  # already padded
+    current = analyze(program).pag.num_vertices
+    deficit = target_vertices - current
+    if deficit <= 1:
+        return program
+    sf = source_file or program.entry_function.source_file
+    body: List[Any] = []
+    remaining = deficit - 1  # the branch vertex itself
+    idx = 0
+    while remaining >= 10:
+        fname = f"__phase_{idx}"
+        program.add_function(
+            Function(
+                fname,
+                [Stmt(f"{fname}_s{j}", cost=0.0, line=1000 + idx * 16 + j) for j in range(8)],
+                source_file=sf,
+                line=1000 + idx * 16,
+            )
+        )
+        body.append(Call(fname, line=900 + idx))
+        remaining -= 10
+        idx += 1
+    for j in range(remaining):
+        body.append(Stmt(f"__pad_s{j}", cost=0.0, line=990))
+    branch = Branch(condition=lambda ctx: False, then_body=body, name="init_once", line=899)
+    program.register_nodes([branch])
+    program.entry_function.body.append(branch)
+    return program
 
 
 # ----------------------------------------------------------------------

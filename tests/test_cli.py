@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +347,26 @@ def test_run_save_pag_writes_format3(tmp_path, capsys):
     assert out.exists() and detect_format(out) == 3
     assert load_pag(out, mmap=True).num_vertices == 321
 
+
+def test_import_loads_no_pool_cache_store_or_codecs():
+    """`import repro.cli` (every command's startup) leaves the process
+    pool, the cache store, the format-3 codec and serve unloaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    unwanted = [
+        "multiprocessing",
+        "concurrent.futures.process",
+        "repro.dataflow.procpool",
+        "repro.cache.store",
+        "repro.pag.formats.format3",
+        "repro.serve",
+    ]
+    code = f"import sys, repro.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

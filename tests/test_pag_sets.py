@@ -1,11 +1,21 @@
 """Unit tests for VertexSet/EdgeSet (the §4.3.1 set operations)."""
 
-import pytest
+import fnmatch
+import os
+import tempfile
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.ir.model import Function, Program, Stmt
 from repro.pag.edge import EdgeLabel
+from repro.pag.formats import load_pag, save_pag
 from repro.pag.graph import PAG
 from repro.pag.sets import IN_EDGE, OUT_EDGE, EdgeSet, VertexSet
 from repro.pag.vertex import CallKind, VertexLabel
+from repro.pag.views import build_parallel_view, build_top_down_view
+from repro.runtime.executor import run_program
 
 
 @pytest.fixture
@@ -198,3 +208,69 @@ def test_from_ids_validates_range(pag):
         EdgeSet.from_ids(pag, [pag.num_edges])
     assert [v.id for v in VertexSet.from_ids(pag, [n - 1, 0, n - 1])] == [n - 1, 0]
     assert len(VertexSet.from_ids(pag, [])) == 0
+
+
+# ----------------------------------------------------------------------
+# select(name=...) against a per-vertex fnmatchcase filter
+# ----------------------------------------------------------------------
+NAME_CHARS = "abAB_-\\[]!*?"
+names_st = st.text(alphabet=NAME_CHARS, max_size=5)
+pattern_st = st.one_of(
+    st.lists(
+        st.sampled_from(["a", "b", "A", "_", "-", "\\", "*", "?", "[ab]", "[!a_]", "[a-b]", "["]),
+        max_size=5,
+    ).map("".join),
+    st.sampled_from(["a\\b", "\\", "MPI_*", ""]),  # literals with a backslash, and the empty one
+)
+
+
+def expected_ids(V, pattern):
+    return [v.id for v in V if fnmatch.fnmatchcase(v.name, pattern)]
+
+
+def glob_pag(names):
+    g = PAG("globs")
+    for i, name in enumerate(names):
+        g.add_vertex(VertexLabel.CALL if i % 2 else VertexLabel.INSTRUCTION, name)
+        # debug strings share the table but are no vertex's name
+        g.vertex(i)["debug-info"] = f"x.c:{i}{name}"
+    for i in range(1, len(names)):
+        g.add_edge(i - 1, i, EdgeLabel.INTRA_PROCEDURAL)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    names=st.lists(names_st, min_size=1, max_size=12),
+    patterns=st.lists(pattern_st, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_select_name_equals_fnmatchcase_on_heap_and_mmap(names, patterns, data):
+    heap = glob_pag(names)
+    keep = data.draw(st.lists(st.integers(0, len(names) - 1), unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.pag3")
+        save_pag(heap, path, format=3)
+        mapped = load_pag(path, mmap=True)
+        for pag in (heap, mapped):
+            for V in (pag.vs, VertexSet.from_ids(pag, keep)):
+                for pattern in patterns + data.draw(st.lists(st.sampled_from(names), max_size=2)):
+                    got = V.select(name=pattern).ids().tolist()
+                    assert got == expected_ids(V, pattern), pattern
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    names=st.lists(names_st, min_size=1, max_size=6),
+    patterns=st.lists(pattern_st, min_size=1, max_size=4),
+)
+def test_select_name_equals_fnmatchcase_on_parallel_view(names, patterns):
+    """A parallel view's name ids point into its top-down view's table."""
+    p = Program(name="globs")
+    p.add_function(Function("main", [Stmt(name, cost=1e-3) for name in names]))
+    run = run_program(p, nprocs=2)
+    td, sr = build_top_down_view(p, run)
+    pv = build_parallel_view(td, sr, run)
+    for pattern in patterns + names[:2]:
+        for V in (pv.vs, pv.vs[1::2]):
+            assert V.select(name=pattern).ids().tolist() == expected_ids(V, pattern), pattern

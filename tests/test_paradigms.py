@@ -126,6 +126,38 @@ def test_critical_path_through_heaviest_thread(pflow):
     assert 4 in hot_threads
 
 
+#: Critical-path weight / simulated makespan at 8 ranks with the registry's
+#: default builders (NPB class W; Vite 3 threads; LAMMPS on its MACHINE).  A
+#: path longer than the run is not one the run took (ROADMAP item 11, open):
+#: until each cause is found, these pins keep any ratio from drifting.
+CRITICAL_PATH_RATIOS = {
+    "bt": 0.9998485303971957,
+    "cg": 0.9966439133447421,
+    "ep": 1.0007896227853932,
+    "ft": 1.0208531148747446,
+    "is": 1.000069178144991,
+    "lammps": 0.8526177426612268,
+    "lu": 1.0061077840896695,
+    "mg": 0.9998544151599698,
+    "sp": 0.9996936616291898,
+    "vite": 1.2320876244896328,
+    "zeusmp": 0.9999573811200905,
+}
+
+
+def test_critical_path_weight_over_makespan_is_pinned():
+    from repro.apps import lammps, registry
+
+    builders = registry()
+    assert sorted(builders) == sorted(CRITICAL_PATH_RATIOS)
+    for app, want in CRITICAL_PATH_RATIOS.items():
+        pflow = PerFlow(machine=lammps.MACHINE if app == "lammps" else None)
+        threads = app == "vite"
+        pag = pflow.run(builders[app](), nprocs=8, nthreads=3 if threads else 1)
+        res = critical_path_paradigm(pflow, pag, expand_threads=threads)
+        assert res.weight / pflow.context(pag).run.elapsed == pytest.approx(want, rel=1e-9), app
+
+
 # ------------------------------------------------------------- LAMMPS loop
 def test_loop_causal_paradigm_fig11(pflow):
     from repro.apps import lammps

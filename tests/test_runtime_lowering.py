@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.apps import registry
+from repro.apps import lammps, npb, registry, vite, zeusmp
 from repro.ir.model import (
     Branch,
     Call,
@@ -252,18 +252,52 @@ def test_deadlock_evidence_matches_reference():
 # ---------------------------------------------------------------------------
 # every bundled app
 # ---------------------------------------------------------------------------
+def build_per_node(app, monkeypatch):
+    """``app`` built with the per-node ``pad_to_target`` of the reference."""
+    with monkeypatch.context() as m:
+        for module in (npb, zeusmp, lammps, vite):
+            m.setattr(module, "pad_to_target", ref.pad_to_target)
+        return registry("S")[app]()
+
+
 @pytest.mark.parametrize("nprocs", [1, 8, 64])
 @pytest.mark.parametrize("app", sorted(registry("S")))
-def test_bundled_app_runs_equal_reference(app, nprocs):
-    program = registry("S")[app]()
+def test_bundled_app_runs_equal_reference(app, nprocs, monkeypatch):
+    """The lowered run and the block-wise padding against the per-node
+    interpreter, expander and padding: same run, same top-down view."""
+    program, per_node = registry("S")[app](), build_per_node(app, monkeypatch)
+    assert program.node_count() == per_node.node_count()
     nthreads = 3 if app == "vite" else 1
     got = run_program(program, nprocs=nprocs, nthreads=nthreads)
-    want = ref.run_program(program, nprocs=nprocs, nthreads=nthreads)
+    want = ref.run_program(per_node, nprocs=nprocs, nthreads=nthreads)
     assert run_record(got) == run_record(want)
     for targets in (None, got.indirect_targets):
-        assert analysis_record(analyze(program, targets)) == analysis_record(
-            ref.analyze(program, targets)
-        )
+        res, want_res = analyze(program, targets), ref.analyze(per_node, targets)
+        assert analysis_record(res) == analysis_record(want_res)
+        assert res.pag.fingerprint() == want_res.pag.fingerprint()
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 5, 11, 30, 37])
+def test_padding_equals_per_node_padding(extra):
+    """No fillers, no loose statements, both, neither: block-wise padding
+    against the per-node one, on top of a core with a second source file."""
+    from repro.apps._common import pad_to_target
+
+    def core():
+        p = Program(name="core")
+        p.add_function(Function("f", [Stmt("s", cost=1.0, line=1000)], source_file="f.c", line=990))
+        p.add_function(Function("main", [Call("f", line=900), Stmt("t", cost=1.0)], source_file="m.c"))
+        return p
+
+    unpadded = analyze(core()).pag.num_vertices
+    target = unpadded + extra
+    program, per_node = pad_to_target(core(), target), ref.pad_to_target(core(), target)
+    assert program.node_count() == per_node.node_count()
+    res, want = analyze(program), ref.analyze(per_node)
+    assert res.pag.num_vertices == (target if extra > 1 else unpadded)  # a branch alone overshoots
+    assert analysis_record(res) == analysis_record(want)
+    assert res.pag.fingerprint() == want.pag.fingerprint()
+    assert run_record(run_program(program, nprocs=2)) == run_record(ref.run_program(per_node, nprocs=2))
 
 
 @pytest.mark.parametrize("app", sorted(registry("S")))
