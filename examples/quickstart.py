@@ -20,9 +20,9 @@ from repro.obs import trace as obs_trace
 
 cli = argparse.ArgumentParser(description=__doc__)
 cli.add_argument("--trace", help="write a Chrome trace-event JSON here")
-cli.add_argument("--metrics", help="write the metrics registry JSON here")
+cli.add_argument("--metrics", help="write the metrics JSON (with the span summary) here")
 opts = cli.parse_args()
-recorder = obs_trace.enable() if opts.trace else None
+recorder = obs_trace.enable() if opts.trace or opts.metrics else None
 
 pflow = PerFlow()
 
@@ -44,8 +44,9 @@ print(f"communication vertices: {len(V_comm)}, hotspots: {len(V_hot)}, imbalance
 
 if recorder is not None:
     obs_trace.disable()
+if opts.trace:
     recorder.save(opts.trace)
     print(f"wrote trace: {opts.trace}", file=sys.stderr)
-if opts.metrics:
-    obs_metrics.registry.save(opts.metrics)
+if opts.metrics:  # counters, gauges, and the span summary as histograms
+    obs_metrics.registry.save(opts.metrics, spans=recorder)
     print(f"wrote metrics: {opts.metrics}", file=sys.stderr)

@@ -8,7 +8,8 @@ must collapse onto one execution — checks every response's rows
 against the same pipeline run in-process (and the ``mpi_profiler`` rows
 against the MPI profiler paradigm's), sends SIGUSR2 mid-load and checks
 that the server dumped a live crash report listing its recent spans,
-then sends SIGTERM and checks for a clean drain (exit code 0) and, with
+checks that ``/metrics`` summarizes every request's ``serve.analyze``
+span, then sends SIGTERM and checks for a clean drain (exit code 0) and, with
 ``--backend process``, that no shared-memory segments leaked.
 
 Usage::
@@ -190,6 +191,12 @@ def main(argv=None) -> int:
                 _fail(f"serve.requests missing or low: {counters}")
             if counters.get("serve.collapsed", 0) != 1:
                 _fail(f"serve.collapsed != 1: {counters}")
+            # Request latency is the summary of the serve.analyze spans.
+            analyzed = metrics.get("histograms", {}).get("serve.analyze")
+            if not analyzed or analyzed["count"] < len(payloads):
+                _fail(f"serve.analyze summary missing or short: {analyzed}")
+            if not analyzed["p50"] <= analyzed["p95"] <= analyzed["p99"] <= analyzed["max"]:
+                _fail(f"serve.analyze quantiles out of order: {analyzed}")
 
             proc.send_signal(signal.SIGTERM)
             try:

@@ -5,9 +5,10 @@ change its output changes:
 
 * the **pass function** — qualified name, source text (falling back to
   bytecode when source is unavailable), default arguments, and the
-  *values* captured in its closure cells.  Closures are how paradigm
-  builders bake parameters into lambdas (``lambda s: hotspot(s, n=top)``),
-  so closure values are first-class key material;
+  *values* captured in its closure cells or bound by a
+  ``functools.partial``.  That is how paradigm builders bake in
+  parameters (``partial(hotspot, n=top)``), so bound values are
+  first-class key material;
 * the **node shape** — kind (pass vs. fixpoint) and the fixpoint
   iteration cap;
 * the **input values** — sets digest as (owning-PAG fingerprint, id

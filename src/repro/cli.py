@@ -1057,7 +1057,7 @@ def _dispatch(args, recorder, ledger_dir: Optional[str]) -> int:
             recorder.save(trace_path)
             print(f"wrote trace: {trace_path}", file=sys.stderr)
         if metrics_path:
-            obs_metrics.registry.save(metrics_path)
+            obs_metrics.registry.save(metrics_path, spans=recorder)
             print(f"wrote metrics: {metrics_path}", file=sys.stderr)
         if ledger_dir and rc is not None:
             _append_ledger_record(

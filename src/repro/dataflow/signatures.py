@@ -23,6 +23,7 @@ so untyped lambdas and scalar-valued passes keep working unchecked.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
@@ -117,7 +118,13 @@ def signature(
 
 
 def signature_of(fn: Any) -> Optional[PassSignature]:
-    """The signature attached to ``fn``, if any (methods included)."""
+    """The signature attached to ``fn``, if any (methods included).
+
+    A ``functools.partial`` that binds keywords only takes the same
+    sets as its function, so it carries the function's signature.
+    """
+    if isinstance(fn, functools.partial) and not fn.args:
+        fn = fn.func
     sig = getattr(fn, SIGNATURE_ATTR, None)
     if sig is None:
         sig = getattr(getattr(fn, "__func__", None), SIGNATURE_ATTR, None)

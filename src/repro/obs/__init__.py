@@ -21,9 +21,9 @@ records one thing, the **span**, and everything else reads spans:
 * :mod:`repro.obs.selfpag` — a recorded trace turned into a PAG, so the
   existing hotspot/imbalance passes run on PerFlow's own execution
   (``repro obs analyze trace.json``).
-* :mod:`repro.obs.metrics` — a process-global registry of counters,
-  gauges, and histograms with JSON export (serialized bytes, fixpoint
-  non-convergence, …).
+* :mod:`repro.obs.metrics` — a process-global registry of counters and
+  gauges with JSON export (cache hits, fixpoint non-convergence, …);
+  timing summaries come from the spans (:func:`trace.summarize`).
 * :mod:`repro.obs.log` — the ``logging.getLogger("repro.…")`` hierarchy
   so library code never prints to stdout directly; the CLI's
   ``--verbose``/``-q`` flags configure it.
@@ -37,7 +37,7 @@ Typical use::
     obs.disable()
     rec.save("trace.json")              # Chrome trace-event JSON
     print(rec.to_tree())                # console tree
-    obs.metrics.registry.save("metrics.json")
+    obs.metrics.registry.save("metrics.json", spans=rec)
 """
 
 from __future__ import annotations

@@ -57,6 +57,7 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "scoped_recorder",
+    "summarize",
 ]
 
 
@@ -398,7 +399,7 @@ class SpanRecorder:
             from repro.obs.metrics import registry as _registry
 
             snapshot = _registry.to_dict()
-        if any(snapshot.get(k) for k in ("counters", "gauges", "histograms")):
+        if any(snapshot.get(k) for k in ("counters", "gauges")):
             events.append(
                 {
                     "name": "perflow_metrics",
@@ -498,6 +499,32 @@ def _json_args(args: Dict[str, Any]) -> Dict[str, Any]:
             out[key] = value
         else:
             out[key] = repr(value)
+    return out
+
+
+def summarize(recorder: Any) -> Dict[str, Dict[str, float]]:
+    """Duration summary of ``recorder``'s retained spans, per span name.
+
+    ``{name: {count, sum, min, max, mean, p50, p95, p99}}`` in seconds.
+    Quantiles are exact, interpolated linearly between order statistics
+    (``statistics.quantiles(..., method="inclusive")``).  A bounded
+    recorder summarizes its window — the newest ``capacity`` spans —
+    and a :class:`NullRecorder` has none.  The ring is copied without
+    the lock, as a crash report does, so a signal handler may call this.
+    """
+    durations: Dict[str, List[float]] = {}
+    for sp in list(getattr(recorder, "_done", ())):
+        durations.setdefault(sp.name, []).append(sp.t_end - sp.t_start)
+    out: Dict[str, Dict[str, float]] = {}
+    for name in sorted(durations):
+        xs = sorted(durations[name])
+        n, total = len(xs), sum(xs)
+        summ = {"count": n, "sum": total, "min": xs[0], "max": xs[-1], "mean": total / n}
+        for key, p in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            pos = p * (n - 1)
+            lo = int(pos)
+            summ[key] = xs[lo] + (pos - lo) * (xs[min(lo + 1, n - 1)] - xs[lo])
+        out[name] = summ
     return out
 
 

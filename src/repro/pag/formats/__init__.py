@@ -24,9 +24,8 @@ import json
 from pathlib import Path as FsPath
 from typing import Any, Dict, Union
 
-from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
-from repro.obs.trace import timed_span as _timed_span
+from repro.obs.trace import span as _span, timed_span as _timed_span
 from repro.pag.formats.base import PAGFormatError
 from repro.pag.formats.format3 import (
     MAGIC as _MAGIC3,
@@ -68,9 +67,8 @@ def save_pag(
 ) -> int:
     """Write a PAG in the requested format; returns the byte size written.
 
-    Every save records ``pag.save.bytes`` / ``pag.save.seconds``
-    histograms on the global metrics registry and (when tracing is
-    enabled) a ``pag.save`` span tagged with the format.
+    Every save records a ``pag.save`` span tagged with the format and
+    the bytes written (when tracing is enabled).
     """
     if format not in _WRITERS:
         raise ValueError(f"unknown PAG format {format!r} (writable: 2, 3)")
@@ -89,8 +87,6 @@ def save_pag(
             writer(pag, write, include_per_rank)
         if sp:
             sp.set(bytes=total)
-    _metrics.histogram("pag.save.bytes").observe(total)
-    _metrics.histogram("pag.save.seconds").observe(sp.duration)
     _LOG.info("saved %s: format %d, %d bytes in %.4fs", pag.name, format, total, sp.duration)
     return total
 
@@ -113,31 +109,22 @@ def load_pag(path: Union[str, FsPath], mmap: bool = False) -> PAG:
     columns attach as lazy views that fault in on first touch (JSON
     formats always materialize; the flag is ignored for them).
 
-    Records ``pag.load.bytes`` / ``pag.load.seconds`` histograms and a
-    ``pag.load`` span tagged with the detected format and mmap mode.
+    Records a ``pag.load`` span tagged with the detected format, the
+    mmap mode and the bytes read.
     """
     fmt = detect_format(path)
     if fmt == 3:
-        with _timed_span(
-            "pag.load", category="pag", format=3, mmap=bool(mmap)
-        ) as sp:
-            pag = load_format3(path, use_mmap=mmap)
+        with _span("pag.load", category="pag", format=3, mmap=bool(mmap)) as sp:
+            hdr = read_header(path)
+            pag = load_format3(path, hdr, use_mmap=mmap)
             if sp:
-                sp.set(pag=pag.name)
-        # an mmap open reads only header + directory; report that, not
-        # the (untouched) file size
-        nbytes = (
-            read_header(path)["data_start"]
-            if mmap
-            else FsPath(path).stat().st_size
-        )
-        _metrics.histogram("pag.load.bytes").observe(nbytes)
-        _metrics.histogram("pag.load.seconds").observe(sp.duration)
+                # an mmap open reads only header + directory; report
+                # that, not the (untouched) file size
+                nbytes = hdr["data_start"] if mmap else hdr["file_size"]
+                sp.set(pag=pag.name, bytes=nbytes)
         return pag
     text = FsPath(path).read_text("utf-8")
-    with _timed_span(
-        "pag.load", category="pag", bytes=len(text), format=fmt, mmap=False
-    ) as sp:
+    with _span("pag.load", category="pag", bytes=len(text), format=fmt, mmap=False) as sp:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -147,8 +134,6 @@ def load_pag(path: Union[str, FsPath], mmap: bool = False) -> PAG:
         pag = pag_from_dict(data, path=path)
         if sp:
             sp.set(pag=pag.name)
-    _metrics.histogram("pag.load.bytes").observe(len(text))
-    _metrics.histogram("pag.load.seconds").observe(sp.duration)
     return pag
 
 

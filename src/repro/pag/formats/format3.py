@@ -513,8 +513,9 @@ def _build_pag(
         ) from exc
 
 
-def load_format3(path: Any, use_mmap: bool = False) -> PAG:
-    """Reconstruct a PAG from a format-3 file.
+def load_format3(path: Any, header: Dict[str, Any], use_mmap: bool = False) -> PAG:
+    """Reconstruct a PAG from a format-3 file whose :func:`read_header`
+    the caller already holds as ``header``.
 
     With ``use_mmap`` every array attaches as a read-only lazy view
     over one shared ``mmap`` (columns promote to heap copy-on-write);
@@ -522,7 +523,6 @@ def load_format3(path: Any, use_mmap: bool = False) -> PAG:
     Either way the header's content digest seeds the fingerprint cache,
     so ``pag.fingerprint()`` on the unmutated graph reads zero columns.
     """
-    hdr = read_header(path)
     backing: Optional[SegmentBacking] = None
     if use_mmap:
         f = open(Path(path), "rb")
@@ -533,7 +533,7 @@ def load_format3(path: Any, use_mmap: bool = False) -> PAG:
         backing = SegmentBacking(buf, source=str(path))
     else:
         buf = Path(path).read_bytes()
-    return _build_pag(hdr, buf, path, backing, lazy=use_mmap)
+    return _build_pag(header, buf, path, backing, lazy=use_mmap)
 
 
 def load_format3_buffer(buf: Any, source: Any = "<buffer>") -> PAG:

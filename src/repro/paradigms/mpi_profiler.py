@@ -8,12 +8,14 @@ call count, message bytes, and per-rank min/mean/max.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List
 
 import numpy as np
 
 from repro.dataflow.api import PerFlow
 from repro.dataflow.graph import PerFlowGraph
+from repro.dataflow.signatures import signature
 from repro.pag.graph import PAG
 from repro.pag.sets import VertexSet
 from repro.passes.filters import comm_filter
@@ -35,9 +37,7 @@ class MPIProfileRow:
     max_rank_time: float
 
 
-def build_mpi_profiler_graph(
-    pflow: PerFlow, total: float, top: int = 20
-) -> PerFlowGraph:
+def build_mpi_profiler_graph(pflow: PerFlow, total: float, top: int = 20) -> PerFlowGraph:
     """The mpiP pipeline as an explicit PerFlowGraph.
 
     Three nodes: ``comm_filter`` keeps communication vertices,
@@ -49,21 +49,10 @@ def build_mpi_profiler_graph(
     g = pflow.perflowgraph("mpi-profiler")
     V = g.input("V", VertexSet)
     V_comm = g.add_pass(comm_filter, V, name="comm_filter")
-    # The lambdas close over plain parameters only (top, total) — not the
-    # PerFlow facade — so the result cache can key them by source +
-    # closure values and skip them on warm reruns.
-    V_hot = g.add_pass(
-        lambda s: hotspot_detection(s, metric="time", n=top),
-        V_comm,
-        name="hotspot",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    g.add_pass(
-        lambda s: _profile_rows(s, total),
-        V_hot,
-        name="profile_rows",
-        signature=((VertexSet,), ("any",)),
-    )
+    # Parameters are bound as plain values, never the PerFlow facade, so
+    # the result cache can key these passes and skip them on warm reruns.
+    V_hot = g.add_pass(partial(hotspot_detection, metric="time", n=top), V_comm, name="hotspot")
+    g.add_pass(partial(_profile_rows, total=total), V_hot, name="profile_rows")
     return g
 
 
@@ -81,6 +70,7 @@ def mpi_profiler_paradigm(pflow: PerFlow, pag: PAG, top: int = 20) -> List[MPIPr
     return g.run(V=pag.vs)["profile_rows"]
 
 
+@signature(inputs=(VertexSet,), outputs=("any",))
 def _profile_rows(V_hot: VertexSet, total: float) -> List[MPIProfileRow]:
     rows: List[MPIProfileRow] = []
     for v in V_hot:

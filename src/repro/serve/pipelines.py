@@ -7,12 +7,13 @@ takes the merged parameters and returns a
 whose output is plain JSON-safe data (lists of dicts) — streamable to
 the client and storable in the content-addressed result cache.
 
-Builders close over *plain parameter values only* (never live graphs or
-server objects): :func:`repro.cache.keys.pass_identity` keys a pass by
-source + closure values, so two requests with the same pipeline, the
-same params, and the same PAG fingerprint produce identical cache keys
-— across threads, processes, and server restarts.  That identity is
-also what the single-flight tier collapses on.
+Builders bind *plain parameter values only* (never live graphs or
+server objects), as ``functools.partial`` keywords of module-level
+passes: :func:`repro.cache.keys.pass_identity` keys a pass by source +
+bound values, so two requests with the same pipeline, the same params,
+and the same PAG fingerprint produce identical cache keys — across
+threads, processes, and server restarts.  That identity is also what
+the single-flight tier collapses on.
 
 The table is a plain dict: tests (and deployments embedding the server)
 add their own entries to it.
@@ -20,9 +21,11 @@ add their own entries to it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.dataflow.graph import PerFlowGraph
+from repro.dataflow.signatures import signature
 from repro.pag.sets import VertexSet
 from repro.paradigms.mpi_profiler import _profile_rows
 from repro.passes.filters import comm_filter
@@ -56,6 +59,7 @@ def build_graph(name: str, params: Dict[str, Any]) -> PerFlowGraph:
 # ----------------------------------------------------------------------
 # JSON-safe row formatters (module-level: stable pass identities)
 # ----------------------------------------------------------------------
+@signature(inputs=(VertexSet,), outputs=("any",))
 def _vertex_rows(V: VertexSet) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
     for v in V:
@@ -70,6 +74,7 @@ def _vertex_rows(V: VertexSet) -> List[Dict[str, Any]]:
     return rows
 
 
+@signature(inputs=(VertexSet, VertexSet), outputs=("any",))
 def _mpi_profile_rows(V_hot: VertexSet, V: VertexSet) -> List[Dict[str, Any]]:
     """The MPI profiler paradigm's rows in wire fields."""
     return [
@@ -89,68 +94,32 @@ def _mpi_profile_rows(V_hot: VertexSet, V: VertexSet) -> List[Dict[str, Any]]:
 # built-in pipelines
 # ----------------------------------------------------------------------
 def _build_hotspot(params: Dict[str, Any]) -> PerFlowGraph:
-    metric, top = str(params["metric"]), int(params["top"])
+    hotspot = partial(hotspot_detection, metric=str(params["metric"]), n=int(params["top"]))
     g = PerFlowGraph("serve-hotspot")
     V = g.input("V", VertexSet)
-    V_hot = g.add_pass(
-        lambda s: hotspot_detection(s, metric=metric, n=top),
-        V,
-        name="hotspot",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    g.add_pass(
-        _vertex_rows,
-        V_hot,
-        name="result",
-        signature=((VertexSet,), ("any",)),
-    )
+    V_hot = g.add_pass(hotspot, V, name="hotspot")
+    g.add_pass(_vertex_rows, V_hot, name="result")
     return g
 
 
 def _build_mpi_profiler(params: Dict[str, Any]) -> PerFlowGraph:
-    top = int(params["top"])
+    hotspot = partial(hotspot_detection, metric="time", n=int(params["top"]))
     g = PerFlowGraph("serve-mpi-profiler")
     V = g.input("V", VertexSet)
     V_comm = g.add_pass(comm_filter, V, name="comm_filter")
-    V_hot = g.add_pass(
-        lambda s: hotspot_detection(s, metric="time", n=top),
-        V_comm,
-        name="hotspot",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    g.add_pass(
-        _mpi_profile_rows,
-        V_hot,
-        V,
-        name="result",
-        signature=((VertexSet, VertexSet), ("any",)),
-    )
+    V_hot = g.add_pass(hotspot, V_comm, name="hotspot")
+    g.add_pass(_mpi_profile_rows, V_hot, V, name="result")
     return g
 
 
 def _build_imbalance(params: Dict[str, Any]) -> PerFlowGraph:
-    threshold = float(params["threshold"])
-    top = int(params["top"])
+    imbalance = partial(imbalance_analysis, threshold=float(params["threshold"]))
+    top = partial(hotspot_detection, metric="time", n=int(params["top"]))
     g = PerFlowGraph("serve-imbalance")
     V = g.input("V", VertexSet)
-    V_imb = g.add_pass(
-        lambda s: imbalance_analysis(s, threshold=threshold),
-        V,
-        name="imbalance",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    V_top = g.add_pass(
-        lambda s: hotspot_detection(s, metric="time", n=top),
-        V_imb,
-        name="top",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    g.add_pass(
-        _vertex_rows,
-        V_top,
-        name="result",
-        signature=((VertexSet,), ("any",)),
-    )
+    V_imb = g.add_pass(imbalance, V, name="imbalance")
+    V_top = g.add_pass(top, V_imb, name="top")
+    g.add_pass(_vertex_rows, V_top, name="result")
     return g
 
 

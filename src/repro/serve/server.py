@@ -258,7 +258,8 @@ class ReproServer:
         if method == "GET" and target == "/healthz":
             self._write_json(writer, 200, self._health_doc())
         elif method == "GET" and target == "/metrics":
-            self._write_json(writer, 200, _metrics.registry.to_dict())
+            doc = _metrics.registry.to_dict(spans=_trace.get_recorder())
+            self._write_json(writer, 200, doc)
         elif method == "POST" and target == "/v1/analyze":
             await self._handle_analyze(writer, body)
         else:
@@ -373,18 +374,20 @@ class ReproServer:
             await writer.drain()
 
             exit_code = 0
+            collapsed = False
             try:
                 result, was_leader = await self._flight.run(
                     prepared.key, lambda: self._run_leader(prepared)
                 )
-                if not was_leader:
+                collapsed = not was_leader
+                if collapsed:
                     _metrics.counter("serve.collapsed").inc()
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 writer.write(
                     event_line(
                         "result",
                         request_id=req.request_id,
-                        collapsed=not was_leader,
+                        collapsed=collapsed,
                         elapsed_ms=round(elapsed_ms, 3),
                         result=result,
                     )
@@ -404,8 +407,24 @@ class ReproServer:
                     )
                 )
             finally:
-                elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                _metrics.histogram("serve.latency_ms").observe(elapsed_ms)
+                t_end = time.perf_counter()
+                # One completed span per request: the request lives across
+                # awaits on this one loop thread, where an open span would
+                # nest concurrent requests under each other.
+                rec = _trace.get_recorder()
+                if isinstance(rec, _trace.SpanRecorder):
+                    rec.record_completed(
+                        "serve.analyze",
+                        category="serve",
+                        args={
+                            "pipeline": req.pipeline,
+                            "collapsed": collapsed,
+                            "exit": exit_code,
+                        },
+                        t_start=t0,
+                        t_end=t_end,
+                        tid=threading.get_ident(),
+                    )
                 # Ledger appends do disk I/O (open/write/rename), so they
                 # go to the pool — never the event loop thread.  Fire and
                 # forget: _append_ledger never raises, and drain()'s
@@ -415,7 +434,7 @@ class ReproServer:
                         self._append_ledger,
                         req,
                         prepared,
-                        elapsed_ms / 1000.0,
+                        t_end - t0,
                         exit_code,
                     )
         finally:

@@ -149,6 +149,31 @@ def test_fingerprint_recomputes_after_mutation(saved, monkeypatch):
     assert after == fingerprint_pag(loaded)
 
 
+def test_mmap_load_parses_the_header_once(saved, monkeypatch):
+    """An mmap open costs one header parse, traced or not, and its
+    ``pag.load`` span reports the header + directory bytes it read."""
+    import repro.pag.formats as formats
+    import repro.pag.formats.format3 as format3
+    from repro.obs.trace import scoped_recorder
+
+    _pag, path = saved
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return read_header(p)
+
+    monkeypatch.setattr(format3, "read_header", counting)
+    monkeypatch.setattr(formats, "read_header", counting)
+    load_pag(path, mmap=True)
+    assert len(calls) == 1
+    with scoped_recorder() as rec:
+        load_pag(path, mmap=True)
+    assert len(calls) == 2
+    (sp,) = rec.find("pag.load")
+    assert sp.args["bytes"] == read_header(path)["data_start"] < os.stat(path).st_size
+
+
 # ----------------------------------------------------------------------
 # lazy columns / copy-on-write
 # ----------------------------------------------------------------------

@@ -168,17 +168,9 @@ def test_metrics_registry_kinds():
     reg.counter("a.count").inc()
     reg.counter("a.count").inc(4)
     reg.gauge("a.gauge").set(2.5)
-    h = reg.histogram("a.hist")
-    for v in (1.0, 3.0, 2.0):
-        h.observe(v)
     data = reg.to_dict()
-    assert data["counters"] == {"a.count": 5}
-    assert data["gauges"] == {"a.gauge": 2.5}
-    summ = data["histograms"]["a.hist"]
-    assert summ["count"] == 3
-    assert summ["min"] == 1.0 and summ["max"] == 3.0
-    assert summ["mean"] == pytest.approx(2.0)
-    assert "a.count" in reg and len(reg) == 3
+    assert data == {"counters": {"a.count": 5}, "gauges": {"a.gauge": 2.5}}
+    assert "a.count" in reg and len(reg) == 2
 
 
 def test_metrics_kind_conflict_raises():
@@ -191,14 +183,13 @@ def test_metrics_kind_conflict_raises():
 def test_metrics_save_and_text(tmp_path):
     reg = MetricsRegistry()
     reg.counter("c").inc(7)
-    reg.histogram("h").observe(2.0)
+    reg.gauge("g").set(3)
     path = tmp_path / "metrics.json"
     reg.save(str(path))
     loaded = json.loads(path.read_text("utf-8"))
-    assert loaded["counters"]["c"] == 7
-    assert loaded["histograms"]["h"]["count"] == 1
+    assert loaded == {"counters": {"c": 7}, "gauges": {"g": 3}}
     text = reg.to_text()
-    assert "c" in text and "counter" in text and "histogram" in text
+    assert "c" in text and "counter" in text and "gauge" in text
     reg.reset()
     assert len(reg) == 0
 
@@ -373,50 +364,78 @@ def test_cli_verbose_quiet_flags(capsys):
 
 
 # ----------------------------------------------------------------------
-# streaming quantiles (P^2)
+# span summary (the timing half of every metrics export)
 # ----------------------------------------------------------------------
-def test_histogram_quantiles_exact_below_five():
-    reg = MetricsRegistry()
-    h = reg.histogram("h")
-    assert h.quantile(0.5) == 0.0  # empty
-    for v in (5.0, 1.0, 3.0):
-        h.observe(v)
-    assert h.quantile(0.5) == 3.0  # exact median during warm-up
-    with pytest.raises(KeyError):
-        h.quantile(0.42)  # only p50/p95/p99 are tracked
-    summ = h.summary()
-    assert summ["p50"] == 3.0
-    assert summ["p95"] == pytest.approx(4.8)  # interpolated
+def _recorder_of(durations, name="s"):
+    rec = SpanRecorder()
+    for d in durations:
+        rec.record_completed(name, t_start=10.0, t_end=10.0 + d)
+    return rec
 
 
-def test_histogram_quantiles_streaming_accuracy():
+def test_summarize_exact_quantiles_small_samples():
+    assert obs_trace.summarize(SpanRecorder()) == {}
+    assert obs_trace.summarize(obs_trace.NullRecorder()) == {}
+    one = obs_trace.summarize(_recorder_of([0.25]))["s"]
+    assert one["count"] == 1 and one["sum"] == one["mean"] == pytest.approx(0.25)
+    assert one["min"] == one["max"] == one["p50"] == one["p95"] == one["p99"] == pytest.approx(0.25)
+    few = obs_trace.summarize(_recorder_of([5.0, 1.0, 3.0]))["s"]
+    assert (few["min"], few["max"]) == pytest.approx((1.0, 5.0))
+    assert few["p50"] == pytest.approx(3.0)
+    assert few["p95"] == pytest.approx(4.8)  # interpolated between 3 and 5
+    assert few["p99"] == pytest.approx(4.96)
+    ties = obs_trace.summarize(_recorder_of([2.0, 2.0, 2.0, 7.0]))["s"]
+    assert ties["p50"] == pytest.approx(2.0)
+    assert ties["p95"] == pytest.approx(2.0 + 0.85 * 5.0)
+    assert ties["mean"] == pytest.approx(13.0 / 4)
+
+
+def test_summarize_matches_statistics_inclusive_quantiles():
     import random
+    import statistics
 
     rng = random.Random(42)
-    reg = MetricsRegistry()
-    h = reg.histogram("lat")
-    for _ in range(5000):
-        h.observe(rng.random())
-    summ = h.summary()
-    assert summ["p50"] == pytest.approx(0.50, abs=0.04)
-    assert summ["p95"] == pytest.approx(0.95, abs=0.03)
-    assert summ["p99"] == pytest.approx(0.99, abs=0.02)
-    assert summ["p50"] <= summ["p95"] <= summ["p99"]
+    values = [rng.random() for _ in range(100)]
+    rec = _recorder_of(values, name="lat")
+    rec.record_completed("other", t_start=0.0, t_end=1.0)
+    summary = obs_trace.summarize(rec)
+    assert set(summary) == {"lat", "other"}
+    summ = summary["lat"]
+    cuts = statistics.quantiles(values, n=100, method="inclusive")
+    assert summ["count"] == 100
+    assert summ["sum"] == pytest.approx(sum(values))
+    assert (summ["min"], summ["max"]) == pytest.approx((min(values), max(values)))
+    for key, cut in (("p50", cuts[49]), ("p95", cuts[94]), ("p99", cuts[98])):
+        assert summ[key] == pytest.approx(cut, abs=1e-12)
+    assert summ["p50"] <= summ["p95"] <= summ["p99"] <= summ["max"]
 
 
-def test_quantiles_reach_every_export():
-    reg = MetricsRegistry()
-    h = reg.histogram("q")
-    for v in range(1, 101):
-        h.observe(float(v))
-    doc = reg.to_dict()
-    assert {"p50", "p95", "p99"} <= set(doc["histograms"]["q"])
-    text = reg.to_text()
-    assert "p50=" in text and "p95=" in text and "p99=" in text
-    # Quantiles survive a reset as zeros, not stale markers.
-    reg.reset()
-    reg.histogram("q").observe(1.0)
-    assert reg.histogram("q").summary()["p50"] == 1.0
+def test_span_summary_reaches_metrics_file_and_self_analysis(tmp_path, capsys):
+    import re
+
+    tpath, mpath = tmp_path / "t.json", tmp_path / "m.json"
+    argv = ["paradigm", "mpi_profiler", "--app", "cg", "--np", "4", "--class", "S"]
+    assert main(argv + ["--trace", str(tpath), "--metrics", str(mpath)]) == EXIT_OK
+    doc = json.loads(mpath.read_text("utf-8"))
+    assert set(doc) == {"counters", "gauges", "histograms"}
+    hot = doc["histograms"]["node:hotspot"]
+    trace = json.loads(tpath.read_text("utf-8"))
+    durs = [e["dur"] for e in trace["traceEvents"] if e.get("name") == "node:hotspot"]
+    assert hot["count"] == len(durs) >= 1
+    assert hot["sum"] == pytest.approx(sum(durs) / 1e6, abs=1e-5)  # seconds
+    assert {"p50", "p95", "p99"} <= set(hot)
+    # The per-run trace embeds counters and gauges only.
+    (meta,) = [e for e in trace["traceEvents"] if e["name"] == "perflow_metrics"]
+    assert set(meta["args"]["metrics"]) == {"counters", "gauges"}
+
+    # Without --trace the flight recorder's window is summarized.
+    assert main(argv + ["--metrics", str(mpath)]) == EXIT_OK
+    assert json.loads(mpath.read_text("utf-8"))["histograms"]["node:hotspot"]["count"] >= 1
+
+    capsys.readouterr()
+    assert main(["obs", "analyze", str(tpath), "--metrics", str(mpath)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"node:hotspot\s+n=\d+ sum=", out)
 
 
 # ----------------------------------------------------------------------

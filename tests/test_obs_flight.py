@@ -406,6 +406,37 @@ def test_sigusr2_dump_while_writer_holds_lock(tmp_path):
     assert any("held" in [d["name"] for d in s] for s in report["open_spans"].values())
 
 
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGUSR2"), reason="platform lacks SIGUSR2"
+)
+def test_sigusr2_dump_while_threads_record(tmp_path):
+    """A live dump taken while two threads record spans parses, and its
+    metrics are counters and gauges only: the spans are already in it."""
+    obs_flight.enable(capacity=256)
+    assert obs_flight.install_signal_dump(tmp_path)
+    stop = threading.Event()
+
+    def worker(k: int) -> None:
+        while not stop.is_set():
+            with span(f"w{k}"):
+                pass
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        os.kill(os.getpid(), signal.SIGUSR2)
+        dumps = _wait_for_dump(tmp_path)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        obs_flight.uninstall_signal_dump()
+    assert dumps, "SIGUSR2 produced no crash report"
+    report = json.loads((tmp_path / dumps[0]).read_text("utf-8"))
+    assert set(report["metrics"]) == {"counters", "gauges"}
+
+
 # ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------

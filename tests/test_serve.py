@@ -13,6 +13,7 @@ import pytest
 from tests.conftest import make_ring_program
 from repro.dataflow.api import PerFlow
 from repro.dataflow.graph import PerFlowGraph
+from repro.obs import flight as obs_flight
 from repro.obs import metrics as obs_metrics
 from repro.pag.formats import pag_to_dict, save_pag
 from repro.pag.sets import EdgeSet, VertexSet
@@ -154,35 +155,42 @@ def test_serve_end_to_end_inline_and_path(tmp_path, ring_pag_doc):
     pag = PerFlow().run(bin=make_ring_program(), nprocs=4)
     pag_file = tmp_path / "ring.pag3"
     save_pag(pag, pag_file, format=3)
-    with ServerThread(ServerConfig(port=0, cache=True)) as st:
-        status, _, body = http_request(st.host, st.port, "GET", "/healthz")
-        assert status == 200 and b'"ok"' in body
+    # `repro serve` runs under the flight recorder; /metrics summarizes it.
+    obs_flight.enable()
+    try:
+        with ServerThread(ServerConfig(port=0, cache=True)) as st:
+            status, _, body = http_request(st.host, st.port, "GET", "/healthz")
+            assert status == 200 and b'"ok"' in body
 
-        status, events = analyze(
-            st.host,
-            st.port,
-            {"pipeline": "hotspot", "pag": ring_pag_doc, "request_id": "r1"},
-        )
-        assert status == 200
-        assert [e["event"] for e in events] == ["accepted", "started", "result"]
-        assert events[0]["request_id"] == "r1"
-        rows = events[-1]["result"]
-        assert rows and all("time" in r for r in rows)
+            status, events = analyze(
+                st.host,
+                st.port,
+                {"pipeline": "hotspot", "pag": ring_pag_doc, "request_id": "r1"},
+            )
+            assert status == 200
+            assert [e["event"] for e in events] == ["accepted", "started", "result"]
+            assert events[0]["request_id"] == "r1"
+            rows = events[-1]["result"]
+            assert rows and all("time" in r for r in rows)
 
-        # Same analysis through an on-disk format-3 reference.
-        status, events = analyze(
-            st.host,
-            st.port,
-            {"pipeline": "hotspot", "pag_path": str(pag_file)},
-        )
-        assert status == 200 and events[-1]["event"] == "result"
-        assert events[-1]["result"] == rows
+            # Same analysis through an on-disk format-3 reference.
+            status, events = analyze(
+                st.host,
+                st.port,
+                {"pipeline": "hotspot", "pag_path": str(pag_file)},
+            )
+            assert status == 200 and events[-1]["event"] == "result"
+            assert events[-1]["result"] == rows
 
-        status, _, body = http_request(st.host, st.port, "GET", "/metrics")
-        assert status == 200 and b"serve.latency_ms" in body
+            status, _, body = http_request(st.host, st.port, "GET", "/metrics")
+            assert status == 200
+            analyzed = json.loads(body)["histograms"]["serve.analyze"]
+            assert analyzed["count"] == 2  # one span per request answered
 
-        status, _, _ = http_request(st.host, st.port, "GET", "/nope")
-        assert status == 404
+            status, _, _ = http_request(st.host, st.port, "GET", "/nope")
+            assert status == 404
+    finally:
+        obs_flight.disable()
 
 
 def test_serve_bad_requests(ring_pag_doc, test_pipelines):
