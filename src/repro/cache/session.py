@@ -45,9 +45,6 @@ class CacheSession:
         self.misses = 0
         self.uncacheable = 0
         self.stored_bytes = 0
-        #: node_id -> "hit" | "miss" | "uncacheable": per-node probe
-        #: outcome, consumed by the run ledger for cache attribution.
-        self.outcomes: Dict[int, str] = {}
         self._keys: Dict[int, Optional[str]] = {}
         self._identities: Dict[int, str] = {}
 
@@ -73,12 +70,10 @@ class CacheSession:
                 key = node_key(node.kind, identity, digests, node.max_iters)
             except Uncacheable as exc:
                 self.uncacheable += 1
-                self.outcomes[nid] = "uncacheable"
                 _metrics.counter("dataflow.cache.uncacheable").inc()
                 _LOG.debug("node %r uncacheable: %s", node.name, exc)
         else:
             self.uncacheable += 1
-            self.outcomes[nid] = "uncacheable"
             _metrics.counter("dataflow.cache.uncacheable").inc()
         self._keys[nid] = key
         return key
@@ -103,7 +98,6 @@ class CacheSession:
             if entry is not None:
                 value = decode_value(entry, self.registry)
                 self.hits += 1
-                self.outcomes[node.node_id] = "hit"
                 _metrics.counter("dataflow.cache.hits").inc()
                 return True, value
         except CacheMiss as exc:
@@ -111,7 +105,6 @@ class CacheSession:
         except Exception as exc:  # pragma: no cover - defensive
             _LOG.debug("cache probe failed for %r: %s", node.name, exc)
         self.misses += 1
-        self.outcomes[node.node_id] = "miss"
         _metrics.counter("dataflow.cache.misses").inc()
         return False, None
 

@@ -2,14 +2,17 @@
 
 Entries are :class:`CachedValue` records: a pickle payload for the
 plain-data part of a result plus *rebindable references* for every
-``VertexSet``/``EdgeSet`` it contains.  Sets are never pickled — a set
-is ``(kind, owning-PAG fingerprint, id array)``, and on a hit it is
-re-bound to the current run's live PAG with that fingerprint
-(:func:`decode_value`); its result columns, plain values aligned with
-the ids, ride in the payload next to the placeholder.  A cached entry therefore cannot resurrect a
-dead graph, leak a stale identity ``token``, or be confused with a
-different graph's elements: an unknown fingerprint is a
-:class:`CacheMiss` and the node simply recomputes.
+``PAG``, ``VertexSet`` and ``EdgeSet`` it contains.  Graphs and sets are
+never pickled — a set is ``(kind, owning-PAG fingerprint, id array)``
+and a raw PAG is ``("p", fingerprint, b"")``; on a hit each is re-bound
+to the current run's live PAG with that fingerprint
+(:func:`decode_value`).  A set's result columns, plain values aligned
+with the ids, ride in the payload next to its placeholder.  A cached
+entry therefore cannot resurrect a dead graph, leak a stale identity
+``token``, or be confused with a different graph's elements: an unknown
+fingerprint is a :class:`CacheMiss` and the node simply recomputes.
+The process backend (:mod:`repro.dataflow.procpool`) moves values
+between processes in this same form.
 
 The pickle payload is guarded: any PAG, vertex/edge handle, or set
 that survives the reference-stripping walk (e.g. hidden inside a
@@ -81,7 +84,7 @@ class CacheMiss(Exception):
 
 @dataclass(frozen=True)
 class _SetMarker:
-    """Placeholder left in the payload where a set was stripped out."""
+    """Placeholder left in the payload where a set or PAG was stripped out."""
 
     index: int
     #: the set's result columns (name -> values in id order), if any
@@ -92,9 +95,10 @@ class _SetMarker:
 class CachedValue:
     """One stored pass result.
 
-    ``payload`` is the pickled value with every set replaced by a
-    :class:`_SetMarker`; ``set_refs`` holds, per marker index,
-    ``(kind, pag_fingerprint | None, id_bytes)``.
+    ``payload`` is the pickled value with every set and PAG replaced by
+    a :class:`_SetMarker`; ``set_refs`` holds, per marker index,
+    ``(kind, pag_fingerprint | None, id_bytes)`` with kind ``"v"``,
+    ``"e"`` or ``"p"`` (a PAG: no ids).
     """
 
     payload: bytes
@@ -128,6 +132,9 @@ def _strip(value: Any, refs: List[Tuple[str, Optional[str], bytes]]) -> Any:
     if isinstance(value, (VertexSet, EdgeSet)):
         refs.append(_set_ref(value))
         return _SetMarker(len(refs) - 1, value._cols)
+    if isinstance(value, PAG):
+        refs.append(("p", value.fingerprint(), b""))
+        return _SetMarker(len(refs) - 1)
     if isinstance(value, tuple):
         return tuple(_strip(v, refs) for v in value)
     if isinstance(value, list):
@@ -163,6 +170,8 @@ def _resolve_ref(
     pag = registry.get(fp)
     if pag is None:
         raise CacheMiss(f"no live PAG with fingerprint {fp} in this run")
+    if kind == "p":
+        return pag
     ids = np.frombuffer(id_bytes, dtype=np.int64).copy()
     if not cls._valid_ids(pag, ids):
         raise CacheMiss("cached element ids out of range for the live PAG")
@@ -172,7 +181,8 @@ def _resolve_ref(
 def _restore(value: Any, sets: List[Any]) -> Any:
     if isinstance(value, _SetMarker):
         bound = sets[value.index]  # rebound for this decode alone
-        bound._cols = value.columns or None
+        if value.columns:
+            bound._cols = value.columns
         return bound
     if isinstance(value, tuple):
         return tuple(_restore(v, sets) for v in value)
@@ -187,9 +197,10 @@ def decode_value(entry: CachedValue, registry: Dict[str, Any]) -> Any:
     """Materialize a stored result against the current run's live PAGs.
 
     ``registry`` maps PAG fingerprints to live graphs (collected from
-    the run's input values by the cache session).  Any reference to a
-    fingerprint not present — the graph died, changed, or never entered
-    this run — raises :class:`CacheMiss`, and the caller recomputes.
+    the run's input values by the cache session); a raw PAG decodes to
+    the live graph itself.  Any reference to a fingerprint not present —
+    the graph died, changed, or never entered this run — raises
+    :class:`CacheMiss`, and the caller recomputes.
     """
     sets = [_resolve_ref(ref, registry) for ref in entry.set_refs]
     value = pickle.loads(entry.payload)

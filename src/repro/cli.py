@@ -44,9 +44,9 @@ pipelines on N worker threads via the wavefront scheduler (default:
 or off), and ``repro cache {stats,clear}`` manages the on-disk tier.
 
 Every ``run``/``paradigm`` invocation is appended to the **run
-ledger** (:mod:`repro.obs.ledger`) — per-node span rollups, wall/CPU
-time — under ``.perflow/ledger/`` unless ``--no-ledger`` (or
-``PERFLOW_LEDGER=0``) says otherwise; ``repro obs
+ledger** (:mod:`repro.obs.ledger`) — the run's span summary, per-node
+in/out sizes and cache hits, wall/CPU time — under ``.perflow/ledger/``
+unless ``--no-ledger`` (or ``PERFLOW_LEDGER=0``) says otherwise; ``repro obs
 {history,show,diff,regressions}`` analyzes the accumulated records, and
 ``obs regressions`` exits ``EXIT_ISSUES`` when a node breaches its
 noise-aware baseline.  Every invocation records its spans into one
@@ -512,6 +512,8 @@ def cmd_obs_history(args) -> int:
 def cmd_obs_show(args) -> int:
     import json as json_mod
 
+    from repro.obs import ledger as obs_ledger
+
     ledger = _ledger_for(args)
     rec = _ledger_get(ledger, args.run)
     if args.json:
@@ -526,20 +528,23 @@ def cmd_obs_show(args) -> int:
         f"  wall/cpu:    {rec.get('wall_s', 0.0):.3f}s / "
         f"{rec.get('cpu_s', 0.0):.3f}s on Python {rec.get('python', '?')}"
     )
-    nodes = rec.get("nodes") or []
+    times = obs_ledger.node_times(rec)
+    nodes = sorted(times, key=lambda name: (-times[name], name))
     if nodes:
         print(f"  nodes ({len(nodes)}):")
         print(
-            f"    {'name':24} {'count':>5} {'total(s)':>10} "
-            f"{'in':>8} {'out':>8} {'cache':>9}"
+            f"    {'name':24} {'count':>5} {'total(s)':>10} {'p50(s)':>10} "
+            f"{'max(s)':>10} {'in':>8} {'out':>8} {'cache':>9}"
         )
-        for node in nodes:
+        for name in nodes:
+            summ = rec["spans"]["node:" + name]
+            node = rec["nodes"].get(name, {})
             cache = ""
             if "cache_hits" in node or "cache_misses" in node:
                 cache = f"{node.get('cache_hits', 0)}h/{node.get('cache_misses', 0)}m"
             print(
-                f"    {node['name']:24} {node['count']:>5} "
-                f"{node['total_s']:>10.4f} "
+                f"    {name:24} {summ['count']:>5} "
+                f"{summ['sum']:>10.4f} {summ['p50']:>10.4f} {summ['max']:>10.4f} "
                 f"{node.get('in_size', '-'):>8} {node.get('out_size', '-'):>8} "
                 f"{cache:>9}"
             )
@@ -566,7 +571,7 @@ def cmd_obs_diff(args) -> int:
     print(f"a: {rec_a['run_id']}  wall={rec_a.get('wall_s', 0.0):.3f}s")
     print(f"b: {rec_b['run_id']}  wall={rec_b.get('wall_s', 0.0):.3f}s")
     if not rows:
-        print("no node rollups in either run")
+        print("no pipeline node spans in either run")
         return EXIT_OK
     print(f"{'node':24} {'a(s)':>10} {'b(s)':>10} {'delta(s)':>10} {'pct':>8}")
     for row in rows:
@@ -621,6 +626,9 @@ def cmd_obs_regressions(args) -> int:
         return EXIT_ISSUES if findings else EXIT_OK
     print(f"target:   {target['run_id']} ({target.get('identity', '?')})")
     print(f"baseline: {len(baseline)} matching run(s)")
+    if not obs_ledger.node_times(target):
+        print(f"nothing to judge: {target['run_id']} has no pipeline node spans")
+        return EXIT_OK
     if len(baseline) < obs_ledger.MIN_BASELINE_RUNS:
         print(
             f"not enough history to judge (need "

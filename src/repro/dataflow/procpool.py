@@ -20,14 +20,13 @@ the process boundary.
 2. **Transfer** (``submit`` / ``finish``).  A task on the wire is just
    ``(node_id, encoded args, want_spans)``.  Arguments and results cross
    as the cache's wire form (:class:`~repro.cache.store.CachedValue`):
-   ``VertexSet``/``EdgeSet`` values travel as ``(kind, fingerprint,
-   id-array)`` references and rebind to the receiver's registry, raw
-   PAG values as fingerprint markers; a set's result columns ride in the
-   payload.  Anything that cannot cross — an unpicklable value, a set
-   over a PAG that is not one of the run's inputs (one the pass created
-   or wrote to) — degrades that node to coordinator execution instead of
-   failing the run, so *every* pipeline keeps serial-equivalent
-   semantics under this backend.
+   ``VertexSet``/``EdgeSet`` and raw ``PAG`` values travel as ``(kind,
+   fingerprint, id-array)`` references and rebind to the receiver's
+   registry; a set's result columns ride in the payload.  Anything that
+   cannot cross — an unpicklable value, a set or PAG that is not one of
+   the run's inputs (one the pass created or wrote to) — degrades that
+   node to coordinator execution instead of failing the run, so *every*
+   pipeline keeps serial-equivalent semantics under this backend.
 3. **Merge.**  With tracing enabled, each worker records its node span
    (plus any library-internal spans) in a private recorder and ships
    the flattened batch home; the parent replays it under the pipeline
@@ -54,7 +53,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -122,66 +120,23 @@ def collect_pags(value: Any, out: Optional[Dict[str, PAG]] = None) -> Dict[str, 
 # ----------------------------------------------------------------------
 # transfer: values <-> the cache's wire form
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _PagMarker:
-    """Stand-in for a raw PAG value inside a transferred payload."""
-
-    fingerprint: str
-
-
-def _swap_pags_out(value: Any, registry: Any) -> Any:
-    """Replace raw PAG values with fingerprint markers (pre-encode walk)."""
-    if isinstance(value, PAG):
-        fp = value.fingerprint()
-        if fp not in registry:
-            raise NotTransferable(
-                f"PAG {value.name!r} ({fp[:12]}…) is not one of the run's input PAGs"
-            )
-        return _PagMarker(fp)
-    if isinstance(value, tuple):
-        return tuple(_swap_pags_out(v, registry) for v in value)
-    if isinstance(value, list):
-        return [_swap_pags_out(v, registry) for v in value]
-    if isinstance(value, dict):
-        return {k: _swap_pags_out(v, registry) for k, v in value.items()}
-    return value
-
-
-def _swap_pags_in(value: Any, registry: Any) -> Any:
-    """Replace fingerprint markers with live graphs (post-decode walk)."""
-    if isinstance(value, _PagMarker):
-        pag = registry.get(value.fingerprint)
-        if pag is None:
-            raise NotTransferable(
-                f"no live PAG with fingerprint {value.fingerprint[:12]}…"
-            )
-        return pag
-    if isinstance(value, tuple):
-        return tuple(_swap_pags_in(v, registry) for v in value)
-    if isinstance(value, list):
-        return [_swap_pags_in(v, registry) for v in value]
-    if isinstance(value, dict):
-        return {k: _swap_pags_in(v, registry) for k, v in value.items()}
-    return value
-
-
 def encode_transfer(value: Any, registry: Any) -> CachedValue:
     """Encode a value for the wire; raises :class:`NotTransferable`.
 
     ``registry`` holds the fingerprints of the run's input PAGs: every
-    set reference and every raw PAG must resolve against it on the
-    other side, so anything bound to another graph refuses to travel
-    here rather than mis-rebinding there.
+    set and PAG reference must resolve against it on the other side, so
+    anything bound to another graph refuses to travel here rather than
+    mis-rebinding there.
     """
     try:
-        entry = encode_value(_swap_pags_out(value, registry))
+        entry = encode_value(value)
     except Uncacheable as exc:
         raise NotTransferable(str(exc)) from exc
-    for kind, fp, _ids in entry.set_refs:
+    for _kind, fp, _ids in entry.set_refs:
         if fp is not None and fp not in registry:
             raise NotTransferable(
-                f"a {'vertex' if kind == 'v' else 'edge'} set is bound to a "
-                f"PAG ({fp[:12]}…) that is not one of the run's input PAGs"
+                f"the value is bound to PAG {fp[:12]}…, which is not one of "
+                "the run's input PAGs"
             )
     return entry
 
@@ -189,10 +144,9 @@ def encode_transfer(value: Any, registry: Any) -> CachedValue:
 def decode_transfer(entry: CachedValue, registry: Any) -> Any:
     """Rebind a wire value against ``registry`` (fingerprint -> PAG)."""
     try:
-        value = decode_value(entry, registry)
+        return decode_value(entry, registry)
     except CacheMiss as exc:
         raise NotTransferable(str(exc)) from exc
-    return _swap_pags_in(value, registry)
 
 
 # ----------------------------------------------------------------------

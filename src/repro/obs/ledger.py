@@ -4,8 +4,9 @@ Spans and metrics (:mod:`repro.obs.trace` / :mod:`repro.obs.metrics`)
 die with the process, so "did this pipeline get slower than last week?"
 was unanswerable.  The ledger fixes that: every ``run`` / ``paradigm``
 CLI invocation appends one structured **run record** — run id,
-command + argv, per-node span rollups with in/out sizes and cache
-hit/miss attribution, a metrics snapshot, wall/CPU time, interpreter +
+command + argv, the run's span summary (:func:`repro.obs.trace.summarize`,
+the one ``/metrics`` serves), each pipeline node's in/out sizes and
+cache hits/misses, a metrics snapshot, wall/CPU time, interpreter +
 platform info — as one JSON line under
 ``.perflow/ledger/`` (override: ``$PERFLOW_LEDGER_DIR``; disable:
 ``--no-ledger`` or ``PERFLOW_LEDGER=0``).
@@ -22,7 +23,8 @@ Storage discipline mirrors the disk cache (:mod:`repro.cache.store`):
 Analysis happens over accumulated records:
 
 * :func:`diff_records` — per-node duration deltas between two runs
-  (``repro obs diff RUN_A RUN_B``);
+  (``repro obs diff RUN_A RUN_B``), a node's duration being the ``sum``
+  of its ``node:<name>`` span summary;
 * :func:`find_regressions` — noise-aware detection: the baseline is
   the median per-node duration over the last N runs with the same
   **identity** (command + paradigm + program + params) *and* the same
@@ -45,7 +47,7 @@ import json
 import os
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "ENV_LEDGER",
@@ -54,7 +56,7 @@ __all__ = [
     "Ledger",
     "resolve_ledger",
     "build_run_record",
-    "rollup_spans",
+    "node_times",
     "diff_records",
     "find_regressions",
 ]
@@ -67,11 +69,9 @@ ENV_LEDGER_DIR = "PERFLOW_LEDGER_DIR"
 DEFAULT_DIR = os.path.join(".perflow", "ledger")
 DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 
-#: Run-record schema version (bump on breaking shape changes).
-SCHEMA = 1
-
-#: Rollup groups kept per record (largest total_s first beyond this cap).
-MAX_ROLLUP_GROUPS = 200
+#: Run-record schema version (bump on breaking shape changes); records
+#: of any other schema are skipped on read.
+SCHEMA = 2
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -114,61 +114,23 @@ def _new_run_id() -> str:
     )
 
 
-def rollup_spans(recorder: Any) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    """Aggregate a recorder's spans into ``(nodes, others)`` rollups.
-
-    Spans are grouped by ``(name, category)``; each group carries
-    count / total / min / max seconds.  ``node:*`` spans — the pipeline
-    units the diff and regression machinery operates on — additionally
-    carry the last seen ``in_size`` / ``out_size`` and cache hit/miss
-    counts (from the ``cache_hit`` span tag), and are returned
-    separately with the ``node:`` prefix stripped.  Both lists sort by
-    descending total time; the non-node list is capped at
-    :data:`MAX_ROLLUP_GROUPS`.
-    """
-    groups: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    for sp in recorder.spans:
-        dur = (sp.t_end - sp.t_start) if sp.t_end else 0.0
-        key = (sp.name, sp.category or "")
-        g = groups.get(key)
-        if g is None:
-            g = groups[key] = {
-                "name": sp.name,
-                "category": sp.category or "",
-                "count": 0,
-                "total_s": 0.0,
-                "min_s": dur,
-                "max_s": dur,
-            }
-        g["count"] += 1
-        g["total_s"] += dur
-        if dur < g["min_s"]:
-            g["min_s"] = dur
-        if dur > g["max_s"]:
-            g["max_s"] = dur
-        if sp.name.startswith("node:"):
-            for size_key in ("in_size", "out_size"):
-                size = sp.args.get(size_key)
-                if isinstance(size, int):
-                    g[size_key] = size
-            hit = sp.args.get("cache_hit")
-            if hit is True:
-                g["cache_hits"] = g.get("cache_hits", 0) + 1
-            elif hit is False:
-                g["cache_misses"] = g.get("cache_misses", 0) + 1
-    ordered = sorted(groups.values(), key=lambda g: (-g["total_s"], g["name"]))
-    nodes: List[Dict[str, Any]] = []
-    others: List[Dict[str, Any]] = []
-    for g in ordered:
-        g["total_s"] = round(g["total_s"], 9)
-        g["min_s"] = round(g["min_s"], 9)
-        g["max_s"] = round(g["max_s"], 9)
-        if g["name"].startswith("node:"):
-            g["name"] = g["name"][len("node:") :]
-            nodes.append(g)
-        elif len(others) < MAX_ROLLUP_GROUPS:
-            others.append(g)
-    return nodes, others
+def _node_args(recorder: Any) -> Dict[str, Dict[str, int]]:
+    """What the ``node:*`` spans' args say beyond their durations, by
+    node name: the last ``in_size`` / ``out_size`` and cache hit/miss
+    counts."""
+    nodes: Dict[str, Dict[str, int]] = {}
+    for sp in list(getattr(recorder, "_done", ())):
+        if not sp.name.startswith("node:"):
+            continue
+        node = nodes.setdefault(sp.name[len("node:") :], {})
+        for key in ("in_size", "out_size"):
+            if isinstance(sp.args.get(key), int):
+                node[key] = sp.args[key]
+        hit = sp.args.get("cache_hit")
+        if hit is not None:
+            key = "cache_hits" if hit else "cache_misses"
+            node[key] = node.get(key, 0) + 1
+    return nodes
 
 
 def run_identity(
@@ -199,21 +161,20 @@ def build_run_record(
 ) -> Dict[str, Any]:
     """Assemble one ledger record (JSON-safe dict).
 
-    ``recorder`` is the command's :class:`~repro.obs.trace.SpanRecorder`
-    (rollups come from it; None produces empty rollups); ``metrics`` a
-    registry or its ``to_dict()`` snapshot (default: the process-global
-    registry).
+    ``recorder`` is the command's :class:`~repro.obs.trace.SpanRecorder`:
+    ``spans`` is its :func:`~repro.obs.trace.summarize` and ``nodes`` what
+    its ``node:*`` spans' args add to that (None records neither).  ``metrics``
+    is a registry or its ``to_dict()`` snapshot (default: the
+    process-global registry).
     """
     import platform
+
+    from repro.obs.trace import summarize
 
     if metrics is None:
         from repro.obs.metrics import registry as metrics
 
     snapshot = metrics.to_dict() if hasattr(metrics, "to_dict") else metrics
-    nodes: List[Dict[str, Any]] = []
-    others: List[Dict[str, Any]] = []
-    if recorder is not None and getattr(recorder, "spans", None):
-        nodes, others = rollup_spans(recorder)
     return {
         "schema": SCHEMA,
         "run_id": _new_run_id(),
@@ -228,8 +189,8 @@ def build_run_record(
         "wall_s": round(wall_s, 6),
         "cpu_s": round(cpu_s, 6),
         "exit_code": exit_code,
-        "nodes": nodes,
-        "spans": others,
+        "nodes": _node_args(recorder),
+        "spans": summarize(recorder),
         "metrics": snapshot,
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -309,7 +270,8 @@ class Ledger:
 
     # -- reading -----------------------------------------------------------
     def records(self) -> List[Dict[str, Any]]:
-        """All retained records, oldest first; corrupt lines skipped."""
+        """All retained records of this :data:`SCHEMA`, oldest first;
+        corrupt lines and records of other schemas are skipped."""
         out: List[Dict[str, Any]] = []
         for path in self._files():
             try:
@@ -322,7 +284,7 @@ class Ledger:
                             rec = json.loads(line)
                         except ValueError:
                             continue  # torn/corrupt line
-                        if isinstance(rec, dict) and "run_id" in rec:
+                        if isinstance(rec, dict) and rec.get("schema") == SCHEMA:
                             out.append(rec)
             except OSError:
                 continue
@@ -367,20 +329,12 @@ class Ledger:
 # ----------------------------------------------------------------------
 # analysis over records
 # ----------------------------------------------------------------------
-def _median(values: Sequence[float]) -> float:
-    xs = sorted(values)
-    n = len(xs)
-    if not n:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return xs[mid]
-    return (xs[mid - 1] + xs[mid]) / 2.0
-
-
-def _node_totals(record: Dict[str, Any]) -> Dict[str, float]:
+def node_times(record: Dict[str, Any]) -> Dict[str, float]:
+    """Each pipeline node's total seconds: its ``node:*`` span sum."""
     return {
-        node["name"]: node.get("total_s", 0.0) for node in record.get("nodes") or []
+        name[len("node:") :]: summ["sum"]
+        for name, summ in (record.get("spans") or {}).items()
+        if name.startswith("node:")
     }
 
 
@@ -394,7 +348,7 @@ def diff_records(
     when ``a`` has no measurable time).  Sorted by descending absolute
     delta.
     """
-    ta, tb = _node_totals(a), _node_totals(b)
+    ta, tb = node_times(a), node_times(b)
     rows: List[Dict[str, Any]] = []
     for name in sorted(set(ta) | set(tb)):
         a_s = ta.get(name)
@@ -441,17 +395,19 @@ def find_regressions(
     """
     if len(baseline) < MIN_BASELINE_RUNS:
         return []
+    from statistics import median
+
     per_node: Dict[str, List[float]] = {}
     for rec in baseline:
-        for name, total in _node_totals(rec).items():
+        for name, total in node_times(rec).items():
             per_node.setdefault(name, []).append(total)
     findings: List[Dict[str, Any]] = []
-    for name, current in _node_totals(target).items():
+    for name, current in node_times(target).items():
         history = per_node.get(name)
         if not history or len(history) < MIN_BASELINE_RUNS:
             continue
-        med = _median(history)
-        mad = _median([abs(x - med) for x in history])
+        med = median(history)
+        mad = median([abs(x - med) for x in history])
         gate = max(
             med * (1.0 + threshold_pct / 100.0),
             med + mad_k * MAD_SIGMA * mad,

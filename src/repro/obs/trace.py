@@ -5,9 +5,9 @@ node, a parallel-view construction phase, a simulated-run stage — with
 a name, a category, a monotonic start/end, the recording thread, and
 free-form ``args`` (set cardinalities, fixpoint iteration counts, byte
 counts).  The span is the only thing :mod:`repro.obs` records: a ledger
-record is a rollup of a run's spans, a crash report is the tail of
-them, and a ``repro.*`` warning is a zero-duration span of category
-``log``.
+record is a :func:`summarize` of a run's spans, a crash report is the
+tail of them, and a ``repro.*`` warning is a zero-duration span of
+category ``log``.
 
 Spans nest: a span records its parent when it starts — the innermost
 open span on its thread, or an explicit ``parent=`` for work fanned

@@ -10,6 +10,7 @@ fixpoint node, exactly the shape Fig. 11 draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.dataflow.api import PerFlow
@@ -45,15 +46,6 @@ def loop_causal_paradigm(
     """
     state = {"edges": EdgeSet([]), "causes": {}}
 
-    def hotspots(V: VertexSet) -> VertexSet:
-        return pflow.hotspot_detection(V, n=top)
-
-    def comm(V: VertexSet) -> VertexSet:
-        return pflow.comm_filter(V)
-
-    def imbalance(V: VertexSet) -> VertexSet:
-        return pflow.imbalance_analysis(V, threshold=imbalance_threshold)
-
     def causal_step(V: VertexSet) -> VertexSet:
         """One causal-analysis round on the parallel view."""
         if not V:
@@ -69,16 +61,14 @@ def loop_causal_paradigm(
         return inst.union(causes)
 
     g = pflow.perflowgraph("lammps-loop")
-    V_in = g.input("V")
-    n_hot = g.add_pass(hotspots, V_in, name="hotspot")
-    n_comm = g.add_pass(comm, n_hot, name="comm_filter")
+    n_hot = g.add_pass(partial(pflow.hotspot_detection, n=top), g.input("V"), name="hotspot")
+    n_comm = g.add_pass(pflow.comm_filter, n_hot, name="comm_filter")
+    imbalance = partial(pflow.imbalance_analysis, threshold=imbalance_threshold)
     n_imb = g.add_pass(imbalance, n_comm, name="imbalance")
     # causal_step accumulates propagation paths and cause lists into
     # ``state`` — hidden output the result cache cannot see — so it must
     # execute on every run, never be satisfied from cache.
-    n_fix = g.add_fixpoint(
-        causal_step, n_imb, max_iters=max_iters, name="causal", cacheable=False
-    )
+    g.add_fixpoint(causal_step, n_imb, max_iters=max_iters, name="causal", cacheable=False)
     outputs = g.run(V=pag.vs)
 
     V_fix: VertexSet = outputs["causal"]
@@ -91,7 +81,6 @@ def loop_causal_paradigm(
         attrs=["name", "time", "debug-info", "process", "causes"],
         title="loop causal analysis",
     )
-    del n_fix  # node handles are positional; kept for graph readability
     return LoopCausalResult(
         V_hot=outputs["hotspot"],
         V_comm=outputs["comm_filter"],

@@ -18,6 +18,7 @@ paradigm's source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.dataflow.api import PerFlow
@@ -70,6 +71,11 @@ def _user_backtracking(pflow: PerFlow, V: VertexSet) -> Tuple[VertexSet, EdgeSet
     return VertexSet(V_bt).with_columns(backtrack_root=is_root), EdgeSet(E_bt)
 
 
+_ONE_TO_ONE = ((VertexSet,), (VertexSet,))
+_TWO_TO_ONE = ((VertexSet, VertexSet), (VertexSet,))
+_ONE_TO_SET_AND_EDGES = ((VertexSet,), (VertexSet, EdgeSet))
+
+
 def build_scalability_graph(
     pflow: PerFlow,
     pag_large: PAG,
@@ -87,48 +93,18 @@ def build_scalability_graph(
     coordinator process under the multiprocessing backend.
     """
     g = pflow.perflowgraph("scalability")
-    V1 = g.input("V1", VertexSet)
-    V2 = g.input("V2", VertexSet)
-    n_diff = g.add_pass(
-        lambda a, b: pflow.differential_analysis(a, b),
-        V1,
-        V2,
-        name="differential",
-        signature=((VertexSet, VertexSet), (VertexSet,)),
-        cacheable=False,
-    )
-    n_hot = g.add_pass(
-        lambda s: pflow.hotspot_detection(s, n=top),
-        n_diff,
-        name="hotspot",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    n_imb = g.add_pass(
-        lambda s: pflow.imbalance_analysis(s, threshold=imbalance_threshold),
-        n_diff,
-        name="imbalance",
-        signature=((VertexSet,), (VertexSet,)),
-    )
-    n_union = g.add_pass(
-        lambda a, b: pflow.union(a, b),
-        n_hot,
-        n_imb,
-        name="union",
-        signature=((VertexSet, VertexSet), (VertexSet,)),
-    )
-    n_inst = g.add_pass(
-        lambda s: pflow.instances(s, pag_large, max_ranks=max_ranks),
-        n_union,
-        name="instances",
-        signature=((VertexSet,), (VertexSet,)),
-        cacheable=False,
-    )
-    g.add_pass(
-        lambda s: _user_backtracking(pflow, s),
-        n_inst,
-        name="backtracking",
-        signature=((VertexSet,), (VertexSet, EdgeSet)),
-    )
+    V1, V2 = g.input("V1", VertexSet), g.input("V2", VertexSet)
+    diff = pflow.differential_analysis
+    n_diff = g.add_pass(diff, V1, V2, name="differential", signature=_TWO_TO_ONE, cacheable=False)
+    hot = partial(pflow.hotspot_detection, n=top)
+    n_hot = g.add_pass(hot, n_diff, name="hotspot", signature=_ONE_TO_ONE)
+    imb = partial(pflow.imbalance_analysis, threshold=imbalance_threshold)
+    n_imb = g.add_pass(imb, n_diff, name="imbalance", signature=_ONE_TO_ONE)
+    n_union = g.add_pass(pflow.union, n_hot, n_imb, name="union", signature=_TWO_TO_ONE)
+    inst = partial(pflow.instances, pag=pag_large, max_ranks=max_ranks)
+    n_inst = g.add_pass(inst, n_union, name="instances", signature=_ONE_TO_ONE, cacheable=False)
+    backtrack = partial(_user_backtracking, pflow)
+    g.add_pass(backtrack, n_inst, name="backtracking", signature=_ONE_TO_SET_AND_EDGES)
     return g
 
 

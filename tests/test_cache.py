@@ -473,6 +473,29 @@ def test_closure_parameter_changes_miss():
     assert len(out["names"]) == 2
 
 
+def test_node_returning_an_input_pag_is_cached_by_reference():
+    """A raw input PAG in a result is stored as a fingerprint reference,
+    so a warm run hits the node and gets the live input graph back."""
+    pag = make_pag()
+
+    def same(p):
+        EXEC_LOG.append("same")
+        return p, p.vs
+
+    def build():
+        g = PerFlowGraph("pag-through")
+        g.add_pass(same, g.input("P", PAG), name="same")
+        return g
+
+    cache = PassCache()
+    build().run(cache=cache, P=pag)
+    out = build().run(cache=cache, P=pag)
+    assert EXEC_LOG == ["same"]
+    assert _counter("dataflow.cache.hits") == 1
+    got, vs = out["same"]
+    assert got is pag and vs._pag is pag
+
+
 def test_cacheable_false_always_executes():
     pag = make_pag()
     runs: list = []

@@ -16,7 +16,6 @@ from repro.obs.ledger import (
     diff_records,
     find_regressions,
     resolve_ledger,
-    rollup_spans,
 )
 
 
@@ -85,11 +84,13 @@ def test_build_run_record_shape():
     assert rec["identity"] == "run|-|cg|np=4|threads=1"
     assert rec["pag_fingerprints"] == ["aaa", "bbb"]  # sorted
     assert rec["wall_s"] == 1.234568  # rounded
-    assert rec["nodes"] == [] and rec["spans"] == []
+    assert rec["nodes"] == {} and rec["spans"] == {}
     json.dumps(rec)
 
 
 def test_rollup_separates_nodes_and_tracks_cache():
+    # `spans` is the recorder's span summary, node spans included;
+    # `nodes` holds only what the node spans' args add to it.
     rec = obs_trace.enable()
     with obs_trace.span("pipeline:p", category="dataflow"):
         with obs_trace.span("node:hot", category="dataflow") as sp:
@@ -99,15 +100,15 @@ def test_rollup_separates_nodes_and_tracks_cache():
         with obs_trace.span("pipeline.check", category="dataflow"):
             pass
     obs_trace.disable()
-    nodes, others = rollup_spans(rec)
-    assert [n["name"] for n in nodes] == ["hot"]
-    hot = nodes[0]
+    record = build_run_record("run", ["run"], recorder=rec)
+    assert record["spans"] == obs_trace.summarize(rec)
+    assert set(record["spans"]) == {"pipeline:p", "node:hot", "pipeline.check"}
+    hot = record["spans"]["node:hot"]
     assert hot["count"] == 2
-    assert hot["in_size"] == 100 and hot["out_size"] == 10
-    assert hot["cache_hits"] == 1 and hot["cache_misses"] == 1
-    assert hot["total_s"] >= hot["max_s"] >= hot["min_s"] >= 0
-    other_names = {g["name"] for g in others}
-    assert other_names == {"pipeline:p", "pipeline.check"}
+    assert hot["sum"] >= hot["max"] >= hot["p50"] >= hot["min"] >= 0
+    assert record["nodes"] == {
+        "hot": {"in_size": 100, "out_size": 10, "cache_hits": 1, "cache_misses": 1}
+    }
 
 
 # ----------------------------------------------------------------------
@@ -118,17 +119,20 @@ def test_rollup_separates_nodes_and_tracks_cache():
 T0 = 1700000000.0
 
 
-def _record(identity="run|-|cg|np=4", node_s=0.1, run_id=None, t=None, fps=("f1",)):
+def _record(identity="run|-|cg|np=4", node_s=0.1, run_id=None, t=None, fps=("f1",),
+            spans=None):
+    """A record whose recorder held ``spans`` (name -> durations); by
+    default node "hot" once for ``node_s`` and node "cold" twice."""
+    if spans is None:
+        spans = {"node:hot": [node_s], "node:cold": [0.01, 0.01]}
+    rec = obs_trace.SpanRecorder()
+    for name, durations in spans.items():
+        for dur in durations:
+            rec.record_completed(name, "dataflow", t_start=0.0, t_end=dur)
     rec = build_run_record(
-        "run", ["run", "cg"], program="cg", pag_fingerprints=list(fps)
+        "run", ["run", "cg"], program="cg", recorder=rec, pag_fingerprints=list(fps)
     )
     rec["identity"] = identity
-    rec["nodes"] = [
-        {"name": "hot", "category": "dataflow", "count": 1, "total_s": node_s,
-         "min_s": node_s, "max_s": node_s},
-        {"name": "cold", "category": "dataflow", "count": 2, "total_s": 0.02,
-         "min_s": 0.01, "max_s": 0.01},
-    ]
     if run_id:
         rec["run_id"] = run_id
     if t is not None:
@@ -162,6 +166,18 @@ def test_ledger_skips_corrupt_lines(tmp_path):
         fh.write("\n")
     led.append(_record(run_id="20260808T020202-1-bbbb2222"))
     assert len(led.records()) == 2
+
+
+def test_ledger_skips_records_of_another_schema(tmp_path):
+    led = Ledger(str(tmp_path / "led"))
+    old = _record(run_id="20260808T010101-1-aaaa1111")
+    old["schema"] = obs_ledger.SCHEMA - 1
+    led.append(old)
+    new = _record(run_id="20260808T020202-1-bbbb2222")
+    led.append(new)
+    assert [r["run_id"] for r in led.records()] == [new["run_id"]]
+    # ...so an old record never joins a new one's baseline.
+    assert led.baseline_for(new) == []
 
 
 def test_ledger_eviction_drops_oldest_never_newest(tmp_path):
@@ -202,11 +218,8 @@ def test_baseline_matches_identity_and_fingerprints(tmp_path):
 # ----------------------------------------------------------------------
 def test_diff_records_reports_per_node_deltas():
     a = _record(node_s=0.1)
-    b = _record(node_s=0.3)
-    b["nodes"].append(
-        {"name": "new", "category": "", "count": 1, "total_s": 0.05,
-         "min_s": 0.05, "max_s": 0.05}
-    )
+    b = _record(spans={"node:hot": [0.3], "node:cold": [0.01, 0.01], "node:new": [0.05],
+                       "pipeline:p": [9.0]})
     rows = diff_records(a, b)
     assert [r["name"] for r in rows] == ["hot", "new", "cold"]  # by |delta|
     hot = rows[0]
@@ -216,6 +229,7 @@ def test_diff_records_reports_per_node_deltas():
     new = rows[1]
     assert new["a_s"] is None and new["pct"] is None
     assert rows[2]["delta_s"] == 0.0
+    assert len(rows) == 3  # non-node spans are not nodes
 
 
 def test_find_regressions_needs_min_baseline():
@@ -270,9 +284,9 @@ def test_cli_run_appends_a_ledger_record(capsys):
     # Its PAG is simulated from the inputs in `identity`: nothing to key on.
     assert rec["pag_fingerprints"] == []
     # A plain `run` has no PerFlowGraph pipeline (no node:* spans), but
-    # the runtime/pag phase spans still roll up.
-    span_names = {g["name"] for g in rec["spans"]}
-    assert "run.engine" in span_names
+    # the runtime/pag phase spans are still summarized.
+    assert "run.engine" in rec["spans"]
+    assert rec["nodes"] == {}
     assert not obs_trace.enabled()  # internal recorder uninstalled
 
 
@@ -296,7 +310,7 @@ def test_cli_garbage_ledger_env_is_usage_error(monkeypatch, capsys):
 
 def test_cli_obs_history_show_diff(capsys):
     # Paradigm runs execute a PerFlowGraph, so the records carry
-    # per-node rollups for show/diff to report.
+    # node:* span summaries for show/diff to report.
     for _ in range(2):
         args = ["paradigm", "mpi_profiler", "--app", "cg", "--np", "4", "--class", "S"]
         assert main(args) == EXIT_OK
@@ -316,16 +330,51 @@ def test_cli_obs_history_show_diff(capsys):
     assert main(["obs", "show", id_a[:-1]]) == EXIT_OK  # prefix lookup
     out = capsys.readouterr().out
     assert id_a in out and "identity:" in out and "nodes (" in out
+    assert "p50(s)" in out and "max(s)" in out
+    node_names = set(recs[0]["nodes"])
+    assert node_names
+    for name in node_names:
+        summ = recs[0]["spans"]["node:" + name]
+        line = next(ln for ln in out.splitlines() if ln.split()[:1] == [name])
+        assert line.split()[1:5] == [
+            str(summ["count"]), f"{summ['sum']:.4f}", f"{summ['p50']:.4f}",
+            f"{summ['max']:.4f}",
+        ]
 
     assert main(["obs", "diff", id_a, id_b]) == EXIT_OK
     out = capsys.readouterr().out
     assert "delta(s)" in out
-    node_names = {n["name"] for n in recs[0]["nodes"]}
     assert any(name in out for name in node_names)
 
     assert main(["obs", "diff", id_a, id_b, "--json"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)
-    assert {r["name"] for r in rows} >= node_names
+    assert {r["name"] for r in rows} == node_names
+    # Each delta is the difference of the two records' node:* sums.
+    for row in rows:
+        a_sum = recs[0]["spans"]["node:" + row["name"]]["sum"]
+        b_sum = recs[1]["spans"]["node:" + row["name"]]["sum"]
+        assert row["a_s"] == a_sum and row["b_s"] == b_sum
+        assert row["delta_s"] == pytest.approx(b_sum - a_sum, abs=1e-9)
+
+
+def test_cli_record_spans_are_the_commands_span_summary(monkeypatch, capsys):
+    from repro.obs import flight as obs_flight
+
+    recorders = []
+    enable = obs_flight.enable
+
+    def capture(capacity):
+        recorders.append(enable(capacity))
+        return recorders[-1]
+
+    monkeypatch.setattr(obs_flight, "enable", capture)
+    args = ["paradigm", "mpi-profiler", "cg", "--np", "4", "--class", "S"]
+    assert main(args) == EXIT_OK
+    (record,) = _ledger_from_env().records()
+    (recorder,) = recorders
+    assert recorder.capacity is None  # a ledgered command keeps every span
+    assert record["spans"] == obs_trace.summarize(recorder)
+    assert any(name.startswith("node:") for name in record["spans"])
 
 
 def test_cli_obs_show_unknown_run_is_usage_error(capsys):
@@ -366,6 +415,20 @@ def test_cli_obs_regressions_end_to_end(tmp_path, capsys):
     assert doc["run_id"] == slow["run_id"]
     assert doc["baseline_runs"] == 5
     assert [f["name"] for f in doc["regressions"]] == ["hot"]
+
+
+def test_cli_obs_regressions_without_node_spans_judges_nothing(tmp_path, capsys):
+    # A `run` / `serve` record or a paradigm without a pipeline has no
+    # node:* spans: there is nothing to call clean.
+    led = Ledger(str(tmp_path / "led"))
+    for i in range(4):
+        led.append(_record(spans={"run.engine": [0.1 * (i + 1)]}, t=T0 + i,
+                           run_id=f"20260808T0101{i:02d}-1-beef{i:04d}"))
+    rc = main(["obs", "regressions", "--ledger-dir", led.root])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "nothing to judge: 20260808T010103-1-beef0003 has no pipeline node spans" in out
+    assert "no regressions" not in out
 
 
 def test_cli_obs_regressions_not_enough_history(tmp_path, capsys):
