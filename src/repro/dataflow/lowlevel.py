@@ -59,9 +59,9 @@ COLL_COMM = (
 # graph operations
 # ---------------------------------------------------------------------------
 def vertex(name: str = "", label: VertexLabel = VertexLabel.INSTRUCTION) -> Vertex:
-    """A detached result vertex (Listing 4 builds difference vertices
-    this way).  Detached vertices have id -1 and no owning PAG."""
-    return Vertex(-1, label, name)
+    """A result vertex (Listing 4 builds difference vertices this way):
+    vertex 0 of its own one-vertex PAG."""
+    return PAG(name or "vertex").add_vertex(label, name)
 
 
 def graph() -> PatternGraph:
@@ -76,7 +76,7 @@ def lowest_common_ancestor(
     v1: Vertex, v2: Vertex, edge_ok=None
 ) -> Tuple[Optional[Vertex], List[Edge]]:
     """LCA of two vertices of the same PAG (Listing 5)."""
-    if v1.pag is None or v1.pag is not v2.pag:
+    if v1.pag is not v2.pag:
         raise ValueError("LCA requires two vertices of the same PAG")
     return _lca(v1.pag, v1, v2, edge_ok)
 

@@ -41,13 +41,11 @@ from repro.pag.edge import (
     Edge,
     EdgeLabel,
 )
-from repro.pag.sets import EdgeSet, VertexSet
+from repro.pag.sets import CrossPAGError, EdgeSet, VertexSet
 from repro.pag.vertex import (
     CALLKIND_CODE,
-    CALLKINDS,
     NO_KIND,
     VLABEL_CODE,
-    VLABELS,
     CallKind,
     Vertex,
     VertexLabel,
@@ -56,12 +54,8 @@ from repro.pag.vertex import (
 VertexRef = Union[int, Vertex]
 
 #: Monotonic identity tokens — unlike ``id(pag)``, never reused after a
-#: graph is garbage-collected.  Token 0 is reserved for detached elements.
-_TOKENS = itertools.count(1)
-
-
-def _vid(ref: VertexRef) -> int:
-    return ref.id if isinstance(ref, Vertex) else ref
+#: graph is garbage-collected.
+_TOKENS = itertools.count()
 
 
 def _csr_ptr(endpoints: np.ndarray, nv: int) -> np.ndarray:
@@ -173,6 +167,14 @@ class PAG:
                 vset(vid, key, value)
         return Vertex._attached(self, vid)
 
+    def _vid(self, ref: VertexRef) -> int:
+        """Row id of ``ref``: an int as given, a handle only if this PAG minted it."""
+        if not isinstance(ref, Vertex):
+            return ref
+        if ref._pag is not self:
+            raise CrossPAGError(f"{ref!r} is a vertex of {ref._pag.name!r}, not of {self.name!r}")
+        return ref.id
+
     def add_edge(
         self,
         src: VertexRef,
@@ -185,7 +187,7 @@ class PAG:
         if label is not EdgeLabel.INTER_PROCESS and comm_kind is not None:
             raise ValueError("comm_kind is only meaningful for INTER_PROCESS edges")
         self._thaw_structure()
-        sid, did = _vid(src), _vid(dst)
+        sid, did = self._vid(src), self._vid(dst)
         nv = len(self._v_label)
         for vid in (sid, did):
             if not (0 <= vid < nv):
@@ -289,23 +291,23 @@ class PAG:
         return eids[ptr.item(vid) : ptr.item(vid + 1)]
 
     def out_edges(self, v: VertexRef):
-        return EdgeSet._from_ids(self, self._out_eids(_vid(v)))
+        return EdgeSet._from_ids(self, self._out_eids(self._vid(v)))
 
     def in_edges(self, v: VertexRef):
-        return EdgeSet._from_ids(self, self._in_eids(_vid(v)))
+        return EdgeSet._from_ids(self, self._in_eids(self._vid(v)))
 
     def incident(self, v: VertexRef):
-        vid = _vid(v)
+        vid = self._vid(v)
         return EdgeSet._from_ids(
             self, np.concatenate((self._in_eids(vid), self._out_eids(vid)))
         )
 
     def successors(self, v: VertexRef) -> List[Vertex]:
-        dst = _np_view(self._e_dst, np.int64)[self._out_eids(_vid(v))]
+        dst = _np_view(self._e_dst, np.int64)[self._out_eids(self._vid(v))]
         return [Vertex._attached(self, d) for d in dst.tolist()]
 
     def predecessors(self, v: VertexRef) -> List[Vertex]:
-        src = _np_view(self._e_src, np.int64)[self._in_eids(_vid(v))]
+        src = _np_view(self._e_src, np.int64)[self._in_eids(self._vid(v))]
         return [Vertex._attached(self, s) for s in src.tolist()]
 
     def neighbors(self, v: VertexRef) -> List[Vertex]:
@@ -317,11 +319,11 @@ class PAG:
         return [Vertex._attached(self, vid) for vid in seen]
 
     def out_degree(self, v: VertexRef) -> int:
-        vid, ptr = _vid(v), self._csr()[0]
+        vid, ptr = self._vid(v), self._csr()[0]
         return ptr.item(vid + 1) - ptr.item(vid)
 
     def in_degree(self, v: VertexRef) -> int:
-        vid, ptr = _vid(v), self._csr()[2]
+        vid, ptr = self._vid(v), self._csr()[2]
         return ptr.item(vid + 1) - ptr.item(vid)
 
     def degree(self, v: VertexRef) -> int:
@@ -375,33 +377,6 @@ class PAG:
         g._e_kind = array("b", (self._e_kind[eid] for eid in kept_eids))
         g._eprops = self._eprops.gather(kept_eids)
         return g, remap
-
-    def find_vertices(self, **criteria: Any) -> List[Vertex]:
-        """Linear scan for vertices matching all criteria.
-
-        Criteria may be ``label=``, ``call_kind=``, ``name=`` (exact), or any
-        property key.
-        """
-        out = []
-        vprops = self._vprops
-        for vid in range(len(self._v_label)):
-            ok = True
-            for key, want in criteria.items():
-                if key == "label":
-                    got: Any = VLABELS[self._v_label[vid]]
-                elif key == "call_kind":
-                    code = self._v_kind[vid]
-                    got = None if code == NO_KIND else CALLKINDS[code]
-                elif key == "name":
-                    got = self.strings.value(self._v_name[vid])
-                else:
-                    got = vprops.get(vid, key)
-                if got != want:
-                    ok = False
-                    break
-            if ok:
-                out.append(Vertex._attached(self, vid))
-        return out
 
     # ------------------------------------------------------------------
     # introspection

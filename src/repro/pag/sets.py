@@ -14,8 +14,8 @@ Storage: a set is the owning graph plus an ``int64`` id-array, and the
 algebra (union/intersection/difference), ``sort_by``, ``select`` and the
 bulk :meth:`values` API run as O(n) vectorized array operations without
 ever materializing element handles.  A set therefore covers exactly one
-PAG (or none, when empty): building one from elements of two graphs, or
-from a detached element, is a ``ValueError``, and so is a ``union`` of
+PAG (or none, when empty): building one from elements of two graphs is
+a ``CrossPAGError`` (a ``ValueError``), and so is a ``union`` of
 non-empty sets over different graphs.  The other operators treat a set
 as a set of ``(pag, id)`` pairs, so across graphs ``a & b`` is empty,
 ``a - b`` is ``a``, ``a == b`` is false and ``x in s`` is false.
@@ -92,7 +92,8 @@ def _membership(query: np.ndarray, ids: np.ndarray, universe: int) -> np.ndarray
 
 
 class CrossPAGError(ValueError):
-    """Elements of two PAGs met in one set; a set covers exactly one."""
+    """Elements of two PAGs met where one PAG is expected: in one set
+    (a set covers exactly one), or a handle given to another PAG."""
 
 
 def _cross_pag(cls: type, a, b) -> CrossPAGError:
@@ -116,11 +117,6 @@ class _ElementSet(Generic[T]):
         seen: set = set()
         for el in elements:
             p = el.pag
-            if p is None:
-                raise ValueError(
-                    f"{el!r} is detached (it belongs to no PAG) and "
-                    f"cannot be a member of a {type(self).__name__}"
-                )
             if p is not pag:
                 if pag is not None:
                     raise _cross_pag(type(self), pag, p)

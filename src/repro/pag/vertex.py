@@ -8,13 +8,12 @@ communication, external, recursive, and indirect calls.  Vertex
 communication data, call counts, iteration counts — attached during
 performance-data embedding (§3.3).
 
-Storage note: an *attached* vertex is a flyweight handle — two machine
-words (owning PAG + row id) — whose attribute and ``v[...]`` access
-reads the PAG's columnar store (:mod:`repro.pag.columns`).  A vertex
-constructed directly (``Vertex(0, label, name, ...)``), as the dataflow
-pattern helpers do, is *detached*: it carries its own label/name/props
-until (never) adopted by a graph.  Handles are cheap to mint and
-compare equal by (graph, id), so passes can freely re-create them.
+Storage note: a vertex is a flyweight handle — owning PAG + row id —
+that only its PAG mints (``PAG.add_vertex``, ``PAG.vertex``, iterating
+a set); attribute and ``v[...]`` access read the PAG's columnar store
+(:mod:`repro.pag.columns`).  There is no public constructor.  Handles
+are cheap to mint and compare equal by (graph, id), so passes can
+freely re-create them.
 
 A handle drawn from a set that carries result columns (``for v in V``,
 ``V[i]``; see :mod:`repro.pag.sets`) also holds that set's row for its
@@ -126,18 +125,6 @@ class PropsView(MutableMapping):
         return repr(dict(self))
 
 
-class _DetachedData:
-    """Own storage of a vertex created outside any PAG."""
-
-    __slots__ = ("label", "name", "call_kind", "properties")
-
-    def __init__(self, label, name, call_kind, properties) -> None:
-        self.label = label
-        self.name = name
-        self.call_kind = call_kind
-        self.properties = properties
-
-
 class Vertex:
     """An attributed PAG vertex.
 
@@ -146,38 +133,14 @@ class Vertex:
     Structural fields (``id``, ``label``, ``name``) are plain attributes.
 
     A vertex belongs to exactly one :class:`~repro.pag.graph.PAG`; its
-    ``id`` is the index assigned by that graph.  Attached vertices are
-    flyweight handles over the graph's columns; the constructor below
-    builds a *detached* vertex with its own storage.
+    ``id`` is the index assigned by that graph.
     """
 
-    __slots__ = ("id", "_pag", "_data", "_row")
-
-    def __init__(
-        self,
-        vid: int,
-        label: VertexLabel,
-        name: str,
-        call_kind: Optional[CallKind] = None,
-        properties: Optional[Dict[str, Any]] = None,
-        pag: Any = None,
-    ) -> None:
-        if label is not VertexLabel.CALL and call_kind is not None:
-            raise ValueError("call_kind is only meaningful for CALL vertices")
-        self.id = vid
-        self._row = None
-        if pag is None:
-            self._pag = None
-            self._data = _DetachedData(label, name, call_kind, dict(properties or {}))
-        else:
-            # Adopt into the graph's columns (the graph has already
-            # reserved row ``vid``); used only by PAG.add_vertex.
-            self._pag = pag
-            self._data = None
+    __slots__ = ("id", "_pag", "_row")
 
     @classmethod
     def _attached(cls, pag, vid: int, row: Optional[Dict[str, Any]] = None) -> "Vertex":
-        """Fast handle constructor — skips validation entirely.
+        """The only constructor; ``vid`` must be a row of ``pag``.
 
         ``row`` is the element's row of the result columns of the set the
         handle is drawn from (``None`` for a handle minted by the graph).
@@ -185,44 +148,32 @@ class Vertex:
         v = object.__new__(cls)
         v.id = vid
         v._pag = pag
-        v._data = None
         v._row = row
         return v
 
     # -- structural fields -------------------------------------------------
     @property
     def label(self) -> VertexLabel:
-        if self._pag is None:
-            return self._data.label
         return VLABELS[self._pag._v_label[self.id]]
 
     @property
     def call_kind(self) -> Optional[CallKind]:
-        if self._pag is None:
-            return self._data.call_kind
         code = self._pag._v_kind[self.id]
         return None if code == NO_KIND else CALLKINDS[code]
 
     @property
     def name(self) -> str:
-        if self._pag is None:
-            return self._data.name
         return self._pag.strings.value(self._pag._v_name[self.id])
 
     @name.setter
     def name(self, value: str) -> None:
-        if self._pag is None:
-            self._data.name = value
-        else:
-            # mmap-loaded graphs hold read-only structural views
-            self._pag._thaw_structure()
-            self._pag._v_name[self.id] = self._pag.strings.intern(value)
-            self._pag._struct_version += 1
+        # mmap-loaded graphs hold read-only structural views
+        self._pag._thaw_structure()
+        self._pag._v_name[self.id] = self._pag.strings.intern(value)
+        self._pag._struct_version += 1
 
     @property
     def properties(self) -> MutableMapping:
-        if self._pag is None:
-            return self._data.properties
         return PropsView(self._pag._vprops, self.id)
 
     # -- property access (paper's ``v[...]`` idiom) ----------------------
@@ -236,15 +187,11 @@ class Vertex:
             return "mpi" if self.is_comm() else self.label.value
         if self._row is not None and key in self._row:
             return self._row[key]
-        if self._pag is None:
-            return self._data.properties.get(key)
         return self._pag._vprops.get(self.id, key)
 
     def __setitem__(self, key: str, value: Any) -> None:
         if key == NAME:
             self.name = value
-        elif self._pag is None:
-            self._data.properties[key] = value
         else:
             self._pag._vprops.set(self.id, key, value)
 
@@ -253,8 +200,6 @@ class Vertex:
             return True
         if self._row is not None and key in self._row:
             return True
-        if self._pag is None:
-            return key in self._data.properties
         return self._pag._vprops.has(self.id, key)
 
     @property
@@ -267,7 +212,7 @@ class Vertex:
     # -- graph navigation -------------------------------------------------
     @property
     def pag(self):
-        """The owning :class:`~repro.pag.graph.PAG` (``None`` if detached)."""
+        """The owning :class:`~repro.pag.graph.PAG`."""
         return self._pag
 
     @property
@@ -277,54 +222,30 @@ class Vertex:
         Mirrors the paper's ``v.es`` (Listing 7 line 13).  Use
         ``.select(...)`` on the result to restrict by direction or label.
         """
-        if self._pag is None:
-            from repro.pag.sets import EdgeSet
-
-            return EdgeSet([])
         return self._pag.incident(self.id)
 
     def in_edges(self):
-        if self._pag is None:
-            from repro.pag.sets import EdgeSet
-
-            return EdgeSet([])
         return self._pag.in_edges(self.id)
 
     def out_edges(self):
-        if self._pag is None:
-            from repro.pag.sets import EdgeSet
-
-            return EdgeSet([])
         return self._pag.out_edges(self.id)
 
     # -- misc --------------------------------------------------------------
     def is_comm(self) -> bool:
         """True for communication (MPI) call vertices."""
-        if self._pag is None:
-            return (
-                self._data.label is VertexLabel.CALL
-                and self._data.call_kind is CallKind.COMM
-            )
         return (
             VLABELS[self._pag._v_label[self.id]] is VertexLabel.CALL
             and self._pag._v_kind[self.id] == CALLKIND_CODE[CallKind.COMM]
         )
-
-    def _token(self) -> int:
-        """Stable identity token of the owning graph (0 if detached)."""
-        return 0 if self._pag is None else self._pag.token
 
     def __repr__(self) -> str:
         kind = f"/{self.call_kind.value}" if self.call_kind else ""
         return f"Vertex({self.id}, {self.label.value}{kind}, {self.name!r})"
 
     def __hash__(self) -> int:
-        return hash((self._token(), self.id))
+        return hash((self._pag.token, self.id))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vertex):
             return NotImplemented
-        if self._pag is None:
-            # detached handles have no graph-assigned id to compare by
-            return self is other
         return self._pag is other._pag and self.id == other.id

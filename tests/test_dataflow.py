@@ -205,7 +205,8 @@ def test_lowlevel_reexports(pflow_and_pag):
     assert pflow.MPI == "mpi"
     assert "MPI_Allreduce" in pflow.COLL_COMM
     v = pflow.vertex("tmp")
-    assert v.id == -1
+    assert v.id == 0
+    assert v.pag.num_vertices == 1
     pat = pflow.graph()
     pat.add_vertices([(1, "A"), (2, "B")])
     assert pat.num_vertices == 2
@@ -215,7 +216,7 @@ def test_lowlevel_lca_requires_same_pag(pflow_and_pag):
     pflow, pag = pflow_and_pag
     v = pag.vertex(0)
     with pytest.raises(ValueError):
-        pflow.lowest_common_ancestor(v, pflow.vertex("detached"))
+        pflow.lowest_common_ancestor(v, pflow.vertex("lone"))
 
 
 def test_report_accepts_nested_lists(pflow_and_pag):

@@ -152,15 +152,19 @@ def test_edgeset_select_comm_kind():
 
 
 def test_vertex_metrics_iterator():
-    from repro.pag.vertex import Vertex, VertexLabel
+    from repro.pag.graph import PAG
+    from repro.pag.vertex import VertexLabel
 
-    v = Vertex(0, VertexLabel.INSTRUCTION, "x", properties={"time": 1.0, "tag": "str", "count": 3})
+    v = PAG().add_vertex(
+        VertexLabel.INSTRUCTION, "x", properties={"time": 1.0, "tag": "str", "count": 3}
+    )
     assert set(v.metrics) == {"time", "count"}
 
 
 def test_vertex_call_kind_validation():
     from repro.ir.model import CallTarget  # noqa: F401 - import sanity
-    from repro.pag.vertex import CallKind, Vertex, VertexLabel
+    from repro.pag.graph import PAG
+    from repro.pag.vertex import CallKind, VertexLabel
 
     with pytest.raises(ValueError):
-        Vertex(0, VertexLabel.LOOP, "l", call_kind=CallKind.COMM)
+        PAG().add_vertex(VertexLabel.LOOP, "l", call_kind=CallKind.COMM)

@@ -89,12 +89,13 @@ def test_subgraph_induced(small_pag):
     assert sub.vertex(remap[2])["time"] == 1.5
 
 
-def test_find_vertices(small_pag):
-    assert [v.id for v in small_pag.find_vertices(label=VertexLabel.LOOP)] == [1]
-    assert [v.id for v in small_pag.find_vertices(name="MPI_Send")] == [2]
-    assert small_pag.find_vertices(call_kind=CallKind.COMM)[0].name == "MPI_Send"
-    assert small_pag.find_vertices(time=1.5)[0].id == 2
-    assert small_pag.find_vertices(name="nope") == []
+def test_vs_select_by_label_name_kind_and_property(small_pag):
+    vs = small_pag.vs
+    assert [v.id for v in vs.select(label=VertexLabel.LOOP)] == [1]
+    assert [v.id for v in vs.select(name="MPI_Send")] == [2]
+    assert vs.select(call_kind=CallKind.COMM)[0].name == "MPI_Send"
+    assert vs.select(time=1.5)[0].id == 2
+    assert list(vs.select(name="nope")) == []
 
 
 def test_vs_and_es_aliases(small_pag):
@@ -120,25 +121,70 @@ def test_repr(small_pag):
     assert "->" in repr(small_pag.edge(0))
 
 
-def test_detached_handles_equal_only_themselves(small_pag):
-    """Listing 4 builds many ``pflow.vertex()`` results, all with id -1:
-    they must stay distinct in a ``set``/``dict`` (at the parent every
-    detached handle compared equal to every other)."""
+def test_one_vertex_pags_equal_only_themselves(small_pag):
+    """Listing 4 builds many ``pflow.vertex()`` results, each vertex 0
+    of its own PAG: they must stay distinct in a ``set``/``dict``."""
     from repro.dataflow import lowlevel
-    from repro.pag.edge import Edge
 
     a, b = lowlevel.vertex("a"), lowlevel.vertex("b")
+    assert a.id == b.id == 0
     assert a == a and a != b
     assert len({a, b}) == 2 and len({a: 1, b: 2}) == 2
     assert a != small_pag.vertex(0) and small_pag.vertex(0) != a
-    e1 = Edge(-1, 0, 1, EdgeLabel.INTRA_PROCEDURAL)
-    e2 = Edge(-1, 0, 1, EdgeLabel.INTRA_PROCEDURAL)
-    assert e1 == e1 and e1 != e2 and len({e1, e2}) == 2
-    # attached handles still compare by (graph, id), not by object
+    # handles compare by (graph, id), not by object
     assert small_pag.vertex(1) == small_pag.vertex(1)
     assert hash(small_pag.vertex(1)) == hash(small_pag.vertex(1))
     assert small_pag.edge(0) == small_pag.edge(0)
     assert small_pag.vertex(1) != small_pag.copy().vertex(1)
+
+
+def test_elements_have_no_public_constructor():
+    from repro.pag.edge import Edge
+    from repro.pag.vertex import Vertex
+
+    with pytest.raises(TypeError):
+        Vertex(0, VertexLabel.LOOP, "x")
+    with pytest.raises(TypeError):
+        Edge(0, 0, 1, EdgeLabel.INTRA_PROCEDURAL)
+
+
+def test_one_vertex_pag_reads_and_writes_columns():
+    from repro.dataflow import lowlevel
+
+    v = lowlevel.vertex("diff")
+    assert "time" not in v and v["time"] is None
+    v["time"] = 2.0
+    assert v["time"] == 2.0 and v.properties == {"time": 2.0}
+    assert v.pag.vertex(0)["time"] == 2.0
+    assert len(v.es) == 0 and v.pag.num_vertices == 1
+
+
+def test_foreign_handle_is_refused(small_pag):
+    """A handle of another PAG is never read as this PAG's row of the
+    same id: the adjacency queries and ``add_edge`` refuse it."""
+    from repro.pag.sets import CrossPAGError
+
+    other = small_pag.copy()
+    v, w = other.vertex(1), other.vertex(2)
+    for query in (
+        small_pag.in_edges,
+        small_pag.out_edges,
+        small_pag.incident,
+        small_pag.successors,
+        small_pag.predecessors,
+        small_pag.neighbors,
+        small_pag.in_degree,
+        small_pag.out_degree,
+        small_pag.degree,
+    ):
+        with pytest.raises(CrossPAGError, match="not of 'test'"):
+            query(v)
+    with pytest.raises(CrossPAGError):
+        small_pag.add_edge(v, w, EdgeLabel.INTRA_PROCEDURAL)
+    assert small_pag.num_edges == 2
+    # ints and the graph's own handles are unaffected
+    assert [u.id for u in small_pag.successors(1)] == [2]
+    assert [u.id for u in small_pag.successors(small_pag.vertex(1))] == [2]
 
 
 # ----------------------------------------------------------------------

@@ -160,16 +160,18 @@ def test_constructor_refuses_mixed_pags(pag, other):
         EdgeSet([other.edge(0), pag.edge(0)])
 
 
-def test_constructor_refuses_detached_elements(pag):
+def test_constructor_refuses_two_one_vertex_pags(pag):
     from repro.dataflow.api import PerFlow
+    from repro.pag.sets import CrossPAGError
 
     pflow = PerFlow()
     a, b = pflow.vertex("a"), pflow.vertex("b")
-    # the parent returned a 1-element set here: both handles carry id -1
-    with pytest.raises(ValueError, match="'a'.*detached"):
+    # both are vertex 0, each of its own PAG
+    with pytest.raises(CrossPAGError, match="'a' and 'b'"):
         VertexSet([a, b])
-    with pytest.raises(ValueError, match="'b'.*detached"):
+    with pytest.raises(CrossPAGError):
         VertexSet([pag.vertex(0), b])
+    assert len(VertexSet([a])) == 1 and VertexSet([a]).pag is a.pag
 
 
 def test_cross_pag_algebra(pag, other):
