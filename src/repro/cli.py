@@ -10,10 +10,9 @@ packages the same flows for the terminal::
     python -m repro paradigm mpi-profiler cg --np 8 --jobs 4
     python -m repro paradigm contention vite --np 4 --threads 8
     python -m repro pag stats cg --np 8 --parallel
-    python -m repro pag stats --load saved_pag.json
     python -m repro pag stats --load saved.pag3 --mmap
-    python -m repro pag convert saved_pag.json saved.pag3 --format 3
-    python -m repro run cg --np 8 --save-pag cg.pag3 --pag-format 3
+    python -m repro pag convert uploaded_pag.json saved.pag3
+    python -m repro run cg --np 8 --save-pag cg.pag3
     python -m repro table1            # regenerate Table 1's rows
     python -m repro table2 --ranks 128
     python -m repro cache stats       # on-disk pass-result cache
@@ -125,14 +124,14 @@ def cmd_list(_args) -> int:
 
 
 def _maybe_save_pag(args, pag) -> None:
-    """Honor ``--save-pag FILE`` (+ ``--pag-format``) on run/paradigm."""
+    """Honor ``--save-pag FILE`` (format 3) on run/paradigm."""
     path = getattr(args, "save_pag", None)
     if not path:
         return
     from repro.pag.formats import save_pag
 
-    n = save_pag(pag, path, format=args.pag_format)
-    print(f"wrote PAG: {path} (format {args.pag_format}, {n:,} bytes)")
+    n = save_pag(pag, path)
+    print(f"wrote PAG: {path} (format 3, {n:,} bytes)")
 
 
 def cmd_run(args) -> int:
@@ -316,7 +315,7 @@ def cmd_pag(args) -> int:
         if args.mmap and fmt != 3:
             raise _usage_error(
                 f"--mmap needs a format-3 file; {args.load!r} is format {fmt} "
-                f"(migrate with `repro pag convert {args.load} OUT --format 3`)"
+                f"(convert it to format 3 with `repro pag convert {args.load} OUT`)"
             )
         pag = load_pag(args.load, mmap=args.mmap)
         on_disk = {
@@ -411,12 +410,10 @@ def cmd_pag_convert(args) -> int:
 
     src_fmt = detect_format(args.infile)
     pag = load_pag(args.infile)
-    n = save_pag(
-        pag, args.outfile, include_per_rank=args.per_rank, format=args.format
-    )
+    n = save_pag(pag, args.outfile, include_per_rank=args.per_rank)
     print(
         f"converted {args.infile} (format {src_fmt}) -> "
-        f"{args.outfile} (format {args.format}, {n:,} bytes)"
+        f"{args.outfile} (format 3, {n:,} bytes)"
     )
     return EXIT_OK
 
@@ -800,17 +797,13 @@ def make_parser() -> argparse.ArgumentParser:
     for p in (p_run, p_par):
         p.add_argument(
             "--save-pag", metavar="FILE", default=None,
-            help="save the analyzed PAG to FILE (see --pag-format)",
-        )
-        p.add_argument(
-            "--pag-format", type=int, choices=(2, 3), default=2,
-            help="on-disk format for --save-pag: 2 JSON, 3 binary mmap-able",
+            help="save the analyzed PAG to FILE (format 3, mmap-able)",
         )
 
     p_pag = sub.add_parser(
         "pag",
         help="inspect a program's PAG (memory footprint per column) or "
-             "convert saved PAG files between formats",
+             "convert a PAG file to format 3",
     )
     pag_sub = p_pag.add_subparsers(dest="action", required=True)
     p_stats = pag_sub.add_parser(
@@ -835,14 +828,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_conv = pag_sub.add_parser(
         "convert",
         parents=[logpar, obspar],
-        help="rewrite a saved PAG in another on-disk format",
+        help="rewrite a PAG file (format-1 JSON or format 3) as format 3",
     )
-    p_conv.add_argument("infile", help="saved PAG (any format; sniffed)")
-    p_conv.add_argument("outfile", help="destination file")
-    p_conv.add_argument(
-        "--format", type=int, choices=(2, 3), default=3,
-        help="target format: 2 JSON, 3 binary mmap-able (default: 3)",
-    )
+    p_conv.add_argument("infile", help="PAG file (format 1 or 3; sniffed)")
+    p_conv.add_argument("outfile", help="destination file (format 3)")
     p_conv.add_argument(
         "--per-rank", action="store_true",
         help="keep full per-rank vectors instead of scalar summaries",

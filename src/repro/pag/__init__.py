@@ -23,8 +23,8 @@ Public surface:
   :func:`~repro.pag.views.build_parallel_view` — the two PAG views (§3.4).
 * :func:`~repro.pag.embedding.embed_samples` — calling-context performance
   data embedding (§3.3, Fig. 3).
-* :mod:`~repro.pag.formats` — persistence (JSON formats 1/2, mmap-able
-  binary format 3) and the space-cost accounting used by Table 1.
+* :mod:`~repro.pag.formats` — persistence (format 3 on disk, format-1
+  JSON over HTTP) and the space-cost accounting used by Table 1.
 """
 
 from repro.pag.vertex import Vertex, VertexLabel, CallKind

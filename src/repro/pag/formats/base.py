@@ -1,9 +1,9 @@
-"""Shared pieces of the PAG on-disk codecs.
+"""Shared pieces of the two PAG codecs.
 
-Every format (JSON 1/2, binary 3) is exact on floats: JSON text carries
-``repr(float)``, which round-trips bit-for-bit, and format 3 stores raw
-float64 — so a PAG's content fingerprint survives any save/load round
-trip by construction.  What the formats share here is the treatment of
+Both formats (the format-1 JSON document and binary format 3) are exact
+on floats: JSON text carries ``repr(float)``, which round-trips
+bit-for-bit, and format 3 stores raw float64 — so a PAG's content
+fingerprint survives any save/load round trip by construction.  What the formats share here is the treatment of
 the values JSON cannot hold: per-rank ``numpy`` vectors either
 summarize to scalar statistics (lossy, ``include_per_rank=False``) or
 serialize in full, and metadata keeps only JSON scalars.

@@ -107,9 +107,9 @@ def _column_payloads(
     """(column spec for the directory, [(segment name, payload)]).
 
     Typed columns are stored dense over ``store.nrows`` rows; columns
-    with no valid cell are dropped (matching format 2 and the content
-    digest).  Spill columns serialize inline in the spec, except 1-D
-    vectors kept in full, which go to the column's ``vec.*`` segments.
+    with no valid cell are dropped (matching the content digest).  Spill
+    columns serialize inline in the spec, except 1-D vectors kept in
+    full, which go to the column's ``vec.*`` segments.
     """
     spec: Dict[str, Any] = {}
     segs: List[Tuple[str, bytes]] = []
@@ -230,7 +230,7 @@ def segment_sizes(pag: PAG, include_per_rank: bool = False) -> Dict[str, int]:
 
     One entry per array segment plus ``header``, ``directory``, and
     ``padding`` (all alignment gaps).  Values sum to
-    ``storage_size(pag, format=3)`` exactly.
+    ``storage_size(pag)`` exactly.
     """
     segs, table, dir_b = _layout(pag, include_per_rank)
     out: Dict[str, int] = {"header": HEADER_SIZE, "directory": len(dir_b)}

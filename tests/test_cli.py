@@ -253,13 +253,25 @@ def test_pag_stats_corrupt_file_is_clean_usage_error(tmp_path, capsys):
     assert "repro: error:" in err and str(bad) in err
 
 
+def test_pag_stats_non_utf8_file_is_clean_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bytes.bin"
+    bad.write_bytes(bytes(range(256)))
+    with pytest.raises(SystemExit) as exc:
+        main(["pag", "stats", "--load", str(bad)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "repro: error:" in err and str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_pag_stats_truncated_format2_is_clean_usage_error(tmp_path, capsys):
     bad = tmp_path / "trunc.json"
     bad.write_text('{"format": 2, "name": "x"}', "utf-8")
     with pytest.raises(SystemExit) as exc:
         main(["pag", "stats", "--load", str(bad)])
     assert exc.value.code == EXIT_USAGE
-    assert "format-2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "format-2 files are no longer read" in err
 
 
 def test_pag_stats_oserror_is_clean_usage_error(tmp_path, capsys):
@@ -286,20 +298,28 @@ def test_run_dot_oserror_is_clean_usage_error(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # pag convert, --mmap, and --save-pag (out-of-core storage plumbing)
 # ----------------------------------------------------------------------
+def _document_file(tmp_path):
+    """A format-1 JSON document (the HTTP upload form) written to a file."""
+    from repro.pag.formats import load_pag, pag_to_dict
+
+    path = tmp_path / "cg-doc.json"
+    path.write_text(json.dumps(pag_to_dict(load_pag(_saved_pag(tmp_path)))))
+    return path
+
+
 def test_pag_convert_roundtrip_preserves_fingerprint(tmp_path, capsys):
     from repro.pag.formats import detect_format, load_pag
 
-    src = _saved_pag(tmp_path)  # format 2 JSON
+    src = _document_file(tmp_path)
     binpath = tmp_path / "cg.pag3"
-    back = tmp_path / "cg-back.json"
     assert main(["pag", "convert", str(src), str(binpath)]) == EXIT_OK
-    assert "format 3" in capsys.readouterr().out
+    assert "(format 1) ->" in capsys.readouterr().out
     assert detect_format(binpath) == 3
-    assert main(["pag", "convert", str(binpath), str(back), "--format", "2"]) == EXIT_OK
-    assert detect_format(back) == 2
     fp = load_pag(src).fingerprint()
     assert load_pag(binpath, mmap=True).fingerprint() == fp
-    assert load_pag(back).fingerprint() == fp
+    with pytest.raises(SystemExit) as exc:
+        main(["pag", "convert", str(binpath), str(src), "--format", "2"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_pag_convert_corrupt_input_is_clean_usage_error(tmp_path, capsys):
@@ -329,7 +349,7 @@ def test_pag_stats_load_mmap_shows_segments(tmp_path, capsys):
 
 
 def test_pag_stats_mmap_requires_format3(tmp_path, capsys):
-    path = _saved_pag(tmp_path)  # JSON, not mmap-able
+    path = _document_file(tmp_path)  # JSON, not mmap-able
     with pytest.raises(SystemExit) as exc:
         main(["pag", "stats", "--load", str(path), "--mmap"])
     assert exc.value.code == EXIT_USAGE
@@ -341,11 +361,11 @@ def test_run_save_pag_writes_format3(tmp_path, capsys):
 
     out = tmp_path / "run.pag3"
     assert main(
-        ["run", "cg", "--np", "4", "--class", "S",
-         "--save-pag", str(out), "--pag-format", "3"]
+        ["run", "cg", "--np", "4", "--class", "S", "--save-pag", str(out)]
     ) == EXIT_OK
     assert out.exists() and detect_format(out) == 3
     assert load_pag(out, mmap=True).num_vertices == 321
+    assert "pag_format" not in vars(make_parser().parse_args(["run", "cg"]))
 
 
 def test_import_loads_no_pool_cache_store_or_codecs():

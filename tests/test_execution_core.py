@@ -395,7 +395,6 @@ def _buffer_twin(pag, _tmp_path):
 #: storage cell -> (how the paradigm's input PAGs are obtained, executor)
 STORAGE = {
     "heap": (lambda pag, _tmp_path: pag, "inline"),
-    "format2": (_through_format(2, False), "inline"),
     "format3-heap": (_through_format(3, False), "inline"),
     "format3-mmap": (_through_format(3, True), "inline"),
     "twin": (_buffer_twin, "inline"),
@@ -607,7 +606,7 @@ def test_differential_of_a_run_with_itself_is_empty(zeus8, tmp_path):
     which needs the file to hold the same bits."""
     pflow, pag = zeus8
     assert len(differential_analysis(pag.vs, pag.vs, min_delta=1e-300)) == 0
-    for fmt in (2, 3):
+    for fmt in (3,):
         path = tmp_path / f"a.{fmt}"
         save_pag(pag, path, include_per_rank=True, format=fmt)
         back = load_pag(path, mmap=True)

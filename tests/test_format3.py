@@ -85,10 +85,7 @@ def test_header_fields(saved):
 def test_detect_format(saved, tmp_path):
     _pag, path = saved
     assert detect_format(path) == 3
-    p2 = tmp_path / "s.json"
-    save_pag(_pag, p2, format=2)
-    assert detect_format(p2) == 2
-    # nothing writes format-1 files any more; reading them stays supported
+    # format 1 is the JSON document; reading it from a file stays supported
     p1 = tmp_path / "s1.json"
     p1.write_text(json.dumps(pag_to_dict(_pag, include_per_rank=True)))
     assert detect_format(p1) == 1
@@ -108,7 +105,7 @@ def test_pag_file_fingerprint_matches_loaded_graph(saved):
 def test_storage_size_matches_file_exactly(saved):
     pag, path = saved
     size = os.stat(path).st_size
-    assert storage_size(pag, include_per_rank=True, format=3) == size
+    assert storage_size(pag, include_per_rank=True) == size
     sizes = segment_sizes(pag, include_per_rank=True)
     assert sum(sizes.values()) == size
     assert sizes["header"] == HEADER_SIZE
@@ -325,7 +322,7 @@ def test_corrupt_vector_offsets_raise_pag_format_error(saved, tmp_path, mmap):
 def test_mmap_flag_ignored_for_json_formats(tmp_path):
     pag = _sample_pag()
     path = tmp_path / "s.json"
-    save_pag(pag, path, format=2, include_per_rank=True)
+    path.write_text(json.dumps(pag_to_dict(pag, include_per_rank=True)))
     loaded = load_pag(path, mmap=True)  # silently eager for JSON
     assert loaded._backing is None
     assert fingerprint_pag(loaded) == pag.fingerprint()
@@ -333,18 +330,16 @@ def test_mmap_flag_ignored_for_json_formats(tmp_path):
 
 def test_unknown_format_rejected(tmp_path):
     pag = _sample_pag()
-    for fmt in (7, 1):  # 1 is a format this package reads but never writes
-        with pytest.raises(ValueError, match="writable: 2, 3"):
+    for fmt in (7, 2, 1):  # 1 is a format this package reads but never writes
+        with pytest.raises(ValueError, match="writable: 3"):
             save_pag(pag, tmp_path / "x", format=fmt)
-    with pytest.raises(ValueError):
-        storage_size(pag, format=0)
-    with pytest.raises(ValueError):
-        storage_size(pag, format=1)
+    with pytest.raises(TypeError):
+        storage_size(pag, format=3)  # it writes format 3 only; no format=
 
 
 def test_read_header_on_non_format3_file(tmp_path):
     path = tmp_path / "j.json"
-    save_pag(_sample_pag(), path, format=2)
+    path.write_text(json.dumps(pag_to_dict(_sample_pag())))
     with pytest.raises(PAGFormatError):
         read_header(path)
 

@@ -1,12 +1,12 @@
 """Property-based serialize round-trip suite (hypothesis).
 
 Random PAGs — unicode names, spilled object columns, per-rank vectors,
-empty graphs, arbitrary finite float64 values — must survive every
-on-disk format losslessly, float bits included, and
-``PAG.fingerprint()`` (the identity the result cache is addressed by)
-must be exactly preserved by save/load: a cached result keyed against a
-graph must still be addressable after that graph takes a trip through
-the filesystem.
+empty graphs, arbitrary finite float64 values — must survive format 3
+on disk and the format-1 JSON document losslessly, float bits included,
+and ``PAG.fingerprint()`` (the identity the result cache is addressed
+by) must be exactly preserved by save/load: a cached result keyed
+against a graph must still be addressable after that graph takes a trip
+through the filesystem.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.pag.edge import CommKind, EdgeLabel
 from repro.pag.graph import PAG
 from repro.pag.formats import (
     PAGFormatError,
+    detect_format,
     load_pag,
     pag_from_dict,
     pag_to_dict,
@@ -108,9 +109,10 @@ def _assert_equivalent(a: PAG, b: PAG) -> None:
 
 @_settings
 @given(pags())
-def test_format2_file_roundtrip_preserves_fingerprint(tmp_path, pag):
+def test_default_save_roundtrip_preserves_fingerprint(tmp_path, pag):
     path = tmp_path / "pag.json"
     save_pag(pag, path, include_per_rank=True)
+    assert detect_format(path) == 3  # whatever the file is called
     _assert_equivalent(pag, load_pag(path))
 
 
@@ -125,13 +127,14 @@ def test_format1_dict_roundtrip_preserves_fingerprint(pag):
 @_settings
 @given(pags())
 def test_formats_agree_on_fingerprint(tmp_path, pag):
-    """Format 1 and format 2 reload to the same fingerprint — both
-    writers print ``repr(float)``, which reads back exactly."""
-    path = tmp_path / "pag2.json"
+    """Format 1 and format 3 reload to the same fingerprint — the JSON
+    document prints ``repr(float)``, which reads back exactly, and
+    format 3 stores the raw float64."""
+    path = tmp_path / "pag.pag3"
     save_pag(pag, path, include_per_rank=True)
-    via2 = load_pag(path)
+    via3 = load_pag(path)
     via1 = pag_from_dict(json.loads(json.dumps(pag_to_dict(pag, include_per_rank=True))))
-    assert via1.fingerprint() == via2.fingerprint() == pag.fingerprint()
+    assert via1.fingerprint() == via3.fingerprint() == pag.fingerprint()
 
 
 @_settings
@@ -181,11 +184,12 @@ def test_every_float_survives_every_format_bit_for_bit(tmp_path, pag):
     fingerprint is ``g``'s because the content is, not because a
     canonicalisation made two different contents hash alike."""
     want = _all_float_bits(pag)
-    p2, p3 = tmp_path / "bits.json", tmp_path / "bits.pag3"
-    save_pag(pag, p2, include_per_rank=True, format=2)
+    p3 = tmp_path / "bits.pag3"
     save_pag(pag, p3, include_per_rank=True, format=3)
     loaded = {
-        "format 2": load_pag(p2),
+        "format 1 document": pag_from_dict(
+            json.loads(json.dumps(pag_to_dict(pag, include_per_rank=True)))
+        ),
         "format 3 heap": load_pag(p3),
         "format 3 mmap": load_pag(p3, mmap=True),
         "format 3 buffer": load_format3_buffer(p3.read_bytes()),
@@ -214,16 +218,16 @@ def test_format3_roundtrip_preserves_fingerprint(tmp_path, pag, mmap):
 
 @_settings
 @given(pags())
-def test_format2_and_format3_load_identical_pags(tmp_path, pag):
-    p2, p3 = tmp_path / "a.json", tmp_path / "a.pag3"
-    save_pag(pag, p2, include_per_rank=True, format=2)
+def test_format1_and_format3_load_identical_pags(tmp_path, pag):
+    p3 = tmp_path / "a.pag3"
     save_pag(pag, p3, include_per_rank=True, format=3)
-    via2, via3 = load_pag(p2), load_pag(p3)
-    assert fingerprint_pag(via3) == fingerprint_pag(via2) == pag.fingerprint()
-    for v2, v3 in zip(via2.vertices(), via3.vertices()):
-        assert v3.name == v2.name
-        assert v3.label == v2.label
-        assert dict(v3.properties).keys() == dict(v2.properties).keys()
+    via1 = pag_from_dict(json.loads(json.dumps(pag_to_dict(pag, include_per_rank=True))))
+    via3 = load_pag(p3)
+    assert fingerprint_pag(via3) == fingerprint_pag(via1) == pag.fingerprint()
+    for v1, v3 in zip(via1.vertices(), via3.vertices()):
+        assert v3.name == v1.name
+        assert v3.label == v1.label
+        assert dict(v3.properties).keys() == dict(v1.properties).keys()
 
 
 @_settings

@@ -193,7 +193,7 @@ def test_serve_end_to_end_inline_and_path(tmp_path, ring_pag_doc):
         obs_flight.disable()
 
 
-def test_serve_bad_requests(ring_pag_doc, test_pipelines):
+def test_serve_bad_requests(ring_pag_doc, test_pipelines, tmp_path):
     with ServerThread(ServerConfig(port=0)) as st:
         status, docs = analyze(st.host, st.port, {"pipeline": "hotspot"})
         assert status == 400 and docs[0]["error"]["code"] == "bad-request"
@@ -214,6 +214,22 @@ def test_serve_bad_requests(ring_pag_doc, test_pipelines):
             st.host, st.port, {"pipeline": "hotspot", "pag_path": "/no/such/file"}
         )
         assert status == 400 and docs[0]["error"]["code"] == "bad-pag"
+
+        # neither format 3 nor UTF-8 JSON: still a bad PAG, not a 500
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(bytes(range(256)))
+        status, docs = analyze(
+            st.host, st.port, {"pipeline": "hotspot", "pag_path": str(junk)}
+        )
+        assert status == 400 and docs[0]["error"]["code"] == "bad-pag"
+
+        # format-2 (columnar JSON) documents are no longer read
+        status, docs = analyze(
+            st.host, st.port,
+            {"pipeline": "hotspot", "pag": {"format": 2, "name": "x"}},
+        )
+        assert status == 400 and docs[0]["error"]["code"] == "bad-pag"
+        assert "no longer read" in docs[0]["error"]["message"]
 
         # A mis-wired pipeline is rejected by check() with PF8## payloads.
         status, docs = analyze(
