@@ -22,9 +22,10 @@ This package makes that skip sound:
 * :mod:`repro.cache.store` — the two-tier cache: an in-process LRU
   (:class:`MemoryLRU`) over an optional on-disk store
   (:class:`DiskStore`, default ``~/.cache/perflow/``) with a byte cap
-  and mtime-LRU eviction.  Results are stored *rebindable*:
-  ``VertexSet``/``EdgeSet`` payloads are reduced to
-  ``(fingerprint, id-array)`` references and re-bound to the current
+  and mtime-LRU eviction.  An entry is one byte string (a JSON header
+  and payload, then raw id arrays) with a closed value set, so
+  reading one runs no code.  ``VertexSet``/``EdgeSet`` values are
+  ``(fingerprint, id-array)`` references, re-bound to the current
   run's live PAGs on a hit, so a cached set can never leak a dead
   graph (or a recycled identity token) into a new run.
 * :mod:`repro.cache.session` — the per-``run()`` integration the
@@ -44,7 +45,6 @@ from repro.cache.keys import Uncacheable, node_key, pass_identity, value_digest
 from repro.cache.session import CacheSession
 from repro.cache.store import (
     ENV_CACHE_DIR,
-    CachedValue,
     CacheMiss,
     DiskStore,
     MemoryLRU,
@@ -67,7 +67,6 @@ __all__ = [
     "CacheSession",
     "ENV_CACHE",
     "ENV_CACHE_DIR",
-    "CachedValue",
     "CacheMiss",
     "DiskStore",
     "MemoryLRU",

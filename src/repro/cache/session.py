@@ -116,8 +116,8 @@ class CacheSession:
         try:
             entry = encode_value(value)
             self.cache.put(key, entry)
-            self.stored_bytes += entry.nbytes
-            _metrics.counter("dataflow.cache.bytes").inc(entry.nbytes)
+            self.stored_bytes += len(entry)
+            _metrics.counter("dataflow.cache.bytes").inc(len(entry))
         except Uncacheable as exc:
             _LOG.debug("result of %r not cacheable: %s", node.name, exc)
         except Exception as exc:  # pragma: no cover - defensive

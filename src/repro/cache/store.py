@@ -1,72 +1,65 @@
 """Two-tier pass-result store: in-process LRU over an optional disk tier.
 
-Entries are :class:`CachedValue` records: a pickle payload for the
-plain-data part of a result plus *rebindable references* for every
-``PAG``, ``VertexSet`` and ``EdgeSet`` it contains.  Graphs and sets are
-never pickled — a set is ``(kind, owning-PAG fingerprint, id array)``
-and a raw PAG is ``("p", fingerprint, b"")``; on a hit each is re-bound
-to the current run's live PAG with that fingerprint
-(:func:`decode_value`).  A set's result columns, plain values aligned
-with the ids, ride in the payload next to its placeholder.  A cached
-entry therefore cannot resurrect a dead graph, leak a stale identity
-``token``, or be confused with a different graph's elements: an unknown
-fingerprint is a :class:`CacheMiss` and the node simply recomputes.
-The process backend (:mod:`repro.dataflow.procpool`) moves values
-between processes in this same form.
+An entry is one ``bytes`` value, laid out alike in the memory tier, on
+disk and on the process backend's wire: a JSON header line
+``[payload_len, [[kind, fingerprint, ids_len], ...]]``, the payload
+(the value as JSON), then each reference's raw little-endian int64 ids.
 
-The pickle payload is guarded: any PAG, vertex/edge handle, or set
-that survives the reference-stripping walk (e.g. hidden inside a
-custom object) aborts encoding with
-:class:`~repro.cache.keys.Uncacheable` rather than serializing graph
-identity into the cache.
+Graphs and sets are never serialized: each ``VertexSet``/``EdgeSet`` is
+a header row ``(kind "v"/"e", owning-PAG fingerprint, ids)``, each raw
+``PAG`` a row ``("p", fingerprint, no ids)``, and the payload holds
+``{"s": row, "c": result columns}`` in its place.  On a hit each row is
+re-bound to the current run's live PAG with that fingerprint
+(:func:`decode_value`), so an entry cannot resurrect a dead graph, leak
+a stale identity ``token``, or bind to a different graph's elements: an
+unknown fingerprint is a :class:`CacheMiss` and the node recomputes.
 
-Tiers:
+The payload holds a closed set of types, matched by exact type:
+``None``, ``bool``, ``int``, ``float``, ``str`` and ``list`` as
+themselves; ``tuple``, ``frozenset`` and ``dict`` as ``{"t": [...]}``,
+``{"f": [...]}`` and ``{"d": [[key, value], ...]}``; a record type in
+:data:`_RECORDS` as ``{"r": [name, [field, ...]]}``.  Every JSON object
+in a payload is a tag, so a user's dict is never read as one.  Any
+other value (a numpy scalar, a ``Vertex``, an arbitrary object) is
+:class:`~repro.cache.keys.Uncacheable`.  Decoding runs no code the
+entry names: an unlisted record, a malformed header or lengths that do
+not add up are a :class:`CacheMiss`, and nothing is imported.
 
-* :class:`MemoryLRU` — per-process ``OrderedDict`` LRU with byte and
-  entry caps.
-* :class:`DiskStore` — content-addressed files under
-  ``~/.cache/perflow/`` (override with ``PERFLOW_CACHE_DIR`` or an
-  explicit path): ``<key[:2]>/<key>.pkl``, written atomically, evicted
-  oldest-mtime-first when the directory exceeds its byte cap.  Hits
-  refresh mtime, making eviction LRU-ish across processes.
-
-:func:`~repro.dataflow.scheduler.resolve_cache` (re-exported by
-:mod:`repro.cache`) maps every user-facing spelling (``True``/
-``False``/``None``/path/:class:`PassCache`) plus ``PERFLOW_CACHE`` to
-a :class:`PassCache` or ``None``.
+Tiers: :class:`MemoryLRU`, a per-process LRU with byte and entry caps,
+over an optional :class:`DiskStore` — ``<key[:2]>/<key>.entry`` files
+under ``~/.cache/perflow/`` (or ``PERFLOW_CACHE_DIR``, or an explicit
+path), written atomically and evicted oldest-mtime-first past a byte
+cap; hits refresh mtime, making eviction LRU-ish across processes.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
+import json
 import os
-import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cache.keys import Uncacheable
 from repro.obs.log import get_logger
-from repro.pag.edge import Edge
 from repro.pag.graph import PAG
 from repro.pag.sets import EdgeSet, VertexSet
-from repro.pag.vertex import Vertex
 
 __all__ = [
     "ENV_CACHE_DIR",
     "CacheMiss",
-    "CachedValue",
     "MemoryLRU",
     "DiskStore",
     "PassCache",
     "encode_value",
     "decode_value",
+    "entry_layout",
     "default_cache",
     "default_cache_dir",
     "reset_default_cache",
@@ -82,136 +75,158 @@ class CacheMiss(Exception):
     """A cached entry cannot be materialized for the current run."""
 
 
-@dataclass(frozen=True)
-class _SetMarker:
-    """Placeholder left in the payload where a set or PAG was stripped out."""
+def _mpi_profile_row() -> type:
+    from repro.paradigms.mpi_profiler import MPIProfileRow
 
-    index: int
-    #: the set's result columns (name -> values in id order), if any
-    columns: Optional[Dict[str, List[Any]]] = None
+    return MPIProfileRow
 
 
-@dataclass(frozen=True)
-class CachedValue:
-    """One stored pass result.
+#: The record types a payload may hold, by qualified name, with a loader
+#: for each class.  Closed: no other name is encoded, decoded or imported.
+_RECORDS: Dict[str, Callable[[], type]] = {
+    "repro.paradigms.mpi_profiler.MPIProfileRow": _mpi_profile_row,
+}
 
-    ``payload`` is the pickled value with every set and PAG replaced by
-    a :class:`_SetMarker`; ``set_refs`` holds, per marker index,
-    ``(kind, pag_fingerprint | None, id_bytes)`` with kind ``"v"``,
-    ``"e"`` or ``"p"`` (a PAG: no ids).
-    """
-
-    payload: bytes
-    set_refs: Tuple[Tuple[str, Optional[str], bytes], ...]
-    nbytes: int
-
-
-_BANNED = (PAG, Vertex, Edge, VertexSet, EdgeSet)
+#: Types that are their own JSON encoding.
+_PLAIN = frozenset({type(None), bool, int, float, str})
+_NESTED = frozenset({list, dict})
+#: Header-row kind of each referenced type.
+_KINDS = {VertexSet: "v", EdgeSet: "e", PAG: "p"}
+_NO_IDS = np.empty(0, dtype="<i8")
 
 
-class _GuardPickler(pickle.Pickler):
-    """Refuses to serialize graph identity into a cache payload."""
-
-    def persistent_id(self, obj: Any) -> None:
-        if isinstance(obj, _BANNED):
-            raise Uncacheable(
-                f"a {type(obj).__name__} is embedded in the result beyond "
-                "the reference-stripping walk; it cannot be cached soundly"
-            )
-        return None
-
-
-def _set_ref(s: Union[VertexSet, EdgeSet]) -> Tuple[str, Optional[str], bytes]:
-    kind = "v" if isinstance(s, VertexSet) else "e"
-    if s._pag is None:
-        return (kind, None, b"")
-    return (kind, s._pag.fingerprint(), s._ids.tobytes())
-
-
-def _strip(value: Any, refs: List[Tuple[str, Optional[str], bytes]]) -> Any:
-    if isinstance(value, (VertexSet, EdgeSet)):
-        refs.append(_set_ref(value))
-        return _SetMarker(len(refs) - 1, value._cols)
-    if isinstance(value, PAG):
-        refs.append(("p", value.fingerprint(), b""))
-        return _SetMarker(len(refs) - 1)
-    if isinstance(value, tuple):
-        return tuple(_strip(v, refs) for v in value)
-    if isinstance(value, list):
-        return [_strip(v, refs) for v in value]
-    if isinstance(value, dict):
-        return {k: _strip(v, refs) for k, v in value.items()}
-    return value
+def _enc(value: Any, refs: List[Any]) -> Any:
+    t = type(value)
+    if t in _PLAIN:
+        return value
+    if t is list:
+        if set(map(type, value)) <= _PLAIN:  # rows and columns: no walk
+            return value
+        return [_enc(v, refs) for v in value]
+    if t is tuple:
+        return {"t": [_enc(v, refs) for v in value]}
+    if t is dict:
+        return {"d": [[_enc(k, refs), _enc(v, refs)] for k, v in value.items()]}
+    if t is frozenset:
+        return {"f": [_enc(v, refs) for v in value]}
+    if t in _KINDS:
+        refs.append(value)
+        cols = None if t is PAG else value._cols
+        return {"s": len(refs) - 1, "c": _enc(cols, refs) if cols else None}
+    name = f"{t.__module__}.{t.__qualname__}"
+    if name in _RECORDS and _RECORDS[name]() is t:
+        return {"r": [name, [_enc(getattr(value, f.name), refs) for f in fields(value)]]}
+    raise Uncacheable(f"a {t.__name__} value is outside the cache's value set")
 
 
-def encode_value(value: Any) -> CachedValue:
-    """Encode a pass result for storage; raises :class:`Uncacheable`."""
-    refs: List[Tuple[str, Optional[str], bytes]] = []
-    stripped = _strip(value, refs)
-    buf = io.BytesIO()
+def encode_value(value: Any) -> bytes:
+    """Encode a pass result as one entry; raises :class:`Uncacheable`."""
+    refs: List[Any] = []
     try:
-        _GuardPickler(buf, protocol=4).dump(stripped)
-    except Uncacheable:
-        raise
-    except Exception as exc:
-        raise Uncacheable(f"result is not picklable: {exc}") from exc
-    payload = buf.getvalue()
-    nbytes = len(payload) + sum(len(r[2]) for r in refs)
-    return CachedValue(payload, tuple(refs), nbytes)
+        payload = json.dumps(_enc(value, refs), separators=(",", ":")).encode()
+    except RecursionError as exc:
+        raise Uncacheable("result nests too deeply (or contains itself)") from exc
+    rows: List[List[Any]] = []
+    ids: List[np.ndarray] = []
+    for ref in refs:
+        kind = _KINDS[type(ref)]
+        pag = ref if kind == "p" else ref._pag
+        arr = _NO_IDS if pag is None or kind == "p" else ref._ids
+        arr = np.ascontiguousarray(arr, dtype="<i8")
+        rows.append([kind, None if pag is None else pag.fingerprint(), arr.nbytes])
+        ids.append(arr)
+    header = json.dumps([len(payload), rows], separators=(",", ":")).encode()
+    # the join reads each id array's own buffer: no intermediate copy
+    return b"".join([header, b"\n", payload, *ids])
 
 
-def _resolve_ref(
-    ref: Tuple[str, Optional[str], bytes], registry: Dict[str, Any]
-):
-    kind, fp, id_bytes = ref
+def entry_layout(entry: bytes) -> Tuple[List[List[Any]], int, int]:
+    """An entry's reference rows and the ``[start, stop)`` of its payload.
+
+    Raises ``ValueError`` (or ``TypeError``) unless the header parses
+    and the lengths it names add up to exactly the entry's size.
+    """
+    end = entry.index(b"\n")
+    payload_len, rows = json.loads(entry[:end])
+    stop = end + 1 + payload_len
+    size = stop
+    for kind, _fp, n in rows:
+        if kind not in ("v", "e", "p") or type(n) is not int or n < 0 or n % 8:
+            raise ValueError(f"bad reference row {[kind, _fp, n]!r}")
+        size += n
+    if size != len(entry):
+        raise ValueError(f"entry is {len(entry)} bytes; its header accounts for {size}")
+    return rows, end + 1, stop
+
+
+def _resolve(kind: str, fp: Any, entry: bytes, pos: int, n: int, registry: Dict[str, Any]):
     cls = VertexSet if kind == "v" else EdgeSet
-    if fp is None:
+    if fp is None and kind != "p":
         return cls()
     pag = registry.get(fp)
     if pag is None:
         raise CacheMiss(f"no live PAG with fingerprint {fp} in this run")
     if kind == "p":
         return pag
-    ids = np.frombuffer(id_bytes, dtype=np.int64).copy()
+    ids = np.frombuffer(entry, dtype="<i8", count=n // 8, offset=pos).astype(np.int64)
     if not cls._valid_ids(pag, ids):
         raise CacheMiss("cached element ids out of range for the live PAG")
     return cls._from_ids(pag, ids)
 
 
-def _restore(value: Any, sets: List[Any]) -> Any:
-    if isinstance(value, _SetMarker):
-        bound = sets[value.index]  # rebound for this decode alone
-        if value.columns:
-            bound._cols = value.columns
+def _dec(x: Any, sets: List[Any]) -> Any:
+    t = type(x)
+    if t is list:
+        if not set(map(type, x)) & _NESTED:
+            return x
+        return [_dec(v, sets) for v in x]
+    if t is not dict:
+        return x
+    if "s" in x:
+        bound = sets[x["s"]]  # rebound for this decode alone
+        if type(bound) is not PAG and x.get("c"):
+            bound._cols = _dec(x["c"], sets)
         return bound
-    if isinstance(value, tuple):
-        return tuple(_restore(v, sets) for v in value)
-    if isinstance(value, list):
-        return [_restore(v, sets) for v in value]
-    if isinstance(value, dict):
-        return {k: _restore(v, sets) for k, v in value.items()}
-    return value
+    ((tag, body),) = x.items()
+    if tag == "t":
+        return tuple(_dec(v, sets) for v in body)
+    if tag == "d":
+        return {_dec(k, sets): _dec(v, sets) for k, v in body}
+    if tag == "f":
+        return frozenset(_dec(v, sets) for v in body)
+    if tag == "r":
+        name, values = body
+        if name not in _RECORDS:
+            raise CacheMiss(f"record type {name!r} is not one the cache stores")
+        return _RECORDS[name]()(*[_dec(v, sets) for v in values])
+    raise ValueError(f"unknown payload tag {tag!r}")
 
 
-def decode_value(entry: CachedValue, registry: Dict[str, Any]) -> Any:
+def decode_value(entry: bytes, registry: Dict[str, Any]) -> Any:
     """Materialize a stored result against the current run's live PAGs.
 
     ``registry`` maps PAG fingerprints to live graphs (collected from
     the run's input values by the cache session); a raw PAG decodes to
     the live graph itself.  Any reference to a fingerprint not present —
     the graph died, changed, or never entered this run — raises
-    :class:`CacheMiss`, and the caller recomputes.
+    :class:`CacheMiss`, as does a truncated, corrupt or foreign entry.
     """
-    sets = [_resolve_ref(ref, registry) for ref in entry.set_refs]
-    value = pickle.loads(entry.payload)
-    return _restore(value, sets)
+    try:
+        rows, start, stop = entry_layout(entry)
+        sets, pos = [], stop
+        for kind, fp, n in rows:
+            sets.append(_resolve(kind, fp, entry, pos, n, registry))
+            pos += n
+        return _dec(json.loads(entry[start:stop]), sets)
+    except (ValueError, TypeError, KeyError, IndexError, RecursionError) as exc:
+        raise CacheMiss(f"unreadable cache entry: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # tiers
 # ----------------------------------------------------------------------
 class MemoryLRU:
-    """In-process LRU over :class:`CachedValue` entries (thread-safe).
+    """In-process LRU over encoded entries (thread-safe).
 
     A multi-threaded server probes and stores one shared cache from many
     request threads; ``OrderedDict`` mutation is not atomic under
@@ -221,29 +236,29 @@ class MemoryLRU:
     def __init__(self, max_bytes: int = 256 * 1024 * 1024, max_entries: int = 4096):
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CachedValue]" = OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, key: str) -> Optional[CachedValue]:
+    def get(self, key: str) -> Optional[bytes]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: str, entry: CachedValue) -> None:
+    def put(self, key: str, entry: bytes) -> None:
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old.nbytes
+                self._bytes -= len(old)
             self._entries[key] = entry
-            self._bytes += entry.nbytes
+            self._bytes += len(entry)
             while self._entries and (
                 self._bytes > self.max_bytes or len(self._entries) > self.max_entries
             ):
                 _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
+                self._bytes -= len(evicted)
 
     def clear(self) -> None:
         with self._lock:
@@ -259,15 +274,33 @@ class MemoryLRU:
 #: when several threads write the same key from one pid.
 _TMP_SEQ = itertools.count()
 
+#: Entry file suffixes.  ``.pkl`` files, written by an earlier layout,
+#: are never read: they are only counted, evicted and cleared.
+_ENTRY_SUFFIXES = (".entry", ".pkl")
+
+
+
+def _unlink(path: Path) -> bool:
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
+
 
 class DiskStore:
-    """On-disk tier: one pickled :class:`CachedValue` file per key.
+    """On-disk tier: one entry file per key.
 
-    Writes are atomic: a ``<key>.pkl.tmp.<pid>.<seq>`` temp file is
+    Writes are atomic: a ``<key>.entry.tmp.<pid>.<seq>`` temp file is
     renamed over the final path.  A crash between write and rename
     orphans the temp file; :meth:`_evict` sweeps orphans older than
     ``tmp_grace_s`` and counts any survivors against ``max_bytes`` so
     leaked bytes can never hide from the eviction budget.
+
+    A write adds its size to the byte total of the last listing and
+    lists again only when that total passes ``max_bytes``, so the cap
+    is kept per writer: a directory shared by several processes can
+    exceed it by what the others wrote since this one last listed it.
     """
 
     #: Temp files older than this (seconds) are presumed orphaned by a
@@ -285,18 +318,19 @@ class DiskStore:
         self.max_bytes = max_bytes
         if tmp_grace_s is not None:
             self.tmp_grace_s = float(tmp_grace_s)
+        #: bytes at the last listing plus every write since; None = unlisted
+        self._total: Optional[int] = None
+        self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.entry"
 
-    def get(self, key: str) -> Optional[CachedValue]:
+    def get(self, key: str) -> Optional[bytes]:
         path = self._path(key)
         try:
             st_before = path.stat()
-            blob = path.read_bytes()
-            entry = pickle.loads(blob)
-            if not isinstance(entry, CachedValue):
-                raise ValueError("not a CachedValue")
+            entry = path.read_bytes()
+            entry_layout(entry)
         except FileNotFoundError:
             return None
         except Exception as exc:
@@ -314,10 +348,7 @@ class DiskStore:
             except (OSError, NameError):
                 same = False
             if same:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                _unlink(path)
             return None
         try:
             os.utime(path)  # refresh mtime: cross-process LRU signal
@@ -325,104 +356,70 @@ class DiskStore:
             pass
         return entry
 
-    def put(self, key: str, entry: CachedValue) -> None:
+    def put(self, key: str, entry: bytes) -> None:
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.parent / f"{path.name}.tmp.{os.getpid()}.{next(_TMP_SEQ)}"
-            tmp.write_bytes(pickle.dumps(entry, protocol=4))
+            tmp.write_bytes(entry)
             os.replace(tmp, path)
         except OSError as exc:
             _LOG.warning("cache write to %s failed: %s", path, exc)
             return
-        self._evict()
+        with self._lock:
+            if self._total is not None:
+                self._total += len(entry)
+            over = self._total is None or self._total > self.max_bytes
+        if over:
+            self._evict()
 
-    def _scan(self) -> List[Tuple[float, int, Path]]:
-        found: List[Tuple[float, int, Path]] = []
-        if not self.root.is_dir():
-            return found
-        for sub in self.root.iterdir():
-            if not sub.is_dir():
-                continue
-            for f in sub.glob("*.pkl"):
+    def _list(self) -> Tuple[List[Tuple[float, int, Path]], List[Tuple[float, int, Path]]]:
+        """One walk of the store: ``(entries, temp files)`` as ``(mtime, size, path)``."""
+        entries: List[Tuple[float, int, Path]] = []
+        temps: List[Tuple[float, int, Path]] = []
+        for f in self.root.glob("*/*"):
+            is_tmp = ".tmp." in f.name
+            if is_tmp or f.name.endswith(_ENTRY_SUFFIXES):
                 try:
                     st = f.stat()
                 except OSError:
                     continue
-                found.append((st.st_mtime, st.st_size, f))
-        return found
-
-    def _sweep_tmp(self, now: Optional[float] = None) -> int:
-        """Unlink orphaned temp files; returns bytes of the survivors.
-
-        A temp file younger than ``tmp_grace_s`` may belong to an
-        in-progress :meth:`put` (possibly in another process), so it is
-        left alone — but its size still counts toward the eviction
-        budget via the return value.
-        """
-        if not self.root.is_dir():
-            return 0
-        if now is None:
-            now = time.time()
-        surviving = 0
-        for sub in self.root.iterdir():
-            if not sub.is_dir():
-                continue
-            for f in sub.glob("*.tmp.*"):
-                try:
-                    st = f.stat()
-                except OSError:
-                    continue
-                if now - st.st_mtime >= self.tmp_grace_s:
-                    try:
-                        f.unlink()
-                        continue
-                    except OSError:
-                        pass
-                surviving += st.st_size
-        return surviving
+                (temps if is_tmp else entries).append((st.st_mtime, st.st_size, f))
+        return entries, temps
 
     def _evict(self) -> None:
-        tmp_bytes = self._sweep_tmp()
-        found = self._scan()
-        total = sum(size for _, size, _ in found) + tmp_bytes
-        if total <= self.max_bytes:
-            return
-        for _, size, path in sorted(found):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
+        """Sweep orphaned temp files, then drop the oldest entries until
+        the store fits ``max_bytes``.  A temp file younger than
+        ``tmp_grace_s`` may be another writer's, so it stays — and counts.
+        """
+        entries, temps = self._list()
+        now = time.time()
+        total = sum(size for _, size, _ in entries)
+        for mtime, size, path in temps:
+            if not (now - mtime >= self.tmp_grace_s and _unlink(path)):
+                total += size
+        for _, size, path in sorted(entries):
             if total <= self.max_bytes:
                 break
+            if _unlink(path):
+                total -= size
+        with self._lock:
+            self._total = total
 
     def clear(self) -> int:
-        removed = 0
-        for _, _, path in self._scan():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._sweep_tmp(now=float("inf"))  # temp files go unconditionally
+        entries, temps = self._list()
+        removed = sum(_unlink(path) for _, _, path in entries)
+        for _, _, path in temps:  # temp files go unconditionally
+            _unlink(path)
+        self._total = None
         return removed
 
     def stats(self) -> Dict[str, Any]:
-        found = self._scan()
-        tmp_bytes = 0
-        if self.root.is_dir():
-            for sub in self.root.iterdir():
-                if sub.is_dir():
-                    for f in sub.glob("*.tmp.*"):
-                        try:
-                            tmp_bytes += f.stat().st_size
-                        except OSError:
-                            pass
+        entries, temps = self._list()
         return {
-            "entries": len(found),
-            "bytes": sum(size for _, size, _ in found),
-            "tmp_bytes": tmp_bytes,
+            "entries": len(entries),
+            "bytes": sum(size for _, size, _ in entries),
+            "tmp_bytes": sum(size for _, size, _ in temps),
             "dir": str(self.root),
         }
 
@@ -438,7 +435,7 @@ class PassCache:
         self.memory = memory if memory is not None else MemoryLRU()
         self.disk = disk
 
-    def get(self, key: str) -> Optional[CachedValue]:
+    def get(self, key: str) -> Optional[bytes]:
         entry = self.memory.get(key)
         if entry is not None:
             return entry
@@ -448,7 +445,7 @@ class PassCache:
                 self.memory.put(key, entry)
         return entry
 
-    def put(self, key: str, entry: CachedValue) -> None:
+    def put(self, key: str, entry: bytes) -> None:
         self.memory.put(key, entry)
         if self.disk is not None:
             self.disk.put(key, entry)

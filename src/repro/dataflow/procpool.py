@@ -19,14 +19,14 @@ the process boundary.
    allowed CPU once at start (see :func:`_worker_init`).
 2. **Transfer** (``submit`` / ``finish``).  A task on the wire is just
    ``(node_id, encoded args, want_spans)``.  Arguments and results cross
-   as the cache's wire form (:class:`~repro.cache.store.CachedValue`):
+   as cache entries (:func:`~repro.cache.store.encode_value`):
    ``VertexSet``/``EdgeSet`` and raw ``PAG`` values travel as ``(kind,
    fingerprint, id-array)`` references and rebind to the receiver's
    registry; a set's result columns ride in the payload.  Anything that
-   cannot cross — an unpicklable value, a set or PAG that is not one of
-   the run's inputs (one the pass created or wrote to) — degrades that
-   node to coordinator execution instead of failing the run, so *every*
-   pipeline keeps serial-equivalent semantics under this backend.
+   cannot cross — a value outside the cache's value set, a set or PAG
+   not among the run's inputs (one the pass created or wrote to) —
+   degrades that node to coordinator execution instead of failing the
+   run, so *every* pipeline keeps serial-equivalent semantics here.
 3. **Merge.**  With tracing enabled, each worker records its node span
    (plus any library-internal spans) in a private recorder and ships
    the flattened batch home; the parent replays it under the pipeline
@@ -57,7 +57,7 @@ from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.cache.keys import Uncacheable
-from repro.cache.store import CachedValue, CacheMiss, decode_value, encode_value
+from repro.cache.store import CacheMiss, decode_value, encode_value, entry_layout
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.pag.graph import PAG
@@ -118,9 +118,9 @@ def collect_pags(value: Any, out: Optional[Dict[str, PAG]] = None) -> Dict[str, 
 
 
 # ----------------------------------------------------------------------
-# transfer: values <-> the cache's wire form
+# transfer: values <-> cache entries
 # ----------------------------------------------------------------------
-def encode_transfer(value: Any, registry: Any) -> CachedValue:
+def encode_transfer(value: Any, registry: Any) -> bytes:
     """Encode a value for the wire; raises :class:`NotTransferable`.
 
     ``registry`` holds the fingerprints of the run's input PAGs: every
@@ -132,7 +132,7 @@ def encode_transfer(value: Any, registry: Any) -> CachedValue:
         entry = encode_value(value)
     except Uncacheable as exc:
         raise NotTransferable(str(exc)) from exc
-    for _kind, fp, _ids in entry.set_refs:
+    for _kind, fp, _n in entry_layout(entry)[0]:
         if fp is not None and fp not in registry:
             raise NotTransferable(
                 f"the value is bound to PAG {fp[:12]}…, which is not one of "
@@ -141,7 +141,7 @@ def encode_transfer(value: Any, registry: Any) -> CachedValue:
     return entry
 
 
-def decode_transfer(entry: CachedValue, registry: Any) -> Any:
+def decode_transfer(entry: bytes, registry: Any) -> Any:
     """Rebind a wire value against ``registry`` (fingerprint -> PAG)."""
     try:
         return decode_value(entry, registry)
@@ -202,8 +202,8 @@ def _flatten_spans(rec: Any) -> List[Dict[str, Any]]:
 
 
 def _worker_run(
-    nid: int, entry: CachedValue, want_spans: bool
-) -> Tuple[CachedValue, Dict[str, Any]]:
+    nid: int, entry: bytes, want_spans: bool
+) -> Tuple[bytes, Dict[str, Any]]:
     """Execute one node in a worker; returns (encoded result, meta).
 
     ``meta`` carries the worker pid, fixpoint ``extra`` (iterations /
@@ -311,18 +311,18 @@ class ProcessExecutor:
                     )
                 )
             else:
-                self.transfer_bytes += entry.nbytes
+                self.transfer_bytes += len(entry)
                 self.worker_tasks += 1
                 return fut
         self._inline(nid)
         return None
 
-    def _accept(self, nid: int, entry: CachedValue, meta: Dict[str, Any]) -> None:
+    def _accept(self, nid: int, entry: bytes, meta: Dict[str, Any]) -> None:
         """Rebind a worker's result in the parent; may raise NotTransferable."""
         state = self.state
         node = state.nodes[nid]
         value = decode_transfer(entry, self.registry)
-        self.transfer_bytes += entry.nbytes
+        self.transfer_bytes += len(entry)
         merged = _merge_spans(meta.get("spans") or [], state.parent, meta["pid"])
         if state.session is not None:
             for sp in merged:

@@ -478,7 +478,7 @@ class ReproServer:
         return _Prepared(req, pag, graph, fp, key)
 
     def _load_pag(self, req: AnalyzeRequest) -> Any:
-        from repro.pag.formats import detect_format, load_pag, pag_from_dict
+        from repro.pag.formats import load_pag, pag_from_dict
         from repro.pag.formats import PAGFormatError
 
         try:
@@ -486,11 +486,11 @@ class ReproServer:
                 return pag_from_dict(req.pag_doc, path="<inline>")
             assert req.pag_path is not None
             path = self._authorize_pag_path(req.pag_path)
-            # mmap format-3 files: the open is O(header) and the header
-            # fingerprint seeds PAG.fingerprint(), so a warm cache probe
-            # on an on-disk PAG reads zero column bytes.
-            use_mmap = detect_format(path) == 3
-            return load_pag(path, mmap=use_mmap)
+            # mmap format-3 files (a JSON document ignores the flag): the
+            # open is O(header) and the header fingerprint seeds
+            # PAG.fingerprint(), so a warm cache probe on an on-disk PAG
+            # reads zero column bytes.
+            return load_pag(path, mmap=True)
         except PAGFormatError as err:
             raise ProtocolError(400, "bad-pag", str(err))
         except OSError as err:

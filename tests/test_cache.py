@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from repro.cache import (
     resolve_cache,
     value_digest,
 )
-from repro.cache.store import CachedValue
 from repro.dataflow.graph import PerFlowGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -254,7 +254,7 @@ def test_encode_rejects_hidden_graph_identity():
     with pytest.raises(Uncacheable):
         encode_value(pag.vertex(0))
     with pytest.raises(Uncacheable):
-        encode_value(lambda: None)  # unpicklable
+        encode_value(lambda: None)
 
 
 def test_decode_unknown_fingerprint_is_cache_miss():
@@ -265,7 +265,7 @@ def test_decode_unknown_fingerprint_is_cache_miss():
 
 def test_memory_lru_eviction():
     def entry(n):
-        return CachedValue(b"x" * n, (), n)
+        return b"x" * n
 
     lru = MemoryLRU(max_bytes=100, max_entries=10)
     lru.put("a", entry(40))
@@ -284,7 +284,7 @@ def test_memory_lru_eviction():
 
 def test_disk_store_roundtrip_corruption_and_eviction(tmp_path):
     store = DiskStore(tmp_path / "cache", max_bytes=400)
-    entry = CachedValue(b"payload", (("v", None, b""),), 120)
+    entry = encode_value(("payload", VertexSet()))
     store.put("aabbcc", entry)
     assert store.get("aabbcc") == entry
     assert store.get("nonexistent") is None
@@ -298,13 +298,13 @@ def test_disk_store_roundtrip_corruption_and_eviction(tmp_path):
     # byte-cap eviction removes oldest entries first
     import os
 
-    big = CachedValue(b"y" * 150, (), 150)
+    big = encode_value("y" * 150)
     for i, key in enumerate(["k1aaaa", "k2bbbb", "k3cccc"]):
         store.put(key, big)
         os.utime(store._path(key), (1000.0 + i, 1000.0 + i))
     store.put("k4dddd", big)  # triggers eviction over max_bytes=400
     stats = store.stats()
-    assert stats["bytes"] <= 400 + len(pickle.dumps(big, protocol=4))
+    assert stats["bytes"] <= 400 + len(big)
     assert store.get("k4dddd") is not None
     assert store.get("k1aaaa") is None  # oldest went first
 
@@ -315,7 +315,7 @@ def test_disk_store_roundtrip_corruption_and_eviction(tmp_path):
 def test_pass_cache_promotes_disk_hits_to_memory(tmp_path):
     disk = DiskStore(tmp_path / "c")
     cache = PassCache(MemoryLRU(), disk)
-    entry = CachedValue(b"p", (), 1)
+    entry = encode_value("p")
     cache.put("deadbeef", entry)
     cache.memory.clear()
     assert cache.get("deadbeef") == entry  # served from disk...
@@ -488,12 +488,70 @@ def test_node_returning_an_input_pag_is_cached_by_reference():
         return g
 
     cache = PassCache()
-    build().run(cache=cache, P=pag)
-    out = build().run(cache=cache, P=pag)
+    build().run(jobs=1, cache=cache, P=pag)
+    out = build().run(jobs=1, cache=cache, P=pag)
     assert EXEC_LOG == ["same"]
     assert _counter("dataflow.cache.hits") == 1
     got, vs = out["same"]
     assert got is pag and vs._pag is pag
+
+
+class _Plant:
+    """Unpickling one opens ``marker`` for writing: stand-in hostile code."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (str(self.marker), "w"))
+
+
+def test_planted_pickle_is_a_counted_miss_and_runs_no_code(tmp_path):
+    pag = make_pag()
+    root = tmp_path / "cache"
+    _pipeline(pag).run(jobs=1, cache=PassCache(disk=DiskStore(root)), V=pag.vs)
+    paths = sorted(root.glob("*/*.entry"))
+    assert len(paths) == 3
+    marker = tmp_path / "marker"
+    planted = pickle.dumps(_Plant(marker))
+    pickle.loads(planted).close()  # the bait is live...
+    marker.unlink()
+    for path in paths:
+        path.write_bytes(planted)
+    _pipeline(pag).run(jobs=1, cache=PassCache(disk=DiskStore(root)), V=pag.vs)
+    assert _counter("dataflow.cache.hits") == 0
+    assert _counter("dataflow.cache.misses") == 6  # cold run + the planted three
+    assert not marker.exists()  # ...and reading the cache never ran it
+    # each planted file was dropped, then replaced by the recomputed entry
+    assert all(path.read_bytes() != planted for path in paths)
+    paths[0].write_bytes(planted)
+    assert DiskStore(root).get(paths[0].stem) is None
+    assert not paths[0].exists() and not marker.exists()
+
+
+def test_record_outside_the_table_is_a_counted_miss_and_imports_nothing(monkeypatch):
+    """A record decodes only from the closed table, which holds
+    ``MPIProfileRow``; a tag naming any other module imports nothing."""
+    from repro.paradigms.mpi_profiler import MPIProfileRow
+
+    row = MPIProfileRow("MPI_Send", "s.c:1", 1.5, 10.0, 3, 96.0, 0.25, 0.5, 0.75)
+    back = decode_value(encode_value([row]), {})
+    assert back == [row] and type(back[0]) is MPIProfileRow
+
+    monkeypatch.delitem(sys.modules, "repro.__main__", raising=False)
+    payload = b'{"r":["repro.__main__.main",[]]}'
+    forged = b"[%d,[]]\n" % len(payload) + payload
+    with pytest.raises(CacheMiss):
+        decode_value(forged, {})
+    pag = make_pag()
+    cache = PassCache()
+    _pipeline(pag).run(jobs=1, cache=cache, V=pag.vs)
+    for key in list(cache.memory._entries):
+        cache.memory.put(key, forged)
+    _pipeline(pag).run(jobs=1, cache=cache, V=pag.vs)
+    assert _counter("dataflow.cache.hits") == 0
+    assert _counter("dataflow.cache.misses") == 6
+    assert "repro.__main__" not in sys.modules
 
 
 def test_cacheable_false_always_executes():

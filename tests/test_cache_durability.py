@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
+import sys
 import threading
 import time
+from pathlib import Path
 
-from repro.cache.store import CachedValue, DiskStore, MemoryLRU, PassCache
+from repro.cache.store import DiskStore, MemoryLRU, PassCache, decode_value, encode_value
 
 
-def _entry(payload: bytes = b"x" * 64) -> CachedValue:
-    return CachedValue(payload=pickle.dumps(payload), set_refs=(), nbytes=len(payload))
+def _entry(payload: str = "x" * 64) -> bytes:
+    return encode_value(payload)
 
 
 def _key(i: int) -> str:
@@ -34,7 +35,7 @@ def _key(i: int) -> str:
 def test_orphaned_tmp_file_is_reclaimed(tmp_path):
     """A crash between write and rename leaks a temp file; eviction reclaims it."""
     store = DiskStore(tmp_path, max_bytes=1 << 30, tmp_grace_s=0.0)
-    orphan = tmp_path / "ab" / f"{_key(0xAB)}.pkl.tmp.99999.0"
+    orphan = tmp_path / "ab" / f"{_key(0xAB)}.entry.tmp.99999.0"
     orphan.parent.mkdir(parents=True)
     orphan.write_bytes(b"z" * 512)
     store.put(_key(1), _entry())
@@ -44,7 +45,7 @@ def test_orphaned_tmp_file_is_reclaimed(tmp_path):
 
 def test_fresh_tmp_file_survives_grace_period(tmp_path):
     store = DiskStore(tmp_path, max_bytes=1 << 30, tmp_grace_s=3600.0)
-    orphan = tmp_path / "ab" / f"{_key(0xAB)}.pkl.tmp.99999.0"
+    orphan = tmp_path / "ab" / f"{_key(0xAB)}.entry.tmp.99999.0"
     orphan.parent.mkdir(parents=True)
     orphan.write_bytes(b"z" * 512)
     store.put(_key(1), _entry())
@@ -55,15 +56,15 @@ def test_fresh_tmp_file_survives_grace_period(tmp_path):
 def test_tmp_bytes_count_toward_eviction_budget(tmp_path):
     """Un-reclaimable temp bytes still squeeze real entries out."""
     store = DiskStore(tmp_path, max_bytes=2600, tmp_grace_s=3600.0)
-    orphan = tmp_path / "ab" / f"{_key(0xAB)}.pkl.tmp.99999.0"
+    orphan = tmp_path / "ab" / f"{_key(0xAB)}.entry.tmp.99999.0"
     orphan.parent.mkdir(parents=True)
     orphan.write_bytes(b"z" * 1900)  # fresh: kept, but budgeted
     old_key, new_key = _key(1), _key(2)
-    store.put(old_key, _entry(b"a" * 400))
+    store.put(old_key, _entry("a" * 400))
     time.sleep(0.02)  # distinct mtimes so eviction order is stable
-    store.put(new_key, _entry(b"b" * 400))
-    # 1900 tmp + 2 entries (~514 B each) > 2600: the oldest entry had
-    # to go, and 1900 + 514 <= 2600 keeps the newest.
+    store.put(new_key, _entry("b" * 400))
+    # 1900 tmp + 2 entries (~411 B each) > 2600: the oldest entry had
+    # to go, and 1900 + 411 <= 2600 keeps the newest.
     assert store.get(old_key) is None
     assert store.get(new_key) is not None
 
@@ -71,11 +72,46 @@ def test_tmp_bytes_count_toward_eviction_budget(tmp_path):
 def test_clear_removes_tmp_files_too(tmp_path):
     store = DiskStore(tmp_path, tmp_grace_s=3600.0)
     store.put(_key(1), _entry())
-    orphan = tmp_path / "ab" / f"{_key(0xAB)}.pkl.tmp.99999.0"
+    orphan = tmp_path / "ab" / f"{_key(0xAB)}.entry.tmp.99999.0"
     orphan.parent.mkdir(parents=True, exist_ok=True)
     orphan.write_bytes(b"z")
     assert store.clear() == 1
     assert not orphan.exists()
+
+
+def test_put_under_the_cap_lists_nothing(tmp_path, monkeypatch):
+    """A write adds to the last listing's byte total; only crossing
+    ``max_bytes`` walks the directory again, and evicts oldest-first."""
+    calls = []
+
+    def counting(name):
+        real = getattr(Path, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            return real(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("glob", "iterdir"):
+        monkeypatch.setattr(Path, name, counting(name))
+    store = DiskStore(tmp_path / "big", max_bytes=1 << 30)
+    store.put(_key(0), _entry())  # the first write lists once
+    assert calls
+    calls.clear()
+    for i in range(1, 20):
+        store.put(_key(i), _entry())
+    assert calls == []
+
+    capped = DiskStore(tmp_path / "capped", max_bytes=3 * len(_entry()))
+    for i in range(3):
+        capped.put(_key(i), _entry())
+        os.utime(capped._path(_key(i)), (1000.0 + i, 1000.0 + i))
+    calls.clear()
+    capped.put(_key(3), _entry())  # crosses the cap
+    assert calls
+    assert capped.get(_key(0)) is None
+    assert all(capped.get(_key(i)) is not None for i in (1, 2, 3))
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +125,7 @@ def test_concurrent_same_key_puts_from_threads(tmp_path):
     def writer(i):
         try:
             for _ in range(20):
-                store.put(_key(7), _entry(f"w{i}".encode() * 32))
+                store.put(_key(7), _entry(f"w{i}" * 32))
         except Exception as exc:  # pragma: no cover - the failure mode
             errors.append(exc)
 
@@ -103,11 +139,35 @@ def test_concurrent_same_key_puts_from_threads(tmp_path):
     assert store.stats()["tmp_bytes"] == 0
 
 
+def test_concurrent_puts_keep_an_exact_byte_total(tmp_path):
+    """Racing writers never lose an addition to the running byte total."""
+    store = DiskStore(tmp_path, max_bytes=1 << 30)
+    store.put(_key(0), _entry())  # the first write lists
+    base, entry = store._total, _entry()
+
+    def writer(i):
+        for j in range(25):
+            store.put(_key(1000 * i + j + 1), entry)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert store._total == base + 8 * 25 * len(entry) == store.stats()["bytes"]
+
+
 def test_corrupt_entry_is_dropped(tmp_path):
     store = DiskStore(tmp_path)
     path = store._path(_key(3))
     path.parent.mkdir(parents=True)
-    path.write_bytes(b"definitely not a pickle")
+    path.write_bytes(b"definitely not a cache entry")
     assert store.get(_key(3)) is None
     assert not path.exists()
 
@@ -115,9 +175,9 @@ def test_corrupt_entry_is_dropped(tmp_path):
 def test_corrupt_unlink_spares_concurrently_replaced_entry(tmp_path, monkeypatch):
     """A reader must not unlink a good entry another process just renamed in.
 
-    Simulates the race deterministically: the unpickle of a corrupt blob
-    "takes long enough" that a concurrent ``put`` lands a good entry at
-    the same path before the reader reaches its unlink.
+    Simulates the race deterministically: the layout check of a corrupt
+    blob "takes long enough" that a concurrent ``put`` lands a good entry
+    at the same path before the reader reaches its unlink.
     """
     from repro.cache import store as store_mod
 
@@ -127,25 +187,24 @@ def test_corrupt_unlink_spares_concurrently_replaced_entry(tmp_path, monkeypatch
     path.parent.mkdir(parents=True)
     path.write_bytes(b"corrupt garbage")
 
-    good = _entry(b"the good entry")
-    real_loads = pickle.loads
+    good = _entry("the good entry")
+    real_layout = store_mod.entry_layout
     raced = {"done": False}
 
-    def racing_loads(blob):
+    def racing_layout(blob):
         if not raced["done"] and blob == b"corrupt garbage":
             raced["done"] = True
             # another process replaces the file mid-read...
             tmp = path.parent / f"{path.name}.race"
-            tmp.write_bytes(pickle.dumps(good, protocol=4))
+            tmp.write_bytes(good)
             os.replace(tmp, path)
             raise ValueError("corrupt")
-        return real_loads(blob)
+        return real_layout(blob)
 
-    monkeypatch.setattr(store_mod.pickle, "loads", racing_loads)
+    monkeypatch.setattr(store_mod, "entry_layout", racing_layout)
     assert store.get(key) is None  # the corrupt read still misses...
     assert path.exists()  # ...but the freshly replaced entry survives
-    entry = store.get(key)
-    assert entry is not None and entry.payload == good.payload
+    assert store.get(key) == good
 
 
 def _stress_worker(root: str, worker: int, iterations: int) -> None:
@@ -153,16 +212,13 @@ def _stress_worker(root: str, worker: int, iterations: int) -> None:
     store = DiskStore(root, max_bytes=64 * 1024, tmp_grace_s=3600.0)
     for i in range(iterations):
         key = _key(worker * 100_000 + i)
-        payload = (b"%d:%d;" % (worker, i)) * 64
-        entry = CachedValue(
-            payload=pickle.dumps(payload), set_refs=(), nbytes=len(payload)
-        )
-        store.put(key, entry)
+        payload = f"{worker}:{i};" * 64
+        store.put(key, encode_value(payload))
         # A just-written entry is the newest file: mtime-LRU eviction
         # (ours or the sibling process's) must not have taken it.
         got = store.get(key)
         assert got is not None, f"lost freshly written entry {key}"
-        assert pickle.loads(got.payload) == payload
+        assert decode_value(got, {}) == payload
         # Poke at the sibling's keyspace too: any answer is fine
         # (hit or miss) but never an exception.
         store.get(_key((1 - worker) * 100_000 + max(0, i - 3)))
@@ -184,7 +240,7 @@ def test_two_process_stress_shared_cache_dir(tmp_path):
     assert all(p.exitcode == 0 for p in procs), [p.exitcode for p in procs]
     # The directory is still usable and within budget afterwards.
     store = DiskStore(tmp_path, max_bytes=64 * 1024)
-    store.put(_key(999), _entry(b"post-stress"))
+    store.put(_key(999), _entry("post-stress"))
     assert store.get(_key(999)) is not None
     assert store.stats()["bytes"] <= 64 * 1024 + 8192
 
@@ -200,7 +256,7 @@ def test_memory_lru_concurrent_access(tmp_path):
         try:
             for j in range(300):
                 key = _key(i * 1000 + (j % 40))
-                lru.put(key, _entry(b"m" * 64))
+                lru.put(key, _entry("m" * 64))
                 lru.get(key)
                 lru.stats()
         except Exception as exc:  # pragma: no cover - the failure mode

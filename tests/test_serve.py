@@ -556,6 +556,36 @@ def test_pag_root_restricts_pag_path(tmp_path):
         assert status == 200 and events[-1]["event"] == "result"
 
 
+def test_format3_pag_path_is_opened_three_times(tmp_path, monkeypatch):
+    """A format-3 ``pag_path`` is sniffed once, by ``load_pag``: its
+    format check, its header read and the map open are the only opens."""
+    import builtins
+
+    from repro.serve.protocol import AnalyzeRequest
+    from repro.serve.server import ReproServer
+
+    pag = PerFlow().run(bin=make_ring_program(), nprocs=4)
+    path = tmp_path / "ring.pag3"
+    save_pag(pag, path, format=3)
+    server = ReproServer(ServerConfig())
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    try:
+        loaded = server._load_pag(AnalyzeRequest("hotspot", pag_path=str(path)))
+    finally:
+        monkeypatch.undo()
+        server._pool.shutdown(wait=True)
+    assert len(opened) == 3
+    assert loaded.num_vertices == pag.num_vertices
+
+
 def test_per_request_ledger_records(tmp_path, ring_pag_doc):
     from repro.obs.ledger import Ledger
 
