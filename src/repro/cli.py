@@ -165,36 +165,33 @@ def cmd_run(args) -> int:
 
 
 def cmd_paradigm(args) -> int:
+    from repro import paradigms  # looked up per call, so a patched function is what runs
+
     prog = _build(args.program, args.problem_class)
     pflow = _pflow_for(args)
     name = args.paradigm
+    if name == "scalability" and not args.np_large:
+        raise _usage_error("scalability needs --np-large")
+    # The analysed run, then the run it is compared with: --np-large
+    # ranks, or a quarter of the threads for contention.
+    pag = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
+    if name == "scalability":
+        other = pflow.run(bin=prog, nprocs=args.np_large, nthreads=args.threads)
+    elif name == "contention":
+        other = pflow.run(bin=prog, nprocs=args.np, nthreads=max(args.threads // 4, 1))
+    _maybe_save_pag(args, pag)
 
     if name == "mpi-profiler":
-        from repro.paradigms import mpi_profiler_paradigm
-
-        pag = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
-        _maybe_save_pag(args, pag)
-        rows = mpi_profiler_paradigm(pflow, pag, top=args.top)
+        rows = paradigms.mpi_profiler_paradigm(pflow, pag, top=args.top)
         print(f"{'call':18} {'site':20} {'time(s)':>10} {'app%':>7} {'count':>6}")
         for r in rows:
             print(f"{r.name:18} {r.site:20} {r.time:10.4f} {r.app_pct:7.2f} {r.count:6}")
     elif name == "communication":
-        from repro.paradigms import communication_analysis_paradigm
-
-        pag = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
-        _maybe_save_pag(args, pag)
-        _imb, _bd, report = communication_analysis_paradigm(pflow, pag, top=args.top)
+        _imb, _bd, report = paradigms.communication_analysis_paradigm(pflow, pag, top=args.top)
         print(report.to_text())
     elif name == "scalability":
-        from repro.paradigms import scalability_analysis_paradigm
-
-        if not args.np_large:
-            raise _usage_error("scalability needs --np-large")
-        pag_small = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
-        pag_large = pflow.run(bin=prog, nprocs=args.np_large, nthreads=args.threads)
-        _maybe_save_pag(args, pag_small)
-        res = scalability_analysis_paradigm(
-            pflow, pag_small, pag_large, top=args.top, max_ranks=min(args.np_large, 64)
+        res = paradigms.scalability_analysis_paradigm(
+            pflow, pag, other, top=args.top, max_ranks=min(args.np_large, 64)
         )
         print("scaling-loss hotspots:")
         for v in res.V_hot:
@@ -207,25 +204,15 @@ def cmd_paradigm(args) -> int:
                 shown.add(v.name)
                 print(f"  {v.name} ({v['debug-info']}) on process {v['process']}")
     elif name == "critical-path":
-        from repro.paradigms import critical_path_paradigm
-
-        pag = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
-        _maybe_save_pag(args, pag)
-        res = critical_path_paradigm(
+        res = paradigms.critical_path_paradigm(
             pflow, pag, max_ranks=min(args.np, 32), expand_threads=args.threads > 1
         )
         print(f"critical path weight: {res.weight:.4f}s")
         for vname, proc, thread, weight in res.summary[: args.top]:
             print(f"  {vname:20} p{proc}.t{thread}  {weight:.4f}s")
-    elif name == "contention":
-        from repro.paradigms import branching_diagnosis_paradigm
-
-        base_threads = max(args.threads // 4, 1) or 1
-        pag_base = pflow.run(bin=prog, nprocs=args.np, nthreads=base_threads)
-        pag_scaled = pflow.run(bin=prog, nprocs=args.np, nthreads=args.threads)
-        _maybe_save_pag(args, pag_scaled)
-        res = branching_diagnosis_paradigm(
-            pflow, pag_base, pag_scaled, top=args.top, max_ranks=min(args.np, 8)
+    else:  # contention; argparse restricts the names to PARADIGMS
+        res = paradigms.branching_diagnosis_paradigm(
+            pflow, other, pag, top=args.top, max_ranks=min(args.np, 8)
         )
         print(f"differential suspects: {', '.join(sorted({v.name for v in res.V_diff}))}")
         print(
@@ -234,28 +221,29 @@ def cmd_paradigm(args) -> int:
         )
         for hub in sorted({v["contention_hub"] for v in res.V_contention if v["contention_hub"]})[:5]:
             print(f"  serialization hub: {hub}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown paradigm {name!r}")
     return 0
+
+
+def _table_runs(args):
+    """Each registered program run at ``--ranks`` (Vite on 4 threads,
+    LAMMPS on its machine): ``(name, program, run, top-down view)``."""
+    from repro.pag.views import build_top_down_view
+    from repro.runtime.executor import run_program
+
+    for name, build in registry(args.problem_class).items():
+        prog = build()
+        nthreads = 4 if name == "vite" else 1
+        run = run_program(prog, nprocs=args.ranks, nthreads=nthreads, machine=_machine_for(name))
+        yield name, prog, run, build_top_down_view(prog, run)[0]
 
 
 def cmd_table1(args) -> int:
     from repro.ir.static_analysis import static_analysis_cost
     from repro.pag.formats import storage_size
-    from repro.pag.views import build_top_down_view
-    from repro.runtime.executor import run_program
     from repro.runtime.sampler import dynamic_overhead_percent
 
     print(f"{'program':8} {'static(s)':>10} {'dynamic%':>9} {'space':>9}")
-    for name, build in registry(args.problem_class).items():
-        prog = build()
-        run = run_program(
-            prog,
-            nprocs=args.ranks,
-            nthreads=4 if name == "vite" else 1,
-            machine=_machine_for(name),
-        )
-        td, _ = build_top_down_view(prog, run)
+    for name, prog, run, td in _table_runs(args):
         print(
             f"{name:8} {static_analysis_cost(prog):10.2f} "
             f"{dynamic_overhead_percent(run):9.2f} {storage_size(td) / 1000:8.0f}K"
@@ -265,19 +253,10 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     from repro.ir.binary import binary_info
-    from repro.pag.views import build_top_down_view, parallel_view_stats
-    from repro.runtime.executor import run_program
+    from repro.pag.views import parallel_view_stats
 
     print(f"{'program':8} {'KLoC':>7} {'binary':>9} {'|V|td':>7} {'|E|td':>7} {'|V|par':>10} {'|E|par':>10}")
-    for name, build in registry(args.problem_class).items():
-        prog = build()
-        run = run_program(
-            prog,
-            nprocs=args.ranks,
-            nthreads=4 if name == "vite" else 1,
-            machine=_machine_for(name),
-        )
-        td, _ = build_top_down_view(prog, run)
+    for name, prog, run, td in _table_runs(args):
         pv_v, pv_e = parallel_view_stats(td, run)
         info = binary_info(prog)
         print(

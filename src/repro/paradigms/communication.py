@@ -17,10 +17,7 @@ from repro.passes.report import Report
 
 
 def communication_analysis_paradigm(
-    pflow: PerFlow,
-    pag: PAG,
-    top: int = 10,
-    imbalance_threshold: float = 1.2,
+    pflow: PerFlow, pag: PAG, top: int = 10
 ) -> Tuple[VertexSet, VertexSet, Report]:
     """Listing 1, as a reusable paradigm.
 
@@ -32,7 +29,7 @@ def communication_analysis_paradigm(
     # (mpi_waitall_ etc.), which the ZeusMP case study needs.
     V_comm = pflow.comm_filter(pag.V)
     V_hot = pflow.hotspot_detection(V_comm, n=top)
-    V_imb = pflow.imbalance_analysis(V_hot, threshold=imbalance_threshold)
+    V_imb = pflow.imbalance_analysis(V_hot)
     V_bd = pflow.breakdown_analysis(V_imb)
     attrs = ["name", "comm-info", "debug-info", "time", "imbalance", "breakdown"]
     # Listing 1 reports ``V_imb, V_bd``: the same vertices, and the report

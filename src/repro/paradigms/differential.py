@@ -33,20 +33,14 @@ class RegressionReport:
     report: Optional[Report] = None
 
 
-def differential_paradigm(
-    pflow: PerFlow,
-    pag_new: PAG,
-    pag_old: PAG,
-    top: int = 10,
-    min_share: float = 0.01,
-) -> RegressionReport:
+def differential_paradigm(pflow: PerFlow, pag_new: PAG, pag_old: PAG) -> RegressionReport:
     """Rank regressions/improvements of ``pag_new`` relative to ``pag_old``.
 
     Only *leaf-exclusive* changes are ranked (``excl_time`` deltas):
     inclusive deltas would list every ancestor of one regressed leaf
     (exactly the main/loop/function noise a human filters out of Fig. 7
-    mentally).  ``min_share`` drops changes below that fraction of the
-    total absolute delta.
+    mentally).  Changes below 1% of the total absolute delta are
+    dropped; each list keeps its 10 largest.
     """
     V_diff = pflow.differential_analysis(pag_new.vs, pag_old.vs)
     excl = V_diff.values("excl_time")
@@ -54,11 +48,11 @@ def differential_paradigm(
     total_abs = sum(abs(d) for d in deltas) or 1.0
     shares = [None if d is None else abs(float(d)) / total_abs for d in excl]
     changed = V_diff.with_columns(delta_share=shares).filter(
-        lambda v: v["delta_share"] is not None and v["delta_share"] >= min_share
+        lambda v: v["delta_share"] is not None and v["delta_share"] >= 0.01
     )
-    regressions = changed.filter(lambda v: v["excl_time"] > 0).sort_by("excl_time").top(top)
+    regressions = changed.filter(lambda v: v["excl_time"] > 0).sort_by("excl_time").top(10)
     improvements = (
-        changed.filter(lambda v: v["excl_time"] <= 0).sort_by("excl_time", reverse=False).top(top)
+        changed.filter(lambda v: v["excl_time"] <= 0).sort_by("excl_time", reverse=False).top(10)
     )
     report = pflow.report(
         regressions,

@@ -31,18 +31,14 @@ class LoopCausalResult:
 
 
 def loop_causal_paradigm(
-    pflow: PerFlow,
-    pag: PAG,
-    top: int = 40,
-    imbalance_threshold: float = 1.2,
-    max_ranks: Optional[int] = None,
-    max_iters: int = 5,
+    pflow: PerFlow, pag: PAG, max_ranks: Optional[int] = None
 ) -> LoopCausalResult:
     """Fig. 11's PerFlowGraph, executed.
 
     The causal stage maps the current suspect set onto the parallel
     view, finds common ancestors, and feeds them back in; the fixpoint
-    is reached when an iteration adds no new cause vertices.
+    is reached when an iteration adds no new cause vertices (at most 5
+    rounds, starting from the 40 hottest vertices).
     """
     state = {"edges": EdgeSet([]), "causes": {}}
 
@@ -61,14 +57,13 @@ def loop_causal_paradigm(
         return inst.union(causes)
 
     g = pflow.perflowgraph("lammps-loop")
-    n_hot = g.add_pass(partial(pflow.hotspot_detection, n=top), g.input("V"), name="hotspot")
+    n_hot = g.add_pass(partial(pflow.hotspot_detection, n=40), g.input("V"), name="hotspot")
     n_comm = g.add_pass(pflow.comm_filter, n_hot, name="comm_filter")
-    imbalance = partial(pflow.imbalance_analysis, threshold=imbalance_threshold)
-    n_imb = g.add_pass(imbalance, n_comm, name="imbalance")
+    n_imb = g.add_pass(pflow.imbalance_analysis, n_comm, name="imbalance")
     # causal_step accumulates propagation paths and cause lists into
     # ``state`` — hidden output the result cache cannot see — so it must
     # execute on every run, never be satisfied from cache.
-    g.add_fixpoint(causal_step, n_imb, max_iters=max_iters, name="causal", cacheable=False)
+    g.add_fixpoint(causal_step, n_imb, max_iters=5, name="causal", cacheable=False)
     outputs = g.run(V=pag.vs)
 
     V_fix: VertexSet = outputs["causal"]

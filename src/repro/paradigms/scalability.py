@@ -77,11 +77,7 @@ _ONE_TO_SET_AND_EDGES = ((VertexSet,), (VertexSet, EdgeSet))
 
 
 def build_scalability_graph(
-    pflow: PerFlow,
-    pag_large: PAG,
-    top: int = 10,
-    imbalance_threshold: float = 1.2,
-    max_ranks: Optional[int] = None,
+    pflow: PerFlow, pag_large: PAG, top: int = 10, max_ranks: Optional[int] = None
 ):
     """Fig. 8's pipeline as an explicit PerFlowGraph.
 
@@ -98,8 +94,7 @@ def build_scalability_graph(
     n_diff = g.add_pass(diff, V1, V2, name="differential", signature=_TWO_TO_ONE, cacheable=False)
     hot = partial(pflow.hotspot_detection, n=top)
     n_hot = g.add_pass(hot, n_diff, name="hotspot", signature=_ONE_TO_ONE)
-    imb = partial(pflow.imbalance_analysis, threshold=imbalance_threshold)
-    n_imb = g.add_pass(imb, n_diff, name="imbalance", signature=_ONE_TO_ONE)
+    n_imb = g.add_pass(pflow.imbalance_analysis, n_diff, name="imbalance", signature=_ONE_TO_ONE)
     n_union = g.add_pass(pflow.union, n_hot, n_imb, name="union", signature=_TWO_TO_ONE)
     inst = partial(pflow.instances, pag=pag_large, max_ranks=max_ranks)
     n_inst = g.add_pass(inst, n_union, name="instances", signature=_ONE_TO_ONE, cacheable=False)
@@ -113,9 +108,7 @@ def scalability_analysis_paradigm(
     pag_small: PAG,
     pag_large: PAG,
     top: int = 10,
-    imbalance_threshold: float = 1.2,
     max_ranks: Optional[int] = None,
-    attrs: Tuple[str, ...] = ("name", "time", "debug-info", "cycles"),
 ) -> ScalabilityResult:
     """Listing 7's paradigm body (Part 2), parameterized.
 
@@ -124,14 +117,15 @@ def scalability_analysis_paradigm(
     caps the materialized parallel view for backtracking (the paper
     plots partial views for the same reason).
     """
-    g = build_scalability_graph(pflow, pag_large, top, imbalance_threshold, max_ranks)
+    g = build_scalability_graph(pflow, pag_large, top, max_ranks)
     out = g.run(V1=pag_large.vs, V2=pag_small.vs)
     V_bt, E_bt = out["backtracking"]
     roots = [v for v in V_bt if v["backtrack_root"]]
     # Walks that merely stopped AT a collective are weaker evidence than
     # walks that reached actual code; surface the latter first.
     roots.sort(key=lambda v: v["name"] in pflow.COLL_COMM)
-    report = pflow.report([V_bt, E_bt], attrs=list(attrs), title="scalability analysis")
+    attrs = ["name", "time", "debug-info", "cycles"]
+    report = pflow.report([V_bt, E_bt], attrs=attrs, title="scalability analysis")
     return ScalabilityResult(
         out["differential"], out["hotspot"], out["imbalance"], out["union"],
         V_bt, E_bt, roots, report,

@@ -42,7 +42,6 @@ def branching_diagnosis_paradigm(
     pag_base: PAG,
     pag_scaled: PAG,
     top: int = 10,
-    min_delta_fraction: float = 0.01,
     max_ranks: Optional[int] = None,
 ) -> BranchingDiagnosis:
     """Fig. 14's PerFlowGraph, executed.
@@ -55,13 +54,11 @@ def branching_diagnosis_paradigm(
     # branch 1: hotspots of the scaled run
     V_hot = pflow.hotspot_detection(pag_scaled.vs, n=top)
 
-    # branch 2: differential — what grew when threads grew
+    # branch 2: differential — what grew by over 1% of the run when threads grew
     total = float(pag_scaled.vertex(0)["time"] or 0.0)
     V_diff_all = pflow.differential_analysis(pag_scaled.vs, pag_base.vs)
-    V_diff = pflow.hotspot_detection(
-        V_diff_all.filter(lambda v: (v["time"] or 0.0) > min_delta_fraction * total),
-        n=top,
-    )
+    grew = V_diff_all.filter(lambda v: (v["time"] or 0.0) > 0.01 * total)
+    V_diff = pflow.hotspot_detection(grew, n=top)
 
     # branch 3: causal analysis on the thread-expanded parallel view
     suspects_td = VertexSet([pag_scaled.vertex(v.id) for v in V_diff])

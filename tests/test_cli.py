@@ -135,6 +135,65 @@ def test_table2_command(capsys):
     assert "85230" in out  # lammps row
 
 
+@pytest.mark.parametrize(
+    "argv, analysed, compared",
+    [
+        (["contention", "vite", "--np", "2", "--threads", "8"], (2, 8), (2, 2)),
+        (["scalability", "zeusmp", "--np", "4", "--np-large", "16"], (4, 1), (16, 1)),
+        (["mpi-profiler", "cg", "--np", "4"], (4, 1), None),
+    ],
+    ids=["contention", "scalability", "mpi-profiler"],
+)
+def test_paradigm_save_pag_writes_the_analysed_run(argv, analysed, compared, tmp_path, capsys):
+    from repro.apps import registry
+    from repro.dataflow.api import PerFlow
+    from repro.pag.formats import save_pag
+    from repro.pag.formats.format3 import pag_file_fingerprint
+
+    saved = tmp_path / "saved.pag3"
+    argv = ["paradigm", *argv, "--class", "S", "--save-pag", str(saved)]
+    assert main(argv) == EXIT_OK
+    assert f"wrote PAG: {saved}" in capsys.readouterr().out
+
+    def fingerprint(nprocs, nthreads):
+        pag = PerFlow().run(bin=registry("S")[argv[2]](), nprocs=nprocs, nthreads=nthreads)
+        path = tmp_path / f"fresh-{nprocs}x{nthreads}.pag3"
+        save_pag(pag, path)
+        return pag_file_fingerprint(path)
+
+    assert pag_file_fingerprint(saved) == fingerprint(*analysed)
+    if compared:
+        assert pag_file_fingerprint(saved) != fingerprint(*compared)
+
+
+@pytest.mark.parametrize(
+    "name, fn, argv",
+    [
+        ("mpi-profiler", "mpi_profiler_paradigm", ["cg", "--np", "4"]),
+        ("communication", "communication_analysis_paradigm", ["zeusmp", "--np", "4"]),
+        ("scalability", "scalability_analysis_paradigm", ["zeusmp", "--np", "4", "--np-large", "8"]),
+        ("critical-path", "critical_path_paradigm", ["ep", "--np", "2"]),
+        ("contention", "branching_diagnosis_paradigm", ["vite", "--np", "2", "--threads", "4"]),
+    ],
+)
+def test_paradigm_runs_the_module_attribute_once(name, fn, argv, monkeypatch, capsys):
+    """`repro paradigm NAME` calls ``repro.paradigms.<fn>`` as the module
+    holds it at call time, once: a wrapper patched there (as
+    bench/cli_workloads.py does for its ``paradigms.body`` span) sees it."""
+    import repro.paradigms
+
+    real, calls = getattr(repro.paradigms, fn), []
+
+    def recording(*args, **kwargs):
+        calls.append(fn)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.paradigms, fn, recording)
+    assert main(["paradigm", name, *argv, "--class", "S"]) == EXIT_OK
+    assert calls == [fn]
+    capsys.readouterr()
+
+
 def test_parser_rejects_bad_paradigm():
     parser = make_parser()
     with pytest.raises(SystemExit):
